@@ -64,6 +64,8 @@ from .oracle import (
     SymMonomial,
     SymPoly,
     census_power_tracks,
+    enum_det,
+    minor_sum_charpoly,
     sampled_equiv,
     sym_charpoly_coeff,
     sym_direct_charpoly,

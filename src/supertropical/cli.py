@@ -2,7 +2,7 @@
 
 Subcommands: det, charpoly, roots, eigen, check, fuzz. Exit codes: 0 on
 success, 1 when a check or campaign found a violation, 2 for input errors,
-3 when an enumeration bound was exceeded.
+3 when a dimension bound was exceeded.
 """
 
 from __future__ import annotations
@@ -308,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--json", action="store_true", help="emit JSON")
         if with_bound:
             p.add_argument("--bound", type=int, default=None,
-                           help="determinant enumeration bound (default 9)")
+                           help="dimension bound for det and charpoly (default 9)")
 
     p = sub.add_parser("det", help="determinant with dominant tracks")
     p.add_argument("path", help="matrix file (text or JSON)")

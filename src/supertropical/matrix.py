@@ -1,11 +1,17 @@
 """Dense square matrices over the ghost-extended max-plus scalars.
 
 The determinant here is the permanent: the max over all permutation tracks
-of the track product. Because tangibility of the result depends on *how
-many* tracks attain the maximum, the determinant is computed by exhaustive
-enumeration and reports every dominant track, guarded by an explicit
-enumeration bound (default 9, overridable per call or via the
-``SUPERTROPICAL_DET_BOUND`` environment variable).
+of the track product. The scalars form a commutative semiring in which a
+tie comes out ghost through addition itself, so the permanent, ghost-by-tie
+included, is computed exactly by a row-by-column-subset dynamic program in
+``O(n * 2^n)`` semiring operations (Held and Karp, 1962) rather than by
+enumerating all ``n!`` tracks. The same kernel, run over polynomial entries
+of ``A + xI``, yields every coefficient of the characteristic polynomial in
+one pass. The dominant tracks are listed by a depth-first search that only
+follows prefixes the table shows can still reach the maximum. Both
+computations are guarded by an explicit dimension bound (default 9,
+overridable per call or via the ``SUPERTROPICAL_DET_BOUND`` environment
+variable).
 """
 
 from __future__ import annotations
@@ -14,8 +20,7 @@ import json
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import combinations, permutations
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, TypeVar
 
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial
@@ -91,10 +96,17 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_pow(a: Matrix, m: int) -> Matrix:
     if m < 0:
         raise DomainError("negative matrix powers are not defined")
-    result = Matrix.identity(a.n)
-    for _ in range(m):
-        result = mat_mul(result, a)
-    return result
+    if m == 0:
+        return Matrix.identity(a.n)
+    # Repeated squaring: m = 2 takes one product, m = 3 two.
+    result, square = None, a
+    while True:
+        if m & 1:
+            result = square if result is None else mat_mul(result, square)
+        m >>= 1
+        if not m:
+            return result
+        square = mat_mul(square, square)
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -190,57 +202,102 @@ class DetReport:
         }
 
 
+T = TypeVar("T", Scalar, Polynomial)
+
+
+def _permanent_table(entries: Sequence[Sequence[T]], n: int, zero: T, one: T) -> list[T]:
+    """Subset table of partial permanents over a commutative semiring.
+
+    ``table[S]`` is the permanent of the bottom ``|S|`` rows restricted to
+    the columns in bitmask ``S``: row ``i = n - |S|`` picks a column ``j`` in
+    ``S`` and the rows below share out the rest, so ``table[S]`` is the sum
+    over ``j`` of ``entries[i][j] * table[S - {j}]``. By distributivity this
+    is the sum of the same track products that permutation enumeration adds
+    up, and ``table[2^n - 1]`` is the permanent. Zero terms are skipped.
+    """
+    live = [[(1 << j, e) for j, e in enumerate(row) if not e.is_zero] for row in entries]
+    table = [zero] * (1 << n)
+    table[0] = one
+    for subset in range(1, 1 << n):
+        acc = zero
+        for bit, entry in live[n - subset.bit_count()]:
+            if subset & bit:
+                rest = table[subset ^ bit]
+                if not rest.is_zero:
+                    term = entry * rest
+                    acc = term if acc is zero else acc + term
+        table[subset] = acc
+    return table
+
+
 def det(a: Matrix, bound: int | None = None) -> DetReport:
-    """Permanent by full permutation enumeration, with dominant-track report."""
+    """Permanent by the subset table, with every dominant track listed.
+
+    Tracks come out in the lexicographic order of their permutations: the
+    search tries columns in ascending order and extends a prefix by column
+    ``j`` only when the entry plus the best completion of the remaining
+    columns still reaches the table's value.
+    """
     limit = det_bound(bound)
     if a.n > limit:
         raise BoundExceededError("determinant", a.n, limit)
-    rows = a.rows
-    value = ZERO
-    tracks: list[PermutationTrack] = []
-    for perm in permutations(range(a.n)):
-        product = ONE
-        for i, j in enumerate(perm):
-            entry = rows[i][j]
-            if entry.is_zero:
-                product = ZERO
-                break
-            product = product * entry
-        if product.is_zero:
-            continue
-        tracks.append(PermutationTrack(perm, product))
-        value = value + product
+    n, rows = a.n, a.rows
+    table = _permanent_table(rows, n, ZERO, ONE)
+    full = (1 << n) - 1
+    value = table[full]
     if value.is_zero:
         return DetReport(ZERO, (), DetClass.ZERO)
-    dominant = tuple(t for t in tracks if t.product.value == value.value)
-    if len(dominant) > 1:
+    tracks: list[PermutationTrack] = []
+    perm: list[int] = []
+
+    def extend(subset: int, product: Scalar) -> None:
+        if not subset:
+            tracks.append(PermutationTrack(tuple(perm), product))
+            return
+        row = rows[n - subset.bit_count()]
+        target = table[subset].value
+        for j in range(n):
+            bit = 1 << j
+            if not subset & bit:
+                continue
+            entry, rest = row[j], table[subset ^ bit]
+            if entry.is_zero or rest.is_zero or entry.value + rest.value != target:
+                continue
+            perm.append(j)
+            extend(subset ^ bit, product * entry)
+            perm.pop()
+
+    extend(full, ONE)
+    if len(tracks) > 1:
         cls = DetClass.GHOST_BY_TIE
-    elif dominant[0].product.is_ghost:
+    elif tracks[0].product.is_ghost:
         cls = DetClass.GHOST_BY_GHOST_TRACK
     else:
         cls = DetClass.TANGIBLE
-    return DetReport(value, dominant, cls)
+    return DetReport(value, tuple(tracks), cls)
 
 
 def char_poly(a: Matrix, bound: int | None = None) -> Polynomial:
-    """Characteristic polynomial via principal-minor permanents.
+    """Characteristic polynomial: the permanent of ``A + xI``.
 
     The coefficient of x^(n-k) is the max over all k-subsets of rows of the
     determinant of the corresponding principal minor; the top coefficient
-    is the unit.
+    is the unit. Each track of a principal minor, joined with x on the
+    remaining diagonal, is exactly one permutation track of ``A + xI``, so
+    one permanent over polynomial entries gives every coefficient.
     """
     limit = det_bound(bound)
     if a.n > limit:
         raise BoundExceededError("characteristic polynomial", a.n, limit)
     n = a.n
-    coeffs = [ZERO] * (n + 1)
-    coeffs[n] = ONE
-    for k in range(1, n + 1):
-        acc = ZERO
-        for subset in combinations(range(n), k):
-            acc = acc + det(principal_minor(a, subset), bound=limit).value
-        coeffs[n - k] = acc
-    return Polynomial(tuple(coeffs))
+    entries = [
+        [
+            Polynomial((a.rows[i][j], ONE)) if i == j else Polynomial((a.rows[i][j],))
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    return _permanent_table(entries, n, Polynomial((ZERO,)), Polynomial((ONE,)))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +337,10 @@ def matrix_from_json_dict(data: dict) -> Matrix:
         rows = data["rows"]
     except (TypeError, KeyError) as exc:
         raise ParseError("matrix JSON needs keys 'n' and 'rows'") from exc
+    if not isinstance(rows, (list, tuple)) or not all(
+        isinstance(r, (list, tuple)) for r in rows
+    ):
+        raise ParseError("matrix JSON 'rows' must be a list of lists")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"matrix JSON rows do not form an {n}x{n} array")
     return Matrix(tuple(tuple(parse_scalar(e) for e in row) for row in rows))

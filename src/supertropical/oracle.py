@@ -1,7 +1,10 @@
 """Independent brute-force witnesses for the production computations.
 
-Two kinds of evidence live here. The symbolic side expands matrix powers
-and principal-minor permanents over formal entry variables, keeping exact
+Three kinds of evidence live here. The enumeration side computes the
+determinant over all ``n!`` permutation tracks and the characteristic
+polynomial as a sum of principal-minor determinants: the definitions the
+subset table in ``matrix`` must reproduce exactly. The symbolic side
+expands matrix powers and principal-minor permanents over formal entry variables, keeping exact
 natural-number occurrence counts for every monomial (no max-plus collapse),
 so statements about *how often* a monomial appears can be checked by
 census. The numeric side recomputes the characteristic polynomial by a
@@ -17,12 +20,72 @@ from fractions import Fraction
 from itertools import combinations, permutations
 
 from .errors import BoundExceededError
-from .matrix import Matrix, det_bound
+from .matrix import (
+    DetClass,
+    DetReport,
+    Matrix,
+    PermutationTrack,
+    det_bound,
+    principal_minor,
+)
 from .polynomial import Polynomial, breakpoints
 from .scalar import ONE, Scalar, ZERO, ghost, tangible
 from .spectral import Verdict
 
 Var = tuple[int, int]  # 0-based (row, column) entry variable
+
+
+def enum_det(a: Matrix, bound: int | None = None) -> DetReport:
+    """Permanent by full permutation enumeration, with dominant-track report."""
+    limit = det_bound(bound)
+    if a.n > limit:
+        raise BoundExceededError("determinant", a.n, limit)
+    rows = a.rows
+    value = ZERO
+    tracks: list[PermutationTrack] = []
+    for perm in permutations(range(a.n)):
+        product = ONE
+        for i, j in enumerate(perm):
+            entry = rows[i][j]
+            if entry.is_zero:
+                product = ZERO
+                break
+            product = product * entry
+        if product.is_zero:
+            continue
+        tracks.append(PermutationTrack(perm, product))
+        value = value + product
+    if value.is_zero:
+        return DetReport(ZERO, (), DetClass.ZERO)
+    dominant = tuple(t for t in tracks if t.product.value == value.value)
+    if len(dominant) > 1:
+        cls = DetClass.GHOST_BY_TIE
+    elif dominant[0].product.is_ghost:
+        cls = DetClass.GHOST_BY_GHOST_TRACK
+    else:
+        cls = DetClass.TANGIBLE
+    return DetReport(value, dominant, cls)
+
+
+def minor_sum_charpoly(a: Matrix, bound: int | None = None) -> Polynomial:
+    """Characteristic polynomial via principal-minor permanents.
+
+    The coefficient of x^(n-k) is the max over all k-subsets of rows of the
+    enumerated determinant of the corresponding principal minor; the top
+    coefficient is the unit.
+    """
+    limit = det_bound(bound)
+    if a.n > limit:
+        raise BoundExceededError("characteristic polynomial", a.n, limit)
+    n = a.n
+    coeffs = [ZERO] * (n + 1)
+    coeffs[n] = ONE
+    for k in range(1, n + 1):
+        acc = ZERO
+        for subset in combinations(range(n), k):
+            acc = acc + enum_det(principal_minor(a, subset), bound=limit).value
+        coeffs[n - k] = acc
+    return Polynomial(tuple(coeffs))
 
 
 @dataclass(frozen=True)

@@ -153,7 +153,8 @@ def parse_scalar(text: str) -> Scalar:
     if match is None:
         raise ParseError(f"not a scalar: {text!r}")
     num, den, ghost_mark = match.groups()
-    if den == "0":
+    den = int(den) if den else 1
+    if den == 0:
         raise ParseError(f"zero denominator in {text!r}")
-    value = Fraction(int(num), int(den) if den else 1)
+    value = Fraction(int(num), den)
     return Scalar(Kind.GHOST if ghost_mark else Kind.TANGIBLE, value)

@@ -26,6 +26,7 @@ from supertropical import (
     essential,
     ghost,
     mat_pow,
+    minor_sum_charpoly,
     parse_matrix,
     parse_polynomial,
     primary_root,
@@ -153,8 +154,11 @@ def test_criterion_6_charpoly_route_equivalence():
         rng = random.Random(trial_seed(cfg.seed, trial))
         n = rng.randint(cfg.min_n, cfg.max_n)
         a = random_matrix(rng, n, cfg)
-        assert char_poly(a) == sym_direct_charpoly(a)
-    _report(6, "minor-sum and direct-permanent charpoly agree on 500/500 matrices")
+        assert char_poly(a) == minor_sum_charpoly(a) == sym_direct_charpoly(a)
+    _report(
+        6,
+        "subset-DP, minor-sum and direct-permanent charpoly agree on 500/500 matrices",
+    )
 
 
 def _law_scalar(rng: random.Random):

@@ -204,6 +204,27 @@ class TestErrorPaths:
         assert code == 2
         assert "line 1" in err
 
+    @pytest.mark.parametrize(
+        "name,text",
+        [
+            ("zero_den.txt", "1/00 0\n0 0"),
+            ("rows_scalar.json", '{"n": 2, "rows": 5}'),
+        ],
+        ids=["zero-denominator", "rows-not-a-list"],
+    )
+    def test_malformed_matrix_exit_2(self, capsys, tmp_path, name, text):
+        path = tmp_path / name
+        path.write_text(text)
+        code, out, err = run(capsys, "det", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
+
+    def test_zero_denominator_polynomial_exit_2(self, capsys):
+        code, _, err = run(capsys, "roots", "x + 1/00")
+        assert code == 2
+        assert "zero denominator" in err
+
     def test_missing_file_exit_2(self, capsys):
         code, _, err = run(capsys, "det", "/does/not/exist.txt")
         assert code == 2

@@ -5,11 +5,13 @@ from __future__ import annotations
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import supertropical.matrix as matrix_module
 from supertropical import (
     BoundExceededError,
     DetClass,
@@ -34,7 +36,7 @@ from supertropical import (
     tangible,
     trace,
 )
-from supertropical.oracle import sym_direct_charpoly
+from supertropical.oracle import enum_det, minor_sum_charpoly, sym_direct_charpoly
 from conftest import brute_det_value, matrices, sample_matrix
 
 A = parse_matrix("0 0\n1 2")
@@ -60,6 +62,18 @@ class TestProduct:
     def test_associative(self, x, y, z):
         if x.n == y.n == z.n:
             assert mat_mul(mat_mul(x, y), z) == mat_mul(x, mat_mul(y, z))
+
+    @pytest.mark.parametrize("m,products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (6, 3)])
+    def test_repeated_squaring_product_count(self, monkeypatch, m, products):
+        calls = []
+
+        def counting_mul(x, y):
+            calls.append(1)
+            return mat_mul(x, y)
+
+        monkeypatch.setattr(matrix_module, "mat_mul", counting_mul)
+        mat_pow(A, m)
+        assert len(calls) == products
 
     def test_mat_vec(self):
         v = (tangible(0), tangible(2))
@@ -226,10 +240,66 @@ class TestTextForms:
         with pytest.raises(ParseError):
             matrix_from_json_dict({"n": 2, "rows": [["0"]]})
 
+    @pytest.mark.parametrize("rows", [5, "00", [5, 5], [["0", "0"], None], {"a": 1}])
+    def test_json_rows_not_a_grid(self, rows):
+        with pytest.raises(ParseError):
+            matrix_from_json_dict({"n": 2, "rows": rows})
 
-@given(matrices(max_n=3), st.integers(min_value=0, max_value=3))
+
+@given(matrices(max_n=3), st.integers(min_value=0, max_value=6))
 def test_power_by_iterated_product(a, m):
     expected = Matrix.identity(a.n)
     for _ in range(m):
         expected = mat_mul(expected, a)
     assert mat_pow(a, m) == expected
+
+
+def _lattice_scalar(rng: random.Random):
+    """Integers -2..2, 20% ghosts, 10% -inf: ties among tracks are common."""
+    if rng.random() < 0.1:
+        return ZERO
+    value = Fraction(rng.randint(-2, 2))
+    return ghost(value) if rng.random() < 0.2 else tangible(value)
+
+
+def _special_matrices():
+    """All-equal (every track ties), diagonal and zero-row matrices, n <= 6."""
+    for n in range(1, 7):
+        for entry in (tangible(Fraction(1, 3)), ghost(-1), ZERO):
+            yield Matrix(tuple((entry,) * n for _ in range(n)))
+        yield Matrix(
+            tuple(
+                tuple(tangible(i) if i == j else ZERO for j in range(n))
+                for i in range(n)
+            )
+        )
+        for zero_row in (0, n - 1):
+            rows = [tuple(tangible(i * j % 3) for j in range(n)) for i in range(n)]
+            rows[zero_row] = (ZERO,) * n
+            yield Matrix(tuple(rows))
+
+
+def _lattice_matrices(count: int):
+    """Seeded matrices with n <= 6. The enumeration routes grow like n!, so
+    every 30th matrix is 5x5 and every 150th 6x6; the rest are n <= 4."""
+    rng = random.Random("dp-vs-enumeration")
+    for trial in range(count):
+        if trial % 150 == 0:
+            n = 6
+        elif trial % 30 == 0:
+            n = 5
+        else:
+            n = rng.randint(1, 4)
+        yield Matrix(
+            tuple(tuple(_lattice_scalar(rng) for _ in range(n)) for _ in range(n))
+        )
+
+
+def test_dp_matches_enumeration():
+    ties = 0
+    for a in itertools.chain(_special_matrices(), _lattice_matrices(3000)):
+        report = det(a)
+        assert report.to_json_dict() == enum_det(a).to_json_dict(), a
+        ties += report.classification is DetClass.GHOST_BY_TIE
+        assert char_poly(a) == minor_sum_charpoly(a) == sym_direct_charpoly(a), a
+    assert ties > 300
