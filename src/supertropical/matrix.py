@@ -24,7 +24,7 @@ from typing import Iterable, Sequence, TypeVar
 
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial
-from .scalar import ONE, Scalar, ZERO, parse_scalar
+from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar
 
 DEFAULT_DET_BOUND = 9
 DET_BOUND_ENV = "SUPERTROPICAL_DET_BOUND"
@@ -247,27 +247,37 @@ def det(a: Matrix, bound: int | None = None) -> DetReport:
     value = table[full]
     if value.is_zero:
         return DetReport(ZERO, (), DetClass.ZERO)
+    # A dominant track's product has the determinant's magnitude; it is
+    # ghost exactly when one of its entries is.
+    products = {False: Scalar(Kind.TANGIBLE, value.value), True: value.as_ghost()}
+    # steps[S]: the (column, entry is ghost) choices for the row of S whose
+    # entry plus the best completion of S - {column} attains table[S].
+    steps: list[list[tuple[int, bool]] | None] = [None] * (full + 1)
     tracks: list[PermutationTrack] = []
     perm: list[int] = []
 
-    def extend(subset: int, product: Scalar) -> None:
+    def extend(subset: int, ghosted: bool) -> None:
         if not subset:
-            tracks.append(PermutationTrack(tuple(perm), product))
+            tracks.append(PermutationTrack(tuple(perm), products[ghosted]))
             return
-        row = rows[n - subset.bit_count()]
-        target = table[subset].value
-        for j in range(n):
-            bit = 1 << j
-            if not subset & bit:
-                continue
-            entry, rest = row[j], table[subset ^ bit]
-            if entry.is_zero or rest.is_zero or entry.value + rest.value != target:
-                continue
+        choices = steps[subset]
+        if choices is None:
+            row = rows[n - subset.bit_count()]
+            target = table[subset].value
+            choices = steps[subset] = [
+                (j, entry.is_ghost)
+                for j, entry in enumerate(row)
+                if subset & (1 << j)
+                and not entry.is_zero
+                and not table[subset ^ (1 << j)].is_zero
+                and entry.value + table[subset ^ (1 << j)].value == target
+            ]
+        for j, entry_ghost in choices:
             perm.append(j)
-            extend(subset ^ bit, product * entry)
+            extend(subset ^ (1 << j), ghosted or entry_ghost)
             perm.pop()
 
-    extend(full, ONE)
+    extend(full, False)
     if len(tracks) > 1:
         cls = DetClass.GHOST_BY_TIE
     elif tracks[0].product.is_ghost:
