@@ -226,7 +226,9 @@ def test_parse_examples(text, value):
     assert parse_scalar(text) == value
 
 
-@pytest.mark.parametrize("bad", ["", "inf", "1/0", "1/00", "3/000g", "x", "5 g", "--5", "1.5", "g", "5gg"])
+@pytest.mark.parametrize(
+    "bad", ["", "inf", "1/0", "1/00", "3/000g", "x", "5 g", "--5", "1.5", "g", "5gg"]
+)
 def test_parse_rejects(bad):
     with pytest.raises(ParseError):
         parse_scalar(bad)
