@@ -1,0 +1,55 @@
+"""Byte-for-byte CLI output pinned against recorded golden files.
+
+Each case runs ``supertropical <argv>`` in-process, expects exit 0 (no law
+can fail on true inputs) and compares its stdout with ``tests/golden/<name>``.
+The files were recorded from the command line; regenerate one by running the
+same argv with the matrix fixtures below written to files, and review the
+diff before committing.
+"""
+
+from __future__ import annotations
+
+from pathlib import Path
+
+import pytest
+
+from supertropical import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# The same 2x2 fixtures as test_cli.py: A has a tangible determinant, A2 a
+# ghost-by-tie one.
+MATRICES = {"A": "0 0\n1 2\n", "A2": "1 2\n3 4\n"}
+
+LAW_IDS = ("thm13", "thm36", "cor37", "cor38", "trace")
+
+CASES = {
+    "fuzz_t200_s42.txt": ["fuzz", "--trials", "200", "--seed", "42"],
+    "fuzz_t200_s42.json": ["fuzz", "--trials", "200", "--seed", "42", "--json"],
+    **{
+        f"check_{law}_t50_s7.json": ["check", law, "--trials", "50", "--seed", "7", "--json"]
+        for law in LAW_IDS
+    },
+    "check_charpoly-equiv_t30_s3.json": [
+        "check", "charpoly-equiv", "--trials", "30", "--seed", "3", "--json"
+    ],
+    "check_thm36_fA_m2.json": ["check", "thm36", "-f", "{A}", "-m", "2", "--json"],
+    "check_thm36_fA2_m3.json": ["check", "thm36", "-f", "{A2}", "-m", "3", "--json"],
+    "check_cor38_fA_m2.json": ["check", "cor38", "-f", "{A}", "-m", "2", "--json"],
+    "check_thm13_fA_gA2.json": ["check", "thm13", "-f", "{A}", "-g", "{A2}", "--json"],
+    "check_thm13_fA.json": ["check", "thm13", "-f", "{A}", "--json"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden(name, tmp_path, capsys):
+    paths = {}
+    for key, text in MATRICES.items():
+        paths[key] = tmp_path / f"{key}.txt"
+        paths[key].write_text(text, encoding="utf-8")
+    argv = [arg.format(**paths) for arg in CASES[name]]
+    code = cli.main(argv)
+    out = capsys.readouterr().out
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert code == 0
+    assert out == expected
