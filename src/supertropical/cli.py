@@ -10,18 +10,10 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
 
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
-from .fuzz import (
-    CAMPAIGN_CHECKS,
-    Config,
-    random_matrix,
-    run_campaign,
-    search_eigenpairs,
-    trial_seed,
-)
+from .fuzz import Config, generate_trials, run_campaign, search_eigenpairs
 from .matrix import Matrix, char_poly, det, parse_matrix_any
 from .oracle import census_power_tracks, sym_charpoly_coeff, sym_direct_charpoly
 from .polynomial import (
@@ -32,29 +24,9 @@ from .polynomial import (
     roots,
 )
 from .scalar import ZERO, ghost, tangible
-from .spectral import (
-    Verdict,
-    check_charpoly_power,
-    check_corner_root_power,
-    check_det_rule,
-    check_eigen_power,
-    check_frobenius,
-    check_tangible_equality,
-    check_trace_power,
-    eigenvalues,
-)
+from .spectral import CHECKS, Trial, Verdict, check_eigen_power, check_frobenius, eigenvalues
 
-CHECK_IDS = (
-    "thm13",
-    "frobenius",
-    "prop32",
-    "thm36",
-    "cor37",
-    "cor38",
-    "trace",
-    "claim35",
-    "charpoly-equiv",
-)
+CHECK_IDS = (*CHECKS, "frobenius", "prop32", "claim35", "charpoly-equiv")
 
 
 def _read_matrix(path: str) -> Matrix:
@@ -147,29 +119,27 @@ def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
     return 1 if any(v.holds is False for v in verdicts) else 0
 
 
-def _generated_matrices(args):
+def _generated_config(args) -> Config:
+    """The trials `fuzz` draws for the same seed, with -m fixing the power."""
     fixed_m = args.power
-    cfg = Config(
+    return Config(
         trials=args.trials,
         seed=args.seed,
-        min_n=2,
         max_n=args.max_n,
-        min_m=fixed_m or 2,
-        max_m=fixed_m or args.max_m,
+        min_m=2 if fixed_m is None else fixed_m,
+        max_m=args.max_m if fixed_m is None else fixed_m,
         det_bound=args.bound,
     )
-    for trial in range(cfg.trials):
-        rng = random.Random(trial_seed(cfg.seed, trial))
-        n = rng.randint(cfg.min_n, cfg.max_n)
-        m = rng.randint(cfg.min_m, cfg.max_m)
-        yield random_matrix(rng, n, cfg), random_matrix(rng, n, cfg), m
 
 
 def cmd_check(args) -> int:
     check_id = args.theorem
-    m = args.power or 2
+    for flag, value in (("-m", args.power), ("-n", args.dim)):
+        if value is not None and value < 1:
+            raise DomainError(f"{flag} must be at least 1, got {value}")
+    m = 2 if args.power is None else args.power
     if check_id == "claim35":
-        n = args.dim or 2
+        n = 2 if args.dim is None else args.dim
         verdicts = [
             census_power_tracks(n, m, k) for k in range(1, n + 1)
         ]
@@ -205,17 +175,15 @@ def cmd_check(args) -> int:
             same = char_poly(a, args.bound) == sym_direct_charpoly(a, args.bound)
             v = Verdict("charpoly-equiv", same, None if same else {"matrix": a.to_json_dict()})
             return _print_verdicts([v], args.json)
-        failures = []
-        total = 0
-        for a, _b, _m in _generated_matrices(args):
-            total += 1
-            if char_poly(a, args.bound) != sym_direct_charpoly(a, args.bound):
-                failures.append(a)
+        cfg = _generated_config(args)
+        failures = [
+            t.a for t in generate_trials(cfg) if t.alpha != sym_direct_charpoly(t.a, args.bound)
+        ]
         v = Verdict(
             "charpoly-equiv",
             not failures,
             {"matrix": failures[0].to_json_dict()} if failures else None,
-            ({"cases": total, "failures": len(failures)},),
+            ({"cases": cfg.trials, "failures": len(failures)},),
         )
         return _print_verdicts([v], args.json)
     if check_id == "prop32":
@@ -231,38 +199,13 @@ def cmd_check(args) -> int:
         verdicts = [check_eigen_power(a, v, x, m) for v, x in pairs]
         return _print_verdicts(verdicts, args.json)
 
-    def single(a: Matrix, b: Matrix, power: int) -> Verdict:
-        if check_id == "thm36":
-            return check_charpoly_power(a, power, args.bound)
-        if check_id == "cor37":
-            return check_tangible_equality(a, power, args.bound)
-        if check_id == "cor38":
-            return check_corner_root_power(a, power, args.bound)
-        if check_id == "trace":
-            return check_trace_power(a, power)
-        return check_det_rule(a, b, args.bound)
-
     if args.file:
         a = _read_matrix(args.file)
         b = _read_matrix(args.file_b) if args.file_b else a
-        return _print_verdicts([single(a, b, m)], args.json)
-    tallies = {"pass": 0, "fail": 0, "na": 0}
-    first_failure = None
-    for a, b, gen_m in _generated_matrices(args):
-        v = single(a, b, gen_m)
-        if v.holds is None:
-            tallies["na"] += 1
-        elif v.holds:
-            tallies["pass"] += 1
-        else:
-            tallies["fail"] += 1
-            first_failure = first_failure or v
-    summary = Verdict(
-        check_id,
-        tallies["fail"] == 0,
-        first_failure.witness if first_failure else None,
-        (tallies,),
-    )
+        return _print_verdicts([CHECKS[check_id](Trial(a, b, m, args.bound))], args.json)
+    result = run_campaign(_generated_config(args), (check_id,))
+    first = result.violations[0]["verdict"] if result.violations else {}
+    summary = Verdict(check_id, result.ok, first.get("witness"), (result.tallies[check_id],))
     return _print_verdicts([summary], args.json)
 
 
@@ -285,8 +228,7 @@ def cmd_fuzz(args) -> int:
             f"fuzz: {cfg.trials} trials, seed {cfg.seed}, "
             f"n in [{cfg.min_n},{cfg.max_n}], m in [{cfg.min_m},{cfg.max_m}]"
         )
-        for name in CAMPAIGN_CHECKS:
-            t = result.tallies[name]
+        for name, t in result.tallies.items():
             print(f"  {name:<6} pass {t['pass']:>5}  fail {t['fail']:>3}  na {t['na']:>5}")
         if result.violations:
             print("violations:")

@@ -14,22 +14,16 @@ import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from itertools import product
+from typing import Iterator
 
 from .errors import DomainError
 from .matrix import Matrix
 from .polynomial import Polynomial
 from .scalar import Kind, Scalar, ZERO, tangible
-from .spectral import (
-    Verdict,
-    check_charpoly_power,
-    check_corner_root_power,
-    check_det_rule,
-    check_eigenpair,
-    check_tangible_equality,
-    check_trace_power,
-    eigenvalues,
-)
+from .spectral import CHECKS, Trial, check_eigenpair, eigenvalues
 
+# The default checks, in the order a campaign reports them; they run in
+# ``CHECKS`` order.
 CAMPAIGN_CHECKS = ("thm13", "thm36", "cor37", "cor38", "trace")
 
 
@@ -129,31 +123,24 @@ class CampaignResult:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
 
-def _run_trial_checks(a: Matrix, b: Matrix, m: int, bound, checks) -> dict[str, Verdict]:
-    out = {}
-    if "thm36" in checks:
-        out["thm36"] = check_charpoly_power(a, m, bound)
-    if "thm13" in checks:
-        out["thm13"] = check_det_rule(a, b, bound)
-    if "cor37" in checks:
-        out["cor37"] = check_tangible_equality(a, m, bound)
-    if "cor38" in checks:
-        out["cor38"] = check_corner_root_power(a, m, bound)
-    if "trace" in checks:
-        out["trace"] = check_trace_power(a, m)
-    return out
+def generate_trials(cfg: Config) -> Iterator[Trial]:
+    """The campaign's inputs in trial order; trial ``i`` draws n, m, A and B
+    from its own generator seeded by ``trial_seed(cfg.seed, i)``."""
+    for trial in range(cfg.trials):
+        rng = random.Random(trial_seed(cfg.seed, trial))
+        n = rng.randint(cfg.min_n, cfg.max_n)
+        m = rng.randint(cfg.min_m, cfg.max_m)
+        yield Trial(random_matrix(rng, n, cfg), random_matrix(rng, n, cfg), m, cfg.det_bound)
 
 
 def run_campaign(cfg: Config, checks: tuple[str, ...] = CAMPAIGN_CHECKS) -> CampaignResult:
     tallies = {c: {"pass": 0, "fail": 0, "na": 0} for c in checks}
     violations: list[dict] = []
-    for trial in range(cfg.trials):
-        rng = random.Random(trial_seed(cfg.seed, trial))
-        n = rng.randint(cfg.min_n, cfg.max_n)
-        m = rng.randint(cfg.min_m, cfg.max_m)
-        a = random_matrix(rng, n, cfg)
-        b = random_matrix(rng, n, cfg)
-        for name, verdict in _run_trial_checks(a, b, m, cfg.det_bound, checks).items():
+    for trial, inputs in enumerate(generate_trials(cfg)):
+        for name, check in CHECKS.items():
+            if name not in tallies:
+                continue
+            verdict = check(inputs)
             if verdict.holds is None:
                 tallies[name]["na"] += 1
             elif verdict.holds:

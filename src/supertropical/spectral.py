@@ -4,16 +4,19 @@ Each checker computes both sides of one stated relation and returns a
 `Verdict` carrying per-coefficient detail and, on failure, a witness that
 reproduces the computation. A conditional law whose hypothesis does not
 hold reports ``holds=None`` (not applicable) rather than pass or fail.
+The matrix-power laws are functions of one cached ``Trial``, listed by
+check id in ``CHECKS``; the public ``check_*`` functions wrap them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from functools import cached_property
+from typing import Callable, Sequence
 
 from .errors import DomainError
 from .matrix import Matrix, char_poly, det, mat_mul, mat_pow, mat_vec, trace
-from .polynomial import Interval, roots
+from .polynomial import Interval, Polynomial, roots
 from .scalar import Scalar
 
 
@@ -105,16 +108,47 @@ def check_eigen_power(a: Matrix, v: Sequence[Scalar], x: Scalar, m: int) -> Verd
     return Verdict("eigen-power", inner.holds, witness, inner.detail)
 
 
-def check_charpoly_power(a: Matrix, m: int, bound: int | None = None) -> Verdict:
-    """Each coefficient of charpoly(A^m) ghost-surpasses the m-th power of
-    the matching coefficient of charpoly(A)."""
-    alpha = char_poly(a, bound)
-    beta = char_poly(mat_pow(a, m), bound)
+@dataclass(frozen=True)
+class Trial:
+    """One input to the matrix-power laws: matrices ``a`` and ``b`` (``b``
+    only for the determinant product rule), the power ``m`` and the
+    det/charpoly dimension ``bound``.
+
+    Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m), and
+    the trace law reads A^m too. ``power`` (A^m), ``alpha`` (charpoly(A)) and
+    ``beta`` (charpoly(A^m)) are therefore computed on first use and cached
+    on the trial, so running every law on one trial costs one ``mat_pow`` and
+    two ``char_poly`` calls rather than one of each per law.
+    """
+
+    a: Matrix
+    b: Matrix
+    m: int
+    bound: int | None = None
+
+    @cached_property
+    def power(self) -> Matrix:
+        return mat_pow(self.a, self.m)
+
+    @cached_property
+    def alpha(self) -> Polynomial:
+        return char_poly(self.a, self.bound)
+
+    @cached_property
+    def beta(self) -> Polynomial:
+        return char_poly(self.power, self.bound)
+
+    def witness(self, **extra) -> dict:
+        return {"matrix": self.a.to_json_dict(), "m": self.m, **extra}
+
+
+def _charpoly_power(t: Trial) -> Verdict:
+    alpha, beta = t.alpha, t.beta
     detail = []
     bad = None
-    for i in range(a.n + 1):
+    for i in range(t.a.n + 1):
         b = beta.coeff(i)
-        ap = alpha.coeff(i) ** m
+        ap = alpha.coeff(i) ** t.m
         if b == ap:
             relation = "equal"
         elif b.surpasses(ap):
@@ -123,59 +157,13 @@ def check_charpoly_power(a: Matrix, m: int, bound: int | None = None) -> Verdict
             relation = "violation"
             bad = i
         detail.append({"i": i, "coeff": str(b), "power": str(ap), "relation": relation})
-    witness = None
-    if bad is not None:
-        witness = {"matrix": a.to_json_dict(), "m": m, "i": bad}
+    witness = None if bad is None else t.witness(i=bad)
     return Verdict("charpoly-power", bad is None, witness, tuple(detail))
 
 
-def check_tangible_equality(a: Matrix, m: int, bound: int | None = None) -> Verdict:
-    """When charpoly(A^m) has no ghost coefficient, it must equal the
-    coefficientwise m-th power of charpoly(A) exactly."""
-    alpha = char_poly(a, bound)
-    beta = char_poly(mat_pow(a, m), bound)
-    if any(c.is_ghost for c in beta.coeffs):
-        return Verdict("tangible-equality", None)
-    detail = []
-    bad = None
-    for i in range(a.n + 1):
-        b = beta.coeff(i)
-        ap = alpha.coeff(i) ** m
-        ok = b == ap
-        if not ok:
-            bad = i
-        detail.append({"i": i, "coeff": str(b), "power": str(ap), "equal": ok})
-    witness = None
-    if bad is not None:
-        witness = {"matrix": a.to_json_dict(), "m": m, "i": bad}
-    return Verdict("tangible-equality", bad is None, witness, tuple(detail))
-
-
-def check_corner_root_power(a: Matrix, m: int, bound: int | None = None) -> Verdict:
-    """Every corner root of charpoly(A^m) is the m-th power of a corner root
-    of charpoly(A). Containment only; the converse can fail."""
-    base_roots = roots(char_poly(a, bound)).corner_roots
-    power_roots = roots(char_poly(mat_pow(a, m), bound)).corner_roots
-    detail = []
-    bad = None
-    for mu, _mult in power_roots:
-        match = next((lam for lam, _ in base_roots if lam**m == mu), None)
-        if match is None:
-            bad = mu
-        detail.append(
-            {"corner_root": str(mu), "base_root": None if match is None else str(match)}
-        )
-    witness = None
-    if bad is not None:
-        witness = {"matrix": a.to_json_dict(), "m": m, "corner_root": str(bad)}
-    return Verdict("corner-root-power", bad is None, witness, tuple(detail))
-
-
-def check_det_rule(a: Matrix, b: Matrix, bound: int | None = None) -> Verdict:
-    """det(AB) ghost-surpasses det(A)*det(B); equality whenever det(AB) is
-    tangible (implied, but recorded separately in the detail)."""
-    lhs = det(mat_mul(a, b), bound).value
-    rhs = det(a, bound).value * det(b, bound).value
+def _det_rule(t: Trial) -> Verdict:
+    lhs = det(mat_mul(t.a, t.b), t.bound).value
+    rhs = det(t.a, t.bound).value * det(t.b, t.bound).value
     holds = lhs.surpasses(rhs)
     detail = (
         {
@@ -186,17 +174,94 @@ def check_det_rule(a: Matrix, b: Matrix, bound: int | None = None) -> Verdict:
     )
     witness = None
     if not holds:
-        witness = {"a": a.to_json_dict(), "b": b.to_json_dict()}
+        witness = {"a": t.a.to_json_dict(), "b": t.b.to_json_dict()}
     return Verdict("det-product", holds, witness, detail)
+
+
+def _tangible_equality(t: Trial) -> Verdict:
+    alpha, beta = t.alpha, t.beta
+    if any(c.is_ghost for c in beta.coeffs):
+        return Verdict("tangible-equality", None)
+    detail = []
+    bad = None
+    for i in range(t.a.n + 1):
+        b = beta.coeff(i)
+        ap = alpha.coeff(i) ** t.m
+        ok = b == ap
+        if not ok:
+            bad = i
+        detail.append({"i": i, "coeff": str(b), "power": str(ap), "equal": ok})
+    witness = None if bad is None else t.witness(i=bad)
+    return Verdict("tangible-equality", bad is None, witness, tuple(detail))
+
+
+def _corner_root_power(t: Trial) -> Verdict:
+    base_roots = roots(t.alpha).corner_roots
+    power_roots = roots(t.beta).corner_roots
+    detail = []
+    bad = None
+    for mu, _mult in power_roots:
+        match = next((lam for lam, _ in base_roots if lam**t.m == mu), None)
+        if match is None:
+            bad = mu
+        detail.append(
+            {"corner_root": str(mu), "base_root": None if match is None else str(match)}
+        )
+    witness = None if bad is None else t.witness(corner_root=str(bad))
+    return Verdict("corner-root-power", bad is None, witness, tuple(detail))
+
+
+def _trace_power(t: Trial) -> Verdict:
+    lhs = trace(t.power)
+    rhs = trace(t.a) ** t.m
+    holds = lhs.surpasses(rhs)
+    witness = None if holds else t.witness()
+    return Verdict("trace-power", holds, witness, ({"lhs": str(lhs), "rhs": str(rhs)},))
+
+
+CHECKS: dict[str, Callable[[Trial], Verdict]] = {
+    "thm36": _charpoly_power,
+    "thm13": _det_rule,
+    "cor37": _tangible_equality,
+    "cor38": _corner_root_power,
+    "trace": _trace_power,
+}
+"""The matrix-power laws by check id, each a function of one ``Trial``.
+
+Both ``check`` and ``fuzz`` dispatch through this table, and every law reads
+the trial's cached A^m and characteristic polynomials instead of computing
+its own. A campaign runs the laws in this order, which is also the order of
+one trial's entries in the violations list.
+"""
+
+
+def check_charpoly_power(a: Matrix, m: int, bound: int | None = None) -> Verdict:
+    """Each coefficient of charpoly(A^m) ghost-surpasses the m-th power of
+    the matching coefficient of charpoly(A)."""
+    return CHECKS["thm36"](Trial(a, a, m, bound))
+
+
+def check_tangible_equality(a: Matrix, m: int, bound: int | None = None) -> Verdict:
+    """When charpoly(A^m) has no ghost coefficient, it must equal the
+    coefficientwise m-th power of charpoly(A) exactly."""
+    return CHECKS["cor37"](Trial(a, a, m, bound))
+
+
+def check_corner_root_power(a: Matrix, m: int, bound: int | None = None) -> Verdict:
+    """Every corner root of charpoly(A^m) is the m-th power of a corner root
+    of charpoly(A). Containment only; the converse can fail."""
+    return CHECKS["cor38"](Trial(a, a, m, bound))
+
+
+def check_det_rule(a: Matrix, b: Matrix, bound: int | None = None) -> Verdict:
+    """det(AB) ghost-surpasses det(A)*det(B); equality whenever det(AB) is
+    tangible (implied, but recorded separately in the detail)."""
+    return CHECKS["thm13"](Trial(a, b, 1, bound))
 
 
 def check_trace_power(a: Matrix, m: int) -> Verdict:
     """trace(A^m) ghost-surpasses trace(A)^m."""
-    lhs = trace(mat_pow(a, m))
-    rhs = trace(a) ** m
-    holds = lhs.surpasses(rhs)
-    witness = None if holds else {"matrix": a.to_json_dict(), "m": m}
-    return Verdict("trace-power", holds, witness, ({"lhs": str(lhs), "rhs": str(rhs)},))
+    return CHECKS["trace"](Trial(a, a, m))
 
 
 def check_frobenius(a: Scalar, b: Scalar, n: int) -> Verdict:

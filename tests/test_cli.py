@@ -7,6 +7,7 @@ import json
 import pytest
 
 from supertropical import Verdict, cli
+from supertropical.spectral import CHECKS
 
 A_TEXT = "0 0\n1 2\n"
 A2_TEXT = "1 2\n3 4\n"
@@ -183,17 +184,49 @@ class TestCheckCommand:
             cli.main(["check", "thm99"])
         assert exc.value.code == 2
 
+    def test_generated_inputs_match_fuzz(self, capsys):
+        _, out, _ = run(capsys, "fuzz", "--trials", "20", "--seed", "4", "--json")
+        tallies = json.loads(out)["results"]
+        for law in ("thm13", "cor37"):
+            _, out, _ = run(capsys, "check", law, "--trials", "20", "--seed", "4", "--json")
+            assert json.loads(out)["detail"] == [tallies[law]]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["check", "thm36", "-f", "A", "-m", "0"],
+            ["check", "trace", "-m", "0", "--trials", "5"],
+            ["check", "claim35", "-n", "0"],
+        ],
+        ids=["file-m0", "generated-m0", "claim35-n0"],
+    )
+    def test_power_or_dim_below_one_exit_2(self, capsys, a_file, argv):
+        code, out, err = run(capsys, *[a_file if arg == "A" else arg for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: -")
+
     def test_violation_exit_code(self, capsys, a_file, monkeypatch):
         # No true input can make the laws fail, so fake a failing verdict to
-        # pin the exit-code contract.
-        monkeypatch.setattr(
-            cli,
-            "check_charpoly_power",
-            lambda a, m, bound=None: Verdict("charpoly-power", False, {"matrix": "w"}),
+        # pin the exit-code contract on every path that runs the law.
+        monkeypatch.setitem(
+            CHECKS, "thm36", lambda t: Verdict("charpoly-power", False, {"matrix": "w"})
         )
         code, out, _ = run(capsys, "check", "thm36", "-f", a_file, "-m", "2")
         assert code == 1
         assert out.startswith("FAIL")
+
+        code, out, _ = run(capsys, "check", "thm36", "--trials", "5", "--json")
+        assert code == 1
+        data = json.loads(out)
+        assert data["holds"] is False and data["witness"] == {"matrix": "w"}
+        assert data["detail"] == [{"pass": 0, "fail": 5, "na": 0}]
+
+        code, out, _ = run(capsys, "fuzz", "--trials", "5", "--seed", "9", "--json")
+        assert code == 1
+        violations = json.loads(out)["violations"]
+        assert [v["check"] for v in violations] == ["thm36"] * 5
+        assert [v["seed"] for v in violations] == [f"9:{i}" for i in range(5)]
 
 
 class TestErrorPaths:

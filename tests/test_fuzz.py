@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 
 import pytest
 
+from supertropical import spectral
 from supertropical import (
     Config,
     DomainError,
@@ -68,6 +70,18 @@ class TestCampaign:
         for tally in result.tallies.values():
             assert tally["pass"] + tally["fail"] + tally["na"] == 30
         assert result.ok
+
+    def test_power_and_charpolys_computed_once_per_trial(self, monkeypatch):
+        calls = Counter()
+        for name in ("char_poly", "mat_pow"):
+
+            def counted(*args, _name=name, _original=getattr(spectral, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(spectral, name, counted)
+        run_campaign(Config(trials=10, seed=0))
+        assert calls == {"char_poly": 20, "mat_pow": 10}
 
 
 class TestEigenpairSearch:
