@@ -110,15 +110,15 @@ def check_eigen_power(a: Matrix, v: Sequence[Scalar], x: Scalar, m: int) -> Verd
 
 @dataclass(frozen=True)
 class Trial:
-    """One input to the matrix-power laws: matrices ``a`` and ``b`` (``b``
-    only for the determinant product rule), the power ``m`` and the
-    det/charpoly dimension ``bound``.
+    """One input to the matrix-power laws: matrices ``a`` and ``b``, the
+    power ``m`` and the det/charpoly dimension ``bound``. Only the
+    determinant product rule reads ``b``, and it alone ignores ``m``.
 
     Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m), and
     the trace law reads A^m too. ``power`` (A^m), ``alpha`` (charpoly(A)) and
     ``beta`` (charpoly(A^m)) are therefore computed on first use and cached
     on the trial, so running every law on one trial costs one ``mat_pow`` and
-    two ``char_poly`` calls rather than one of each per law.
+    two ``char_poly`` calls in all, not per law.
     """
 
     a: Matrix
