@@ -28,6 +28,14 @@ from .spectral import CHECKS, Trial, Verdict, check_eigen_power, check_frobenius
 
 CHECK_IDS = (*CHECKS, "frobenius", "prop32", "claim35", "charpoly-equiv")
 
+# The input flags each check reads; checks not listed read -f and -m.
+_CHECK_FLAGS = {
+    "thm13": ("-f", "-g"),
+    "charpoly-equiv": ("-f",),
+    "claim35": ("-n", "-m"),
+    "frobenius": (),
+}
+
 
 def _read_matrix(path: str) -> Matrix:
     with open(path, "r", encoding="utf-8") as fh:
@@ -134,6 +142,10 @@ def _generated_config(args) -> Config:
 
 def cmd_check(args) -> int:
     check_id = args.theorem
+    given = {"-f": args.file, "-g": args.file_b, "-m": args.power, "-n": args.dim}
+    for flag, value in given.items():
+        if value is not None and flag not in _CHECK_FLAGS.get(check_id, ("-f", "-m")):
+            raise DomainError(f"{flag} is not used by {check_id}")
     for flag, value in (("-m", args.power), ("-n", args.dim)):
         if value is not None and value < 1:
             raise DomainError(f"{flag} must be at least 1, got {value}")

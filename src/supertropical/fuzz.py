@@ -134,6 +134,9 @@ def generate_trials(cfg: Config) -> Iterator[Trial]:
 
 
 def run_campaign(cfg: Config, checks: tuple[str, ...] = CAMPAIGN_CHECKS) -> CampaignResult:
+    unknown = [c for c in checks if c not in CHECKS]
+    if unknown:
+        raise DomainError(f"unknown check id: {unknown[0]!r}")
     tallies = {c: {"pass": 0, "fail": 0, "na": 0} for c in checks}
     violations: list[dict] = []
     for trial, inputs in enumerate(generate_trials(cfg)):

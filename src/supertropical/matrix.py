@@ -42,6 +42,14 @@ def det_bound(explicit: int | None = None) -> int:
         raise ParseError(f"{DET_BOUND_ENV} must be an integer, got {raw!r}") from exc
 
 
+def check_dim_bound(what: str, a: Matrix, bound: int | None) -> int:
+    """Refuse ``what`` for a matrix above the dimension bound; return the bound."""
+    limit = det_bound(bound)
+    if a.n > limit:
+        raise BoundExceededError(what, a.n, limit)
+    return limit
+
+
 @dataclass(frozen=True)
 class Matrix:
     """Immutable n-by-n array of scalars, indexed from 0 in the API."""
@@ -238,9 +246,7 @@ def det(a: Matrix, bound: int | None = None) -> DetReport:
     ``j`` only when the entry plus the best completion of the remaining
     columns still reaches the table's value.
     """
-    limit = det_bound(bound)
-    if a.n > limit:
-        raise BoundExceededError("determinant", a.n, limit)
+    check_dim_bound("determinant", a, bound)
     n, rows = a.n, a.rows
     table = _permanent_table(rows, n, ZERO, ONE)
     full = (1 << n) - 1
@@ -296,9 +302,7 @@ def char_poly(a: Matrix, bound: int | None = None) -> Polynomial:
     remaining diagonal, is exactly one permutation track of ``A + xI``, so
     one permanent over polynomial entries gives every coefficient.
     """
-    limit = det_bound(bound)
-    if a.n > limit:
-        raise BoundExceededError("characteristic polynomial", a.n, limit)
+    check_dim_bound("characteristic polynomial", a, bound)
     n = a.n
     entries = [
         [

@@ -25,7 +25,7 @@ from .matrix import (
     DetReport,
     Matrix,
     PermutationTrack,
-    det_bound,
+    check_dim_bound,
     principal_minor,
 )
 from .polynomial import Polynomial, breakpoints
@@ -37,9 +37,7 @@ Var = tuple[int, int]  # 0-based (row, column) entry variable
 
 def enum_det(a: Matrix, bound: int | None = None) -> DetReport:
     """Permanent by full permutation enumeration, with dominant-track report."""
-    limit = det_bound(bound)
-    if a.n > limit:
-        raise BoundExceededError("determinant", a.n, limit)
+    check_dim_bound("determinant", a, bound)
     rows = a.rows
     value = ZERO
     tracks: list[PermutationTrack] = []
@@ -74,9 +72,7 @@ def minor_sum_charpoly(a: Matrix, bound: int | None = None) -> Polynomial:
     enumerated determinant of the corresponding principal minor; the top
     coefficient is the unit.
     """
-    limit = det_bound(bound)
-    if a.n > limit:
-        raise BoundExceededError("characteristic polynomial", a.n, limit)
+    limit = check_dim_bound("characteristic polynomial", a, bound)
     n = a.n
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
@@ -286,9 +282,7 @@ def sym_direct_charpoly(a: Matrix, bound: int | None = None) -> Polynomial:
     """Characteristic polynomial by the direct route: the permanent of the
     matrix with x joined onto the diagonal, expanded over the polynomial
     semiring by permutation enumeration."""
-    limit = det_bound(bound)
-    if a.n > limit:
-        raise BoundExceededError("direct characteristic polynomial", a.n, limit)
+    check_dim_bound("direct characteristic polynomial", a, bound)
     n = a.n
     x_plus = [
         [

@@ -165,43 +165,27 @@ def _cross(o: Point, a: Point, b: Point) -> Fraction:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
 
-def _strict_vertices(points: list[Point]) -> list[Point]:
-    # Monotone chain for the upper hull; collinear middles are popped, so
-    # what remains are exactly the strict vertices, by ascending degree.
-    hull: list[Point] = []
-    for p in points:
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) >= 0:
-            hull.pop()
-        hull.append(p)
-    return hull
-
-
 def _crossing(a: Point, b: Point) -> Fraction:
     # Magnitude where the monomial lines of two support points meet.
     return Fraction(a[1] - b[1], b[0] - a[0])
 
 
-def _envelope(f: Polynomial) -> tuple[list[Point], list[Point]]:
-    """Split the support into strict vertices and collinear on-edge points."""
-    points = _support(f)
-    vertices = _strict_vertices(points)
-    vertex_degrees = {d for d, _ in vertices}
-    on_edge = []
-    for d, v in points:
-        if d in vertex_degrees:
-            continue
-        k = _edge_index(vertices, d)
-        (i, vi), (j, vj) = vertices[k], vertices[k + 1]
-        if v == vi + (vj - vi) * Fraction(d - i, j - i):
-            on_edge.append((d, v))
-    return vertices, on_edge
+def _envelope(f: Polynomial) -> tuple[list[Point], list[Fraction]]:
+    """The upper hull of the support, with the crossing of each consecutive pair.
 
-
-def _edge_index(vertices: list[Point], d: int) -> int:
-    for k in range(len(vertices) - 1):
-        if vertices[k][0] < d < vertices[k + 1][0]:
-            return k
-    raise AssertionError("support point outside the hull span")
+    The monotone chain pops only points strictly below the hull, so the
+    hull keeps the on-edge points: it is exactly the essential support, by
+    ascending degree. ``cuts[k]`` is the crossing of hull points ``k`` and
+    ``k + 1``; the cuts never decrease, and a point lies on an edge exactly
+    when the cuts on its two sides are equal. The strict vertices are the
+    two ends plus every point where the cut changes.
+    """
+    hull: list[Point] = []
+    for p in _support(f):
+        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) > 0:
+            hull.pop()
+        hull.append(p)
+    return hull, [_crossing(a, b) for a, b in zip(hull, hull[1:])]
 
 
 def essential(f: Polynomial) -> Polynomial:
@@ -212,8 +196,8 @@ def essential(f: Polynomial) -> Polynomial:
     """
     if f.is_zero:
         raise DomainError("the zero polynomial has no essential part")
-    vertices, on_edge = _envelope(f)
-    keep = {d for d, _ in vertices} | {d for d, _ in on_edge}
+    hull, _ = _envelope(f)
+    keep = {d for d, _ in hull}
     return Polynomial(
         tuple(c if d in keep else ZERO for d, c in enumerate(f.coeffs))
     )
@@ -223,8 +207,8 @@ def breakpoints(f: Polynomial) -> list[Fraction]:
     """Magnitudes where the dominant monomial changes, ascending."""
     if f.is_zero:
         return []
-    vertices, _ = _envelope(f)
-    return [_crossing(vertices[k], vertices[k + 1]) for k in range(len(vertices) - 1)]
+    _, cuts = _envelope(f)
+    return [x for k, x in enumerate(cuts) if k == 0 or x != cuts[k - 1]]
 
 
 # ---------------------------------------------------------------------------
@@ -288,56 +272,40 @@ class RootReport:
 
 
 def roots(f: Polynomial) -> RootReport:
-    """Classify the root set of ``f`` from its envelope.
+    """Classify the root set of ``f`` in one walk over its envelope.
 
-    Corner roots come from consecutive strict vertices whose coefficients are
-    both tangible; the multiplicity is the degree gap. Ghost intervals are
-    the closures of the regions where some ghost essential monomial attains
-    the maximum (a single point for an on-edge ghost).
+    Hull point ``k`` attains the maximum on ``[cuts[k-1], cuts[k]]``, with
+    ``None`` for the open side at either end; for an on-edge point both
+    cuts are equal and the span is a single magnitude. Each ghost hull
+    point contributes its span as a ghost interval. The spans arrive in
+    ascending order and can only touch end to start, so touching ones are
+    merged as they come. Each time the cut changes, the edge between the
+    last two strict vertices is complete; when both of its end
+    coefficients are tangible it gives a corner root at its cut, with the
+    degree gap as multiplicity.
     """
     if f.is_zero:
         return RootReport((), (), True)
-    vertices, on_edge = _envelope(f)
-    cuts = [_crossing(vertices[k], vertices[k + 1]) for k in range(len(vertices) - 1)]
-
+    hull, cuts = _envelope(f)
     corner: list[tuple[Scalar, int]] = []
-    spans: list[tuple[Fraction | None, Fraction | None]] = []
-    for k, (d, _v) in enumerate(vertices):
-        if k + 1 < len(vertices):
-            i, j = d, vertices[k + 1][0]
-            if f.coeffs[i].is_tangible and f.coeffs[j].is_tangible:
-                corner.append((tangible(cuts[k]), j - i))
+    spans: list[list] = []
+    start = hull[0][0]
+    for k, (d, _v) in enumerate(hull):
+        lo = cuts[k - 1] if k > 0 else None
+        hi = cuts[k] if k < len(cuts) else None
+        if k > 0 and lo != hi:
+            if f.coeffs[start].is_tangible and f.coeffs[d].is_tangible:
+                corner.append((tangible(lo), d - start))
+            start = d
         if f.coeffs[d].kind is Kind.GHOST:
-            lo = cuts[k - 1] if k > 0 else None
-            hi = cuts[k] if k < len(cuts) else None
-            spans.append((lo, hi))
-    for d, _v in on_edge:
-        if f.coeffs[d].kind is Kind.GHOST:
-            x = cuts[_edge_index(vertices, d)]
-            spans.append((x, x))
-
-    all_ghost = all(
-        f.coeffs[d].kind is Kind.GHOST for d, _ in vertices
-    ) and all(f.coeffs[d].kind is Kind.GHOST for d, _ in on_edge)
-    return RootReport(tuple(corner), tuple(_merge_spans(spans)), all_ghost)
-
-
-def _merge_spans(spans) -> list[Interval]:
-    # All spans are closed; merge anything that overlaps or touches.
-    def key(span):
-        lo, _ = span
-        return (lo is not None, lo if lo is not None else Fraction(0))
-
-    merged: list[list] = []
-    for lo, hi in sorted(spans, key=key):
-        if merged:
-            _plo, phi = merged[-1]
-            if phi is None or lo is None or lo <= phi:
-                if phi is not None and (hi is None or hi > phi):
-                    merged[-1][1] = hi
-                continue
-        merged.append([lo, hi])
-    return [_closed(lo, hi) for lo, hi in merged]
+            if spans and spans[-1][1] == lo:
+                spans[-1][1] = hi
+            else:
+                spans.append([lo, hi])
+    all_ghost = all(f.coeffs[d].kind is Kind.GHOST for d, _ in hull)
+    return RootReport(
+        tuple(corner), tuple(_closed(lo, hi) for lo, hi in spans), all_ghost
+    )
 
 
 def is_root(f: Polynomial, x: Scalar) -> bool:

@@ -141,3 +141,29 @@ def attained_degrees(f: Polynomial) -> set[int]:
         best = max(v + d * x for d, v in points)
         attained |= {d for d, v in points if v + d * x == best}
     return attained
+
+
+def brute_breakpoints(f: Polynomial):
+    """Breakpoints and corner roots straight from the definition.
+
+    A pairwise crossing is a breakpoint when two or more monomials attain
+    the maximum there. It is a corner root when the lowest and highest
+    attaining degrees have tangible coefficients, with their spread as the
+    multiplicity. Returns ``(breakpoints, [(root, multiplicity), ...])``.
+    """
+    points = [(d, c) for d, c in enumerate(f.coeffs) if not c.is_zero]
+    crossings = {
+        Fraction(ci.value - cj.value, j - i)
+        for (i, ci), (j, cj) in combinations(points, 2)
+    }
+    cuts, corners = [], []
+    for x in sorted(crossings):
+        best = max(c.value + d * x for d, c in points)
+        attaining = [(d, c) for d, c in points if c.value + d * x == best]
+        if len(attaining) < 2:
+            continue
+        cuts.append(x)
+        (lo, c_lo), (hi, c_hi) = attaining[0], attaining[-1]
+        if c_lo.is_tangible and c_hi.is_tangible:
+            corners.append((x, hi - lo))
+    return cuts, corners

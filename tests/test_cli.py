@@ -206,6 +206,24 @@ class TestCheckCommand:
         assert out == ""
         assert err.startswith("error: -")
 
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["check", "frobenius", "-f", "/nonexistent.txt"], "-f"),
+            (["check", "claim35", "-f", "/nonexistent.txt"], "-f"),
+            (["check", "charpoly-equiv", "--trials", "3", "-m", "5"], "-m"),
+            (["check", "thm36", "-f", "A", "-n", "7"], "-n"),
+            (["check", "thm36", "-f", "A", "-g", "B"], "-g"),
+        ],
+        ids=["frobenius-f", "claim35-f", "charpoly-equiv-m", "thm36-n", "thm36-g"],
+    )
+    def test_unread_flag_exit_2(self, capsys, a_file, a2_file, argv, flag):
+        files = {"A": a_file, "B": a2_file}
+        code, out, err = run(capsys, *[files.get(arg, arg) for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} is not used by {argv[1]}\n"
+
     def test_violation_exit_code(self, capsys, a_file, monkeypatch):
         # No true input can make the laws fail, so fake a failing verdict to
         # pin the exit-code contract on every path that runs the law.

@@ -83,6 +83,10 @@ class TestCampaign:
         run_campaign(Config(trials=10, seed=0))
         assert calls == {"char_poly": 20, "mat_pow": 10}
 
+    def test_unknown_check_id_rejected(self):
+        with pytest.raises(DomainError, match="thm99"):
+            run_campaign(Config(trials=3), ("thm99", "thm36"))
+
 
 class TestEigenpairSearch:
     def test_finds_golden_pair(self):

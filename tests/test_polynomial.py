@@ -28,6 +28,7 @@ from supertropical import (
 )
 from conftest import (
     attained_degrees,
+    brute_breakpoints,
     brute_eval,
     polynomials,
     sample_polynomial,
@@ -133,6 +134,26 @@ class TestRoots:
         assert report.corner_roots == ((tangible(3), 2),)
         (iv,) = report.ghost_intervals
         assert (iv.lo, iv.hi) == (3, 3)
+
+    @pytest.mark.parametrize(
+        "text, corners, intervals",
+        [
+            ("x^3 + 1gx^2 + 2gx + 3", [(1, 3)], ["[1, 1]"]),
+            ("x^3 + 1gx^2 + 2x + 3g", [], ["(-inf, 1]"]),
+            ("x^4 + 1gx^3 + 2x^2 + 2gx + 2", [(0, 2), (1, 2)], ["[0, 0]", "[1, 1]"]),
+        ],
+    )
+    def test_on_edge_ghosts(self, text, corners, intervals):
+        report = roots(parse_polynomial(text))
+        assert report.corner_roots == tuple((tangible(x), m) for x, m in corners)
+        assert [str(iv) for iv in report.ghost_intervals] == intervals
+        assert not report.is_identically_root
+
+    @given(polynomials())
+    def test_breakpoints_and_corners_match_oracle(self, f):
+        cuts, corners = brute_breakpoints(f)
+        assert breakpoints(f) == cuts
+        assert roots(f).corner_roots == tuple((tangible(x), m) for x, m in corners)
 
     @given(polynomials())
     def test_corner_roots_are_roots(self, f):
