@@ -36,6 +36,14 @@ _CHECK_FLAGS = {
     "frobenius": (),
 }
 
+# The flags that shape generated inputs, with their `Config` field names.
+_GENERATION_FLAGS = (
+    ("--trials", "trials"), ("--seed", "seed"), ("--max-n", "max_n"), ("--max-m", "max_m")
+)
+
+# How many eigenpairs `check prop32` looks for on its search lattice.
+_PROP32_MAX_PAIRS = 100
+
 
 def _read_matrix(path: str) -> Matrix:
     with open(path, "r", encoding="utf-8") as fh:
@@ -128,16 +136,19 @@ def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
 
 
 def _generated_config(args) -> Config:
-    """The trials `fuzz` draws for the same seed, with -m fixing the power."""
-    fixed_m = args.power
-    return Config(
-        trials=args.trials,
-        seed=args.seed,
-        max_n=args.max_n,
-        min_m=2 if fixed_m is None else fixed_m,
-        max_m=args.max_m if fixed_m is None else fixed_m,
-        det_bound=args.bound,
-    )
+    """The trials `fuzz` draws for the same seed, with -m fixing the power.
+
+    Generation flags left out take `Config`'s defaults: 100 trials, seed 0,
+    n up to 4 and m from 2 to 3.
+    """
+    given = {
+        name: getattr(args, name)
+        for _, name in _GENERATION_FLAGS
+        if getattr(args, name) is not None
+    }
+    if args.power is not None:
+        given["min_m"] = given["max_m"] = args.power
+    return Config(**given, det_bound=args.bound)
 
 
 def cmd_check(args) -> int:
@@ -146,6 +157,18 @@ def cmd_check(args) -> int:
     for flag, value in given.items():
         if value is not None and flag not in _CHECK_FLAGS.get(check_id, ("-f", "-m")):
             raise DomainError(f"{flag} is not used by {check_id}")
+    for flag, name in _GENERATION_FLAGS:
+        if getattr(args, name) is None:
+            continue
+        if check_id in ("frobenius", "claim35"):
+            raise DomainError(f"{flag} is not used by {check_id}")
+        if args.file is not None:
+            raise DomainError(f"{flag} is not used by {check_id} with -f")
+        if flag == "--max-m" and args.power is not None:
+            raise DomainError(f"{flag} is not used by {check_id} with -m")
+    if args.full_census and (check_id != "claim35" or not args.json):
+        where = "claim35 without --json" if check_id == "claim35" else check_id
+        raise DomainError(f"--full-census is not used by {where}")
     for flag, value in (("-m", args.power), ("-n", args.dim)):
         if value is not None and value < 1:
             raise DomainError(f"{flag} must be at least 1, got {value}")
@@ -203,7 +226,7 @@ def cmd_check(args) -> int:
             print("error: prop32 needs a matrix file (-f)", file=sys.stderr)
             return 2
         a = _read_matrix(args.file)
-        pairs = search_eigenpairs(a, bound=args.bound, max_results=args.trials)
+        pairs = search_eigenpairs(a, bound=args.bound, max_results=_PROP32_MAX_PAIRS)
         if not pairs:
             v = Verdict("eigen-power", None, None,
                         ({"note": "no tangible eigenpair found on the search lattice"},))
@@ -290,11 +313,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--file-b", help="second matrix file (thm13)")
     p.add_argument("-m", "--power", type=int, default=None, help="matrix power")
     p.add_argument("-n", "--dim", type=int, default=None, help="dimension (claim35)")
-    p.add_argument("--trials", type=int, default=100,
-                   help="generated-input trials when no file is given")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--max-m", type=int, default=3)
+    p.add_argument("--trials", type=int, default=None,
+                   help="generated-input trials when no file is given (default 100)")
+    p.add_argument("--seed", type=int, default=None, help="generated-input seed (default 0)")
+    p.add_argument("--max-n", type=int, default=None,
+                   help="largest generated dimension (default 4)")
+    p.add_argument("--max-m", type=int, default=None,
+                   help="largest generated power when -m is not given (default 3)")
     p.add_argument("--full-census", action="store_true",
                    help="include the complete monomial census in JSON output")
     add_common(p)

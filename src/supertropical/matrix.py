@@ -12,15 +12,26 @@ follows prefixes the table shows can still reach the maximum. Both
 computations are guarded by an explicit dimension bound (default 9,
 overridable per call or via the ``SUPERTROPICAL_DET_BOUND`` environment
 variable).
+
+The kernels (the permanent table and the matrix product) run on plain
+integers. Multiplying every magnitude by one positive constant is an
+automorphism of the semiring: it keeps order, ties and kinds. So the
+entries are encoded once as keys, ``(magnitude * L) << 1 | is_ghost`` with
+``L`` the LCM of the input denominators and ``None`` for ``-inf``. A
+product of keys is ``x + y - (x & y & 1)``; a sum takes the key with the
+larger ``k >> 1``, and on a tie the ghost key ``k | 1``. Each output entry
+is decoded once, so the API still returns exact ``Fraction`` magnitudes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence, TypeVar
+from fractions import Fraction
+from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial
@@ -85,20 +96,64 @@ class Matrix:
         return {"n": self.n, "rows": [[str(e) for e in row] for row in self.rows]}
 
 
+def _encode(*mats: Matrix) -> tuple[int, list[list[list[int | None]]]]:
+    """The scale ``L`` of the matrices and each one's entries as keys.
+
+    ``L`` is the LCM of the denominators of every nonzero entry (1 if there
+    is none); a key is the magnitude times ``L``, shifted left, ghost bit low.
+    """
+    scale = math.lcm(
+        *{e.value.denominator for a in mats for row in a.rows for e in row if not e.is_zero}
+    )
+    return scale, [
+        [
+            [
+                None if e.is_zero
+                else (e.value.numerator * (scale // e.value.denominator)) << 1 | e.is_ghost
+                for e in row
+            ]
+            for row in a.rows
+        ]
+        for a in mats
+    ]
+
+
+def _decode(k: int | None, scale: int) -> Scalar:
+    if k is None:
+        return ZERO
+    return Scalar(Kind.GHOST if k & 1 else Kind.TANGIBLE, Fraction(k >> 1, scale))
+
+
+def _decode_matrix(keys: list[list[int | None]], scale: int) -> Matrix:
+    return Matrix(tuple(tuple(_decode(k, scale) for k in row) for row in keys))
+
+
+def _key_product(x: list[list[int | None]], y: list[list[int | None]]) -> list[list[int | None]]:
+    """Matrix product in key space."""
+    cols = list(zip(*y))
+    out = []
+    for row in x:
+        out_row = []
+        for col in cols:
+            acc = None
+            for p, q in zip(row, col):
+                if p is None or q is None:
+                    continue
+                term = p + q - (p & q & 1)
+                if acc is None or term > acc | 1:
+                    acc = term
+                elif term >> 1 == acc >> 1:
+                    acc |= 1
+            out_row.append(acc)
+        out.append(out_row)
+    return out
+
+
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     if a.n != b.n:
         raise ShapeError(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
-    n = a.n
-    rows = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            acc = ZERO
-            for t in range(n):
-                acc = acc + a.rows[i][t] * b.rows[t][j]
-            row.append(acc)
-        rows.append(tuple(row))
-    return Matrix(tuple(rows))
+    scale, (x, y) = _encode(a, b)
+    return _decode_matrix(_key_product(x, y), scale)
 
 
 def mat_pow(a: Matrix, m: int) -> Matrix:
@@ -106,15 +161,16 @@ def mat_pow(a: Matrix, m: int) -> Matrix:
         raise DomainError("negative matrix powers are not defined")
     if m == 0:
         return Matrix.identity(a.n)
-    # Repeated squaring: m = 2 takes one product, m = 3 two.
-    result, square = None, a
+    # Repeated squaring in key space: m = 2 takes one product, m = 3 two.
+    scale, (square,) = _encode(a)
+    result = None
     while True:
         if m & 1:
-            result = square if result is None else mat_mul(result, square)
+            result = square if result is None else _key_product(result, square)
         m >>= 1
         if not m:
-            return result
-        square = mat_mul(square, square)
+            return _decode_matrix(result, scale)
+        square = _key_product(square, square)
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -154,7 +210,7 @@ def mat_surpasses(a: Matrix, b: Matrix) -> bool:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PermutationTrack:
     """The entries a permutation selects, one per row, and their product."""
 
@@ -210,30 +266,49 @@ class DetReport:
         }
 
 
-T = TypeVar("T", Scalar, Polynomial)
+def _permanent_table(
+    entries: Sequence[Sequence[list[int | None] | None]], n: int
+) -> list[list[int | None] | None]:
+    """Subset table of partial permanents over key coefficient lists.
 
-
-def _permanent_table(entries: Sequence[Sequence[T]], n: int, zero: T, one: T) -> list[T]:
-    """Subset table of partial permanents over a commutative semiring.
-
-    ``table[S]`` is the permanent of the bottom ``|S|`` rows restricted to
-    the columns in bitmask ``S``: row ``i = n - |S|`` picks a column ``j`` in
-    ``S`` and the rows below share out the rest, so ``table[S]`` is the sum
-    over ``j`` of ``entries[i][j] * table[S - {j}]``. By distributivity this
-    is the sum of the same track products that permutation enumeration adds
-    up, and ``table[2^n - 1]`` is the permanent. Zero terms are skipped.
+    Each entry is a polynomial in ``x`` as a list of keys by degree, or
+    ``None`` when it is ``-inf``. ``table[S]`` is the permanent of the bottom
+    ``|S|`` rows restricted to the columns in bitmask ``S``: row
+    ``i = n - |S|`` picks a column ``j`` in ``S`` and the rows below share
+    out the rest, so ``table[S]`` is the sum over ``j`` of
+    ``entries[i][j] * table[S - {j}]``. By distributivity this is the sum of
+    the same track products that permutation enumeration adds up, and
+    ``table[2^n - 1]`` is the permanent. Zero terms are skipped, and
+    ``table[S]`` is ``None`` when every track through ``S`` is ``-inf``.
     """
-    live = [[(1 << j, e) for j, e in enumerate(row) if not e.is_zero] for row in entries]
-    table = [zero] * (1 << n)
-    table[0] = one
+    live = [[(1 << j, e) for j, e in enumerate(row) if e is not None] for row in entries]
+    # table[S] has degree at most top * |S|; table[0] is the unit, key 0.
+    top = max((len(e) for row in entries for e in row if e is not None), default=1) - 1
+    table: list[list[int | None] | None] = [None] * (1 << n)
+    table[0] = [0]
     for subset in range(1, 1 << n):
-        acc = zero
-        for bit, entry in live[n - subset.bit_count()]:
-            if subset & bit:
-                rest = table[subset ^ bit]
-                if not rest.is_zero:
-                    term = entry * rest
-                    acc = term if acc is zero else acc + term
+        size = subset.bit_count()
+        acc = None
+        for bit, entry in live[n - size]:
+            if not subset & bit:
+                continue
+            rest = table[subset ^ bit]
+            if rest is None:
+                continue
+            if acc is None:
+                acc = [None] * (1 + top * size)
+            for a, p in enumerate(entry):
+                if p is None:
+                    continue
+                for d, q in enumerate(rest, a):
+                    if q is None:
+                        continue
+                    term = p + q - (p & q & 1)
+                    old = acc[d]
+                    if old is None or term > old | 1:
+                        acc[d] = term
+                    elif term >> 1 == old >> 1:
+                        acc[d] = old | 1
         table[subset] = acc
     return table
 
@@ -247,43 +322,43 @@ def det(a: Matrix, bound: int | None = None) -> DetReport:
     columns still reaches the table's value.
     """
     check_dim_bound("determinant", a, bound)
-    n, rows = a.n, a.rows
-    table = _permanent_table(rows, n, ZERO, ONE)
+    n = a.n
+    scale, (keys,) = _encode(a)
+    table = _permanent_table([[None if k is None else [k] for k in row] for row in keys], n)
     full = (1 << n) - 1
-    value = table[full]
-    if value.is_zero:
+    if table[full] is None:
         return DetReport(ZERO, (), DetClass.ZERO)
+    value = _decode(table[full][0], scale)
     # A dominant track's product has the determinant's magnitude; it is
     # ghost exactly when one of its entries is.
-    products = {False: Scalar(Kind.TANGIBLE, value.value), True: value.as_ghost()}
-    # steps[S]: the (column, entry is ghost) choices for the row of S whose
-    # entry plus the best completion of S - {column} attains table[S].
-    steps: list[list[tuple[int, bool]] | None] = [None] * (full + 1)
+    products = (Scalar(Kind.TANGIBLE, value.value), value.as_ghost())
+    # steps[S]: the (column, entry's ghost bit) choices for the row of S
+    # whose entry plus the best completion of S - {column} attains table[S].
+    steps: list[list[tuple[int, int]] | None] = [None] * (full + 1)
     tracks: list[PermutationTrack] = []
     perm: list[int] = []
 
-    def extend(subset: int, ghosted: bool) -> None:
+    def extend(subset: int, ghosted: int) -> None:
         if not subset:
             tracks.append(PermutationTrack(tuple(perm), products[ghosted]))
             return
         choices = steps[subset]
         if choices is None:
-            row = rows[n - subset.bit_count()]
-            target = table[subset].value
+            target = table[subset][0] >> 1
             choices = steps[subset] = [
-                (j, entry.is_ghost)
-                for j, entry in enumerate(row)
+                (j, k & 1)
+                for j, k in enumerate(keys[n - subset.bit_count()])
                 if subset & (1 << j)
-                and not entry.is_zero
-                and not table[subset ^ (1 << j)].is_zero
-                and entry.value + table[subset ^ (1 << j)].value == target
+                and k is not None
+                and table[subset ^ (1 << j)] is not None
+                and (k >> 1) + (table[subset ^ (1 << j)][0] >> 1) == target
             ]
-        for j, entry_ghost in choices:
+        for j, ghost_bit in choices:
             perm.append(j)
-            extend(subset ^ (1 << j), ghosted or entry_ghost)
+            extend(subset ^ (1 << j), ghosted | ghost_bit)
             perm.pop()
 
-    extend(full, False)
+    extend(full, 0)
     if len(tracks) > 1:
         cls = DetClass.GHOST_BY_TIE
     elif tracks[0].product.is_ghost:
@@ -304,14 +379,13 @@ def char_poly(a: Matrix, bound: int | None = None) -> Polynomial:
     """
     check_dim_bound("characteristic polynomial", a, bound)
     n = a.n
+    scale, (keys,) = _encode(a)
     entries = [
-        [
-            Polynomial((a.rows[i][j], ONE)) if i == j else Polynomial((a.rows[i][j],))
-            for j in range(n)
-        ]
-        for i in range(n)
+        [[k, 0] if i == j else None if k is None else [k] for j, k in enumerate(row)]
+        for i, row in enumerate(keys)
     ]
-    return _permanent_table(entries, n, Polynomial((ZERO,)), Polynomial((ONE,)))[-1]
+    coeffs = _permanent_table(entries, n)[-1]
+    return Polynomial(tuple(_decode(k, scale) for k in coeffs))
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,21 @@ def brute_eval(f: Polynomial, x):
     return ghost(top) if is_ghost else tangible(top)
 
 
+def scalar_mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """Matrix product by the textbook triple loop over `Scalar` arithmetic."""
+    n = a.n
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = ZERO
+            for t in range(n):
+                acc = acc + a.rows[i][t] * b.rows[t][j]
+            row.append(acc)
+        rows.append(tuple(row))
+    return Matrix(tuple(rows))
+
+
 def brute_det_value(a: Matrix):
     """Dominant permutation track straight from the definition."""
     finite = []

@@ -224,6 +224,38 @@ class TestCheckCommand:
         assert out == ""
         assert err == f"error: {flag} is not used by {argv[1]}\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "thm36", "-f", "A", "-m", "2", "--seed", "5", "--trials", "9",
+              "--max-n", "7", "--full-census"], "--trials is not used by thm36 with -f"),
+            (["check", "prop32", "-f", "A", "--trials", "1"],
+             "--trials is not used by prop32 with -f"),
+            (["check", "frobenius", "--seed", "3"], "--seed is not used by frobenius"),
+            (["check", "claim35", "--max-n", "3"], "--max-n is not used by claim35"),
+            (["check", "trace", "-m", "2", "--max-m", "4"],
+             "--max-m is not used by trace with -m"),
+            (["check", "thm36", "--trials", "3", "--full-census"],
+             "--full-census is not used by thm36"),
+            (["check", "claim35", "-n", "2", "--full-census"],
+             "--full-census is not used by claim35 without --json"),
+        ],
+        ids=["file-generation-flags", "prop32-trials", "frobenius-seed", "claim35-max-n",
+             "fixed-m-max-m", "thm36-full-census", "claim35-text-full-census"],
+    )
+    def test_unread_generation_flag_exit_2(self, capsys, a_file, argv, message):
+        code, out, err = run(capsys, *[a_file if arg == "A" else arg for arg in argv])
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {message}\n"
+
+    def test_generation_defaults(self, capsys):
+        explicit = ["--trials", "100", "--seed", "0", "--max-n", "4", "--max-m", "3"]
+        _, defaulted, _ = run(capsys, "check", "cor38", "--json")
+        _, spelled_out, _ = run(capsys, "check", "cor38", *explicit, "--json")
+        assert defaulted == spelled_out
+        assert json.loads(defaulted)["detail"][0]["pass"] > 0
+
     def test_violation_exit_code(self, capsys, a_file, monkeypatch):
         # No true input can make the laws fail, so fake a failing verdict to
         # pin the exit-code contract on every path that runs the law.

@@ -37,7 +37,7 @@ from supertropical import (
     trace,
 )
 from supertropical.oracle import enum_det, minor_sum_charpoly, sym_direct_charpoly
-from conftest import brute_det_value, matrices, sample_matrix
+from conftest import brute_det_value, matrices, sample_matrix, scalar_mat_mul
 
 A = parse_matrix("0 0\n1 2")
 A2 = parse_matrix("1 2\n3 4")
@@ -66,12 +66,13 @@ class TestProduct:
     @pytest.mark.parametrize("m,products", [(0, 0), (1, 0), (2, 1), (3, 2), (4, 2), (6, 3)])
     def test_repeated_squaring_product_count(self, monkeypatch, m, products):
         calls = []
+        key_product = matrix_module._key_product
 
-        def counting_mul(x, y):
+        def counting_product(x, y):
             calls.append(1)
-            return mat_mul(x, y)
+            return key_product(x, y)
 
-        monkeypatch.setattr(matrix_module, "mat_mul", counting_mul)
+        monkeypatch.setattr(matrix_module, "_key_product", counting_product)
         mat_pow(A, m)
         assert len(calls) == products
 
@@ -250,7 +251,7 @@ class TestTextForms:
 def test_power_by_iterated_product(a, m):
     expected = Matrix.identity(a.n)
     for _ in range(m):
-        expected = mat_mul(expected, a)
+        expected = scalar_mat_mul(expected, a)
     assert mat_pow(a, m) == expected
 
 
@@ -303,3 +304,53 @@ def test_dp_matches_enumeration():
         ties += report.classification is DetClass.GHOST_BY_TIE
         assert char_poly(a) == minor_sum_charpoly(a) == sym_direct_charpoly(a), a
     assert ties > 300
+
+
+# Denominators that are not all coprime, plus primes up to 97, so the scale
+# (the LCM of a matrix's denominators) is large.
+_DENOMINATORS = (2, 3, 4, 6, 9, 12, 5, 7, 11, 13, 31, 53, 89, 97)
+
+
+def _rational_scalar(rng: random.Random, values):
+    """A non-integer from ``values``, 20% ghosts, 10% -inf."""
+    if rng.random() < 0.1:
+        return ZERO
+    value = rng.choice(values)
+    return ghost(value) if rng.random() < 0.2 else tangible(value)
+
+
+def _rational_matrices(count: int):
+    """Seeded matrices with n <= 6 over non-integer rationals with mixed
+    denominators. Each trial draws one value per denominator; every other
+    matrix keeps three of them, so ties among tracks and among product
+    terms are common, and the rest use all, so their scale is a product of
+    many primes."""
+    rng = random.Random("scaled-kernels")
+    for trial in range(count):
+        n = 6 if trial % 100 == 0 else 5 if trial % 20 == 0 else rng.randint(1, 4)
+        values = []
+        for q in _DENOMINATORS:
+            p = rng.randint(-400, 400)
+            if p % q:
+                values.append(Fraction(p, q))
+        if trial % 2 == 0:
+            values = rng.sample(values, 3)
+        yield [
+            Matrix(tuple(tuple(_rational_scalar(rng, values) for _ in range(n)) for _ in range(n)))
+            for _ in range(2)
+        ]
+
+
+def test_scaled_kernels_match_scalar_references():
+    ties = 0
+    for a, b in _rational_matrices(400):
+        report = det(a)
+        assert report.to_json_dict() == enum_det(a).to_json_dict(), a
+        ties += report.classification is DetClass.GHOST_BY_TIE
+        assert char_poly(a) == minor_sum_charpoly(a), a
+        assert mat_mul(a, b) == scalar_mat_mul(a, b), (a, b)
+        expected = a
+        for m in range(2, 5):
+            expected = scalar_mat_mul(expected, a)
+            assert mat_pow(a, m) == expected, (a, m)
+    assert ties > 20
