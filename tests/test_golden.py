@@ -38,6 +38,14 @@ CASES = {
     "check_cor38_fA_m2.json": ["check", "cor38", "-f", "{A}", "-m", "2", "--json"],
     "check_thm13_fA_gA2.json": ["check", "thm13", "-f", "{A}", "-g", "{A2}", "--json"],
     "check_thm13_fA.json": ["check", "thm13", "-f", "{A}", "--json"],
+    "check_frobenius.txt": ["check", "frobenius"],
+    "check_frobenius.json": ["check", "frobenius", "--json"],
+    "check_charpoly-equiv_fA2.txt": ["check", "charpoly-equiv", "-f", "{A2}"],
+    "check_charpoly-equiv_fA2.json": ["check", "charpoly-equiv", "-f", "{A2}", "--json"],
+    "fuzz_t100_s5_n1-3_m4_g0.5.json": [
+        "fuzz", "--trials", "100", "--seed", "5", "--min-n", "1", "--max-n", "3",
+        "--max-m", "4", "--ghost-prob", "0.5", "--json",
+    ],
 }
 
 
