@@ -161,10 +161,6 @@ def _support(f: Polynomial) -> list[Point]:
     return [(d, c.value) for d, c in enumerate(f.coeffs) if not c.is_zero]
 
 
-def _cross(o: Point, a: Point, b: Point) -> Fraction:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
-
-
 def _crossing(a: Point, b: Point) -> Fraction:
     # Magnitude where the monomial lines of two support points meet.
     return Fraction(a[1] - b[1], b[0] - a[0])
@@ -173,19 +169,28 @@ def _crossing(a: Point, b: Point) -> Fraction:
 def _envelope(f: Polynomial) -> tuple[list[Point], list[Fraction]]:
     """The upper hull of the support, with the crossing of each consecutive pair.
 
-    The monotone chain pops only points strictly below the hull, so the
-    hull keeps the on-edge points: it is exactly the essential support, by
-    ascending degree. ``cuts[k]`` is the crossing of hull points ``k`` and
-    ``k + 1``; the cuts never decrease, and a point lies on an edge exactly
-    when the cuts on its two sides are equal. The strict vertices are the
-    two ends plus every point where the cut changes.
+    ``cuts[k]`` is the crossing of hull points ``k`` and ``k + 1``. The last
+    hull point lies strictly below the segment from the point before it to
+    a new point exactly when its crossing with the new point is below the
+    last cut. The monotone chain pops only those points and keeps the
+    on-edge ones, so the hull is exactly the essential support, by
+    ascending degree, and each crossing is computed once. The cuts never
+    decrease, and a point lies on an edge exactly when the cuts on its two
+    sides are equal. The strict vertices are the two ends plus every point
+    where the cut changes.
     """
     hull: list[Point] = []
+    cuts: list[Fraction] = []
     for p in _support(f):
-        while len(hull) >= 2 and _cross(hull[-2], hull[-1], p) > 0:
+        while hull:
+            x = _crossing(hull[-1], p)
+            if not cuts or x >= cuts[-1]:
+                cuts.append(x)
+                break
             hull.pop()
+            cuts.pop()
         hull.append(p)
-    return hull, [_crossing(a, b) for a, b in zip(hull, hull[1:])]
+    return hull, cuts
 
 
 def essential(f: Polynomial) -> Polynomial:
