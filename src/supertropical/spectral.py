@@ -114,11 +114,12 @@ class Trial:
     power ``m`` and the det/charpoly dimension ``bound``. Only the
     determinant product rule reads ``b``, and it alone ignores ``m``.
 
-    Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m), and
-    the trace law reads A^m too. ``power`` (A^m), ``alpha`` (charpoly(A)) and
-    ``beta`` (charpoly(A^m)) are therefore computed on first use and cached
-    on the trial, so running every law on one trial costs one ``mat_pow`` and
-    two ``char_poly`` calls in all, not per law.
+    Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m), the
+    trace law reads A^m too, and the determinant rule reads det(A) as
+    coefficient 0 of charpoly(A). ``power`` (A^m), ``alpha`` (charpoly(A))
+    and ``beta`` (charpoly(A^m)) are therefore computed on first use and
+    cached on the trial, so running every law on one trial costs one
+    ``mat_pow``, two ``char_poly`` and two ``det`` calls in all, not per law.
     """
 
     a: Matrix
@@ -162,8 +163,10 @@ def _charpoly_power(t: Trial) -> Verdict:
 
 
 def _det_rule(t: Trial) -> Verdict:
+    # det(A) is coefficient 0 of the cached charpoly(A); det(AB) goes first
+    # so that an oversize matrix is refused as a determinant.
     lhs = det(mat_mul(t.a, t.b), t.bound).value
-    rhs = det(t.a, t.bound).value * det(t.b, t.bound).value
+    rhs = t.alpha.coeff(0) * det(t.b, t.bound).value
     holds = lhs.surpasses(rhs)
     detail = (
         {

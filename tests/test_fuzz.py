@@ -73,7 +73,7 @@ class TestCampaign:
 
     def test_power_and_charpolys_computed_once_per_trial(self, monkeypatch):
         calls = Counter()
-        for name in ("char_poly", "mat_pow"):
+        for name in ("char_poly", "mat_pow", "det"):
 
             def counted(*args, _name=name, _original=getattr(spectral, name)):
                 calls[_name] += 1
@@ -81,7 +81,7 @@ class TestCampaign:
 
             monkeypatch.setattr(spectral, name, counted)
         run_campaign(Config(trials=10, seed=0))
-        assert calls == {"char_poly": 20, "mat_pow": 10}
+        assert calls == {"char_poly": 20, "mat_pow": 10, "det": 20}
 
     def test_unknown_check_id_rejected(self):
         with pytest.raises(DomainError, match="thm99"):
