@@ -11,10 +11,12 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
+from typing import Iterable
 
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .fuzz import Config, generate_trials, run_campaign, search_eigenpairs
-from .matrix import Matrix, char_poly, det, parse_matrix_any
+from .matrix import DEFAULT_DET_BOUND, Matrix, char_poly, det, parse_matrix_any
 from .oracle import census_power_tracks, sym_charpoly_coeff, sym_direct_charpoly
 from .polynomial import (
     Polynomial,
@@ -45,19 +47,25 @@ _GENERATION_FLAGS = (
 _PROP32_MAX_PAIRS = 100
 
 
-def _read_matrix(path: str) -> Matrix:
+def _read_text(path: str) -> str:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_matrix_any(fh.read())
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
+def _read_matrix(path: str) -> Matrix:
+    return parse_matrix_any(_read_text(path))
 
 
 def _read_polynomial(arg: str) -> Polynomial:
     if os.path.exists(arg):
-        with open(arg, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        text = _read_text(arg)
         if text.lstrip().startswith("["):
             try:
                 strings = json.loads(text)
-            except json.JSONDecodeError as exc:
+            except (json.JSONDecodeError, RecursionError) as exc:
                 raise ParseError(f"bad JSON: {exc}") from exc
             return polynomial_from_strings(strings)
         return parse_polynomial(text)
@@ -136,19 +144,38 @@ def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
 
 
 def _generated_config(args) -> Config:
-    """The trials `fuzz` draws for the same seed, with -m fixing the power.
+    """The campaign shape the generation flags give, for `fuzz` and `check`.
 
-    Generation flags left out take `Config`'s defaults: 100 trials, seed 0,
-    n up to 4 and m from 2 to 3.
+    Flags left out take `Config`'s defaults, and `check`'s -m fixes the power.
     """
-    given = {
-        name: getattr(args, name)
-        for _, name in _GENERATION_FLAGS
-        if getattr(args, name) is not None
-    }
-    if args.power is not None:
+    names = {f.name for f in fields(Config)}
+    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    if getattr(args, "power", None) is not None:
         given["min_m"] = given["max_m"] = args.power
     return Config(**given, det_bound=args.bound)
+
+
+def _summary(check_id: str, verdicts: Iterable[Verdict]) -> Verdict:
+    """One verdict over many cases: the case and failure counts, and the
+    first failure's witness."""
+    cases = 0
+    failures = []
+    for v in verdicts:
+        cases += 1
+        if v.holds is False:
+            failures.append(v)
+    return Verdict(
+        check_id,
+        not failures,
+        failures[0].witness if failures else None,
+        ({"cases": cases, "failures": len(failures)},),
+    )
+
+
+def _charpoly_equiv(t: Trial) -> Verdict:
+    """Does the kernel's charpoly(A) equal the one the direct route expands?"""
+    same = t.alpha == sym_direct_charpoly(t.a, t.bound)
+    return Verdict("charpoly-equiv", same, None if same else {"matrix": t.a.to_json_dict()})
 
 
 def cmd_check(args) -> int:
@@ -188,39 +215,8 @@ def cmd_check(args) -> int:
         return _print_verdicts(verdicts, False)
     if check_id == "frobenius":
         grid = [ZERO] + [f(v) for v in range(-3, 4) for f in (tangible, ghost)]
-        bad = []
-        total = 0
-        for a in grid:
-            for b in grid:
-                for n in range(1, 5):
-                    total += 1
-                    v = check_frobenius(a, b, n)
-                    if not v.holds:
-                        bad.append(v)
-        summary = Verdict(
-            "frobenius",
-            not bad,
-            bad[0].witness if bad else None,
-            ({"cases": total, "failures": len(bad)},),
-        )
-        return _print_verdicts([summary], args.json)
-    if check_id == "charpoly-equiv":
-        if args.file:
-            a = _read_matrix(args.file)
-            same = char_poly(a, args.bound) == sym_direct_charpoly(a, args.bound)
-            v = Verdict("charpoly-equiv", same, None if same else {"matrix": a.to_json_dict()})
-            return _print_verdicts([v], args.json)
-        cfg = _generated_config(args)
-        failures = [
-            t.a for t in generate_trials(cfg) if t.alpha != sym_direct_charpoly(t.a, args.bound)
-        ]
-        v = Verdict(
-            "charpoly-equiv",
-            not failures,
-            {"matrix": failures[0].to_json_dict()} if failures else None,
-            ({"cases": cfg.trials, "failures": len(failures)},),
-        )
-        return _print_verdicts([v], args.json)
+        cases = (check_frobenius(a, b, n) for a in grid for b in grid for n in range(1, 5))
+        return _print_verdicts([_summary(check_id, cases)], args.json)
     if check_id == "prop32":
         if not args.file:
             print("error: prop32 needs a matrix file (-f)", file=sys.stderr)
@@ -234,27 +230,23 @@ def cmd_check(args) -> int:
         verdicts = [check_eigen_power(a, v, x, m) for v, x in pairs]
         return _print_verdicts(verdicts, args.json)
 
+    check = _charpoly_equiv if check_id == "charpoly-equiv" else CHECKS[check_id]
     if args.file:
         a = _read_matrix(args.file)
         b = _read_matrix(args.file_b) if args.file_b else a
-        return _print_verdicts([CHECKS[check_id](Trial(a, b, m, args.bound))], args.json)
-    result = run_campaign(_generated_config(args), (check_id,))
+        return _print_verdicts([check(Trial(a, b, m, args.bound))], args.json)
+    cfg = _generated_config(args)
+    if check_id == "charpoly-equiv":
+        verdicts = map(check, generate_trials(cfg))
+        return _print_verdicts([_summary(check_id, verdicts)], args.json)
+    result = run_campaign(cfg, (check_id,))
     first = result.violations[0]["verdict"] if result.violations else {}
     summary = Verdict(check_id, result.ok, first.get("witness"), (result.tallies[check_id],))
     return _print_verdicts([summary], args.json)
 
 
 def cmd_fuzz(args) -> int:
-    cfg = Config(
-        trials=args.trials,
-        seed=args.seed,
-        min_n=args.min_n,
-        max_n=args.max_n,
-        min_m=2,
-        max_m=args.max_m,
-        ghost_prob=args.ghost_prob,
-        det_bound=args.bound,
-    )
+    cfg = _generated_config(args)
     result = run_campaign(cfg)
     if args.json:
         print(result.to_json())
@@ -284,8 +276,10 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_bound=True):
         p.add_argument("--json", action="store_true", help="emit JSON")
         if with_bound:
-            p.add_argument("--bound", type=int, default=None,
-                           help="dimension bound for det and charpoly (default 9)")
+            p.add_argument(
+                "--bound", type=int, default=None,
+                help=f"dimension bound for det and charpoly (default {DEFAULT_DET_BOUND})",
+            )
 
     p = sub.add_parser("det", help="determinant with dominant tracks")
     p.add_argument("path", help="matrix file (text or JSON)")
@@ -314,24 +308,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", "--power", type=int, default=None, help="matrix power")
     p.add_argument("-n", "--dim", type=int, default=None, help="dimension (claim35)")
     p.add_argument("--trials", type=int, default=None,
-                   help="generated-input trials when no file is given (default 100)")
-    p.add_argument("--seed", type=int, default=None, help="generated-input seed (default 0)")
+                   help=f"generated-input trials when no file is given (default {Config.trials})")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"generated-input seed (default {Config.seed})")
     p.add_argument("--max-n", type=int, default=None,
-                   help="largest generated dimension (default 4)")
+                   help=f"largest generated dimension (default {Config.max_n})")
     p.add_argument("--max-m", type=int, default=None,
-                   help="largest generated power when -m is not given (default 3)")
+                   help=f"largest generated power when -m is not given (default {Config.max_m})")
     p.add_argument("--full-census", action="store_true",
                    help="include the complete monomial census in JSON output")
     add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="seeded law-checking campaign")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--min-n", type=int, default=2)
-    p.add_argument("--max-n", type=int, default=4)
-    p.add_argument("--max-m", type=int, default=3)
-    p.add_argument("--ghost-prob", type=float, default=0.2)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--min-n", type=int)
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--max-m", type=int)
+    p.add_argument("--ghost-prob", type=float)
     add_common(p)
     p.set_defaults(func=cmd_fuzz)
 

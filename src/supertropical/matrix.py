@@ -9,9 +9,8 @@ enumerating all ``n!`` tracks. The same kernel, run over polynomial entries
 of ``A + xI``, yields every coefficient of the characteristic polynomial in
 one pass. The dominant tracks are listed by a depth-first search that only
 follows prefixes the table shows can still reach the maximum. Both
-computations are guarded by an explicit dimension bound (default 9,
-overridable per call or via the ``SUPERTROPICAL_DET_BOUND`` environment
-variable).
+computations are guarded by an explicit dimension bound (default 9, set
+per call with ``bound=``, or with ``--bound`` on the command line).
 
 The kernels (the permanent table and the matrix product) run on plain
 integers. Multiplying every magnitude by one positive constant is an
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -38,24 +36,11 @@ from .polynomial import Polynomial
 from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar
 
 DEFAULT_DET_BOUND = 9
-DET_BOUND_ENV = "SUPERTROPICAL_DET_BOUND"
-
-
-def det_bound(explicit: int | None = None) -> int:
-    if explicit is not None:
-        return explicit
-    raw = os.environ.get(DET_BOUND_ENV)
-    if raw is None:
-        return DEFAULT_DET_BOUND
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise ParseError(f"{DET_BOUND_ENV} must be an integer, got {raw!r}") from exc
 
 
 def check_dim_bound(what: str, a: Matrix, bound: int | None) -> int:
     """Refuse ``what`` for a matrix above the dimension bound; return the bound."""
-    limit = det_bound(bound)
+    limit = DEFAULT_DET_BOUND if bound is None else bound
     if a.n > limit:
         raise BoundExceededError(what, a.n, limit)
     return limit
@@ -216,11 +201,6 @@ class PermutationTrack:
 
     perm: tuple[int, ...]
     product: Scalar
-
-    @property
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Selected positions as 1-based (row, column) pairs."""
-        return tuple((i + 1, j + 1) for i, j in enumerate(self.perm))
 
     @property
     def name(self) -> str:
@@ -439,7 +419,7 @@ def parse_matrix_any(text: str) -> Matrix:
     if text.lstrip().startswith("{"):
         try:
             data = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ParseError(f"bad JSON: {exc}") from exc
         return matrix_from_json_dict(data)
     return parse_matrix(text)

@@ -319,12 +319,31 @@ class TestErrorPaths:
         assert code == 3
         assert "bound" in err
 
-    def test_env_bound(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("SUPERTROPICAL_DET_BOUND", "2")
-        path = tmp_path / "big.txt"
-        path.write_text("\n".join(" ".join("0" for _ in range(3)) for _ in range(3)))
-        code, _, _ = run(capsys, "det", str(path))
-        assert code == 3
+    @pytest.mark.parametrize("kind", ["non-utf8", "deep-json"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["det", "{bad}"],
+            ["roots", "{bad}"],
+            ["check", "thm36", "-f", "{bad}"],
+            ["check", "thm13", "-f", "{a}", "-g", "{bad}"],
+        ],
+        ids=["det", "roots", "check-f", "check-thm13-g"],
+    )
+    def test_undecodable_file_exit_2(self, capsys, tmp_path, a_file, argv, kind):
+        # A non-UTF-8 file and JSON nested far past the recursion limit are
+        # input errors; polynomial JSON is a list and matrix JSON an object.
+        deep = b"[" * 200_000
+        content = {
+            "non-utf8": b"\xff\xfe 1 2\n3 4\n",
+            "deep-json": deep if argv[0] == "roots" else b'{"rows": ' + deep,
+        }[kind]
+        bad = tmp_path / "bad"
+        bad.write_bytes(content)
+        code, out, err = run(capsys, *(arg.format(a=a_file, bad=bad) for arg in argv))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ")
 
 
 class TestFuzzCommand:

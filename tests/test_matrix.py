@@ -116,14 +116,6 @@ class TestDet:
         with pytest.raises(BoundExceededError):
             det(Matrix.identity(3), bound=2)
 
-    def test_env_bound(self, monkeypatch):
-        monkeypatch.setenv("SUPERTROPICAL_DET_BOUND", "2")
-        with pytest.raises(BoundExceededError):
-            det(Matrix.identity(3))
-        monkeypatch.setenv("SUPERTROPICAL_DET_BOUND", "nope")
-        with pytest.raises(ParseError):
-            det(Matrix.identity(3))
-
     @given(matrices(max_n=4))
     def test_matches_brute_oracle(self, a):
         report = det(a)
