@@ -146,7 +146,8 @@ def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
 def _generated_config(args) -> Config:
     """The campaign shape the generation flags give, for `fuzz` and `check`.
 
-    Flags left out take `Config`'s defaults, and `check`'s -m fixes the power.
+    Each flag named after a `Config` field sets that field, flags left out
+    take `Config`'s defaults, and `check`'s -m fixes the power.
     """
     names = {f.name for f in fields(Config)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
