@@ -38,6 +38,18 @@ from conftest import (
 X2_2X_2 = parse_polynomial("x^2 + 2x + 2")
 X2_4X_5G = parse_polynomial("x^2 + 4x + 5g")
 
+# Rejected polynomial texts and the exact error each one reports.
+PARSE_ERRORS = {
+    "": "empty polynomial",
+    "x +": "not a polynomial term: ''",
+    "y^2": "not a polynomial term: 'y^2'",
+    "x^-1": "not a polynomial term: 'x^-1'",
+    "3 4x": "not a polynomial term: '3 4x'",
+    "x^2 ++ 1": "not a polynomial term: ''",
+    "1/0x": "zero denominator in '1/0'",
+    "2/00": "zero denominator in '2/00'",
+}
+
 
 class TestEvaluate:
     def test_tie_at_zero(self):
@@ -336,10 +348,25 @@ class TestTextForms:
     def test_json_round_trip(self, f):
         assert polynomial_from_strings(coeff_strings(f)) == f
 
-    @pytest.mark.parametrize("bad", ["", "x +", "y^2", "x^-1", "3 4x", "x^2 ++ 1"])
+    @pytest.mark.parametrize("bad", list(PARSE_ERRORS))
     def test_parse_rejects(self, bad):
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError) as exc:
             parse_polynomial(bad)
+        assert str(exc.value) == PARSE_ERRORS[bad]
+
+    @pytest.mark.parametrize(
+        "text, canonical, kinds",
+        [
+            ("-infx^2 + 1", "1", ["tangible"]),
+            ("x", "x", ["zero", "tangible"]),
+            ("-3/4gx^3", "-3/4gx^3", ["zero", "zero", "zero", "ghost"]),
+            ("3x + 3x + 1gx", "3gx", ["zero", "ghost"]),
+        ],
+    )
+    def test_parse_accepts(self, text, canonical, kinds):
+        f = parse_polynomial(text)
+        assert str(f) == canonical
+        assert [c.kind.value for c in f.coeffs] == kinds
 
     def test_normalization_trims_leading_zeros(self):
         f = Polynomial((tangible(1), ZERO, ZERO))
