@@ -185,6 +185,8 @@ def cmd_check(args) -> int:
     for flag, value in given.items():
         if value is not None and flag not in _CHECK_FLAGS.get(check_id, ("-f", "-m")):
             raise DomainError(f"{flag} is not used by {check_id}")
+    if args.file_b is not None and args.file is None:
+        raise DomainError(f"-g is not used by {check_id} without -f")
     for flag, name in _GENERATION_FLAGS:
         if getattr(args, name) is None:
             continue

@@ -10,6 +10,12 @@ envelope vertices with tangible coefficients cross, evaluation ties and we
 get a corner root whose multiplicity is the degree gap. Where a ghost
 essential monomial attains the maximum, evaluation is ghost over a whole
 interval of magnitudes.
+
+The envelope is computed on plain ints: every magnitude is scaled by the
+LCM of the support's denominators, which leaves the hull unchanged, and
+only the crossings that survive become exact `Fraction` values, once, at
+the end. Each `Polynomial` caches its envelope, so `roots`, `essential`
+and `breakpoints` on the same polynomial share one computation.
 """
 
 from __future__ import annotations
@@ -17,8 +23,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
 
-from .errors import DomainError, ParseError
+from .errors import BoundExceededError, DomainError, ParseError
 from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar, tangible
 
 
@@ -47,6 +55,12 @@ class Polynomial:
     def degree(self) -> int:
         """Degree of the leading stored coefficient (0 for the zero polynomial)."""
         return len(self.coeffs) - 1
+
+    @cached_property
+    def _hull(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+        """The envelope, computed once and shared by `roots`, `essential`
+        and `breakpoints`."""
+        return _envelope(self)
 
     def coeff(self, d: int) -> Scalar:
         return self.coeffs[d] if 0 <= d < len(self.coeffs) else ZERO
@@ -112,8 +126,12 @@ def _format_term(c: Scalar, d: int) -> str:
     return xs if c == ONE else f"{c}{xs}"
 
 
+# Terms above this degree are refused before any coefficient tuple is built.
+MAX_PARSE_DEGREE = 100_000
+
 _TERM_RE = re.compile(
-    r"(?P<coeff>-inf|-?\d+(?:/\d+)?g?)?\s*(?P<x>x(?:\^(?P<deg>\d+))?)?\Z"
+    r"(?P<coeff>-inf|(?P<num>-?\d+)(?:/(?P<den>\d+))?(?P<ghost>g)?)?"
+    r"\s*(?P<x>x(?:\^(?P<deg>\d+))?)?\Z"
 )
 
 
@@ -121,7 +139,8 @@ def parse_polynomial(text: str) -> Polynomial:
     """Parse ``COEFF x^DEG`` terms joined by ``+``; missing degrees are ``-inf``.
 
     The unit coefficient may be omitted (``x^2``), degree 1 drops the caret
-    (``4x``), and a bare coefficient is the constant term.
+    (``4x``), and a bare coefficient is the constant term. Repeated degrees
+    add up. A degree above `MAX_PARSE_DEGREE` raises `BoundExceededError`.
     """
     stripped = text.strip()
     if not stripped:
@@ -130,16 +149,32 @@ def parse_polynomial(text: str) -> Polynomial:
     for raw in stripped.split("+"):
         term = raw.strip()
         match = _TERM_RE.match(term)
-        if not term or match is None or (not match.group("coeff") and not match.group("x")):
-            raise ParseError(f"not a polynomial term: {raw.strip()!r}")
-        coeff = parse_scalar(match.group("coeff")) if match.group("coeff") else ONE
-        if match.group("x"):
-            degree = int(match.group("deg")) if match.group("deg") else 1
+        if match is None:
+            raise ParseError(f"not a polynomial term: {term!r}")
+        coeff_text, num, den, ghost_mark, x, deg = match.groups()
+        if coeff_text is None:
+            if x is None:
+                raise ParseError(f"not a polynomial term: {term!r}")
+            coeff = ONE
+        elif num is None:  # "-inf"
+            coeff = ZERO
         else:
-            degree = 0
-        by_degree[degree] = by_degree.get(degree, ZERO) + coeff
+            den = 1 if den is None else int(den)
+            if den == 0:
+                raise ParseError(f"zero denominator in {coeff_text!r}")
+            kind = Kind.GHOST if ghost_mark else Kind.TANGIBLE
+            coeff = Scalar(kind, Fraction(int(num), den))
+        degree = 0 if x is None else 1 if deg is None else int(deg)
+        if degree in by_degree:
+            coeff = by_degree[degree] + coeff
+        by_degree[degree] = coeff
     top = max(by_degree)
-    return Polynomial(tuple(by_degree.get(i, ZERO) for i in range(top + 1)))
+    if top > MAX_PARSE_DEGREE:
+        raise BoundExceededError("polynomial degree", top, MAX_PARSE_DEGREE)
+    coeffs = [ZERO] * (top + 1)
+    for degree, coeff in by_degree.items():
+        coeffs[degree] = coeff
+    return Polynomial(tuple(coeffs))
 
 
 def coeff_strings(f: Polynomial) -> list[str]:
@@ -154,20 +189,9 @@ def polynomial_from_strings(strings) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Envelope geometry.
 
-Point = tuple[int, Fraction]
-
-
-def _support(f: Polynomial) -> list[Point]:
-    return [(d, c.value) for d, c in enumerate(f.coeffs) if not c.is_zero]
-
-
-def _crossing(a: Point, b: Point) -> Fraction:
-    # Magnitude where the monomial lines of two support points meet.
-    return Fraction(a[1] - b[1], b[0] - a[0])
-
-
-def _envelope(f: Polynomial) -> tuple[list[Point], list[Fraction]]:
-    """The upper hull of the support, with the crossing of each consecutive pair.
+def _envelope(f: Polynomial) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+    """The degrees of the upper hull of the support, with the crossing of
+    each consecutive pair.
 
     ``cuts[k]`` is the crossing of hull points ``k`` and ``k + 1``. The last
     hull point lies strictly below the segment from the point before it to
@@ -178,19 +202,33 @@ def _envelope(f: Polynomial) -> tuple[list[Point], list[Fraction]]:
     decrease, and a point lies on an edge exactly when the cuts on its two
     sides are equal. The strict vertices are the two ends plus every point
     where the cut changes.
+
+    Scaling every magnitude by one positive constant leaves the hull as it
+    is, so the walk runs on the magnitudes times ``scale``, the LCM of the
+    support's denominators, which are plain ints. A crossing is kept as the
+    int pair ``(key difference, degree gap)``, whose second entry is
+    positive, and compared with the last cut by cross-multiplying. Only the
+    cuts that survive become `Fraction` values, once, at the end.
     """
-    hull: list[Point] = []
-    cuts: list[Fraction] = []
-    for p in _support(f):
+    support = [(d, c.value) for d, c in enumerate(f.coeffs) if c.value is not None]
+    scale = lcm(*(v.denominator for _, v in support))
+    hull: list[tuple[int, int]] = []
+    cuts: list[tuple[int, int]] = []
+    for d, v in support:
+        key = v.numerator * (scale // v.denominator)
         while hull:
-            x = _crossing(hull[-1], p)
-            if not cuts or x >= cuts[-1]:
-                cuts.append(x)
+            last_d, last_key = hull[-1]
+            num, den = last_key - key, d - last_d
+            if not cuts or num * cuts[-1][1] >= cuts[-1][0] * den:
+                cuts.append((num, den))
                 break
             hull.pop()
             cuts.pop()
-        hull.append(p)
-    return hull, cuts
+        hull.append((d, key))
+    return (
+        tuple(d for d, _ in hull),
+        tuple(Fraction(num, den * scale) for num, den in cuts),
+    )
 
 
 def essential(f: Polynomial) -> Polynomial:
@@ -201,8 +239,7 @@ def essential(f: Polynomial) -> Polynomial:
     """
     if f.is_zero:
         raise DomainError("the zero polynomial has no essential part")
-    hull, _ = _envelope(f)
-    keep = {d for d, _ in hull}
+    keep = set(f._hull[0])
     return Polynomial(
         tuple(c if d in keep else ZERO for d, c in enumerate(f.coeffs))
     )
@@ -212,7 +249,7 @@ def breakpoints(f: Polynomial) -> list[Fraction]:
     """Magnitudes where the dominant monomial changes, ascending."""
     if f.is_zero:
         return []
-    _, cuts = _envelope(f)
+    cuts = f._hull[1]
     return [x for k, x in enumerate(cuts) if k == 0 or x != cuts[k - 1]]
 
 
@@ -291,11 +328,11 @@ def roots(f: Polynomial) -> RootReport:
     """
     if f.is_zero:
         return RootReport((), (), True)
-    hull, cuts = _envelope(f)
+    hull, cuts = f._hull
     corner: list[tuple[Scalar, int]] = []
     spans: list[list] = []
-    start = hull[0][0]
-    for k, (d, _v) in enumerate(hull):
+    start = hull[0]
+    for k, d in enumerate(hull):
         lo = cuts[k - 1] if k > 0 else None
         hi = cuts[k] if k < len(cuts) else None
         if k > 0 and lo != hi:
@@ -307,7 +344,7 @@ def roots(f: Polynomial) -> RootReport:
                 spans[-1][1] = hi
             else:
                 spans.append([lo, hi])
-    all_ghost = all(f.coeffs[d].kind is Kind.GHOST for d, _ in hull)
+    all_ghost = all(f.coeffs[d].kind is Kind.GHOST for d in hull)
     return RootReport(
         tuple(corner), tuple(_closed(lo, hi) for lo, hi in spans), all_ghost
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import lcm
 
 import hypothesis.strategies as st
 
@@ -132,6 +133,18 @@ def brute_det_value(a: Matrix):
     return ghost(top) if is_ghost else tangible(top)
 
 
+def _monomial_values(points, x):
+    """``v + d * x`` for each point ``(d, v)``, all times one positive int.
+
+    The common multiple of every denominator in sight makes each value a
+    plain int, so comparing them decides exactly which monomials attain
+    the maximum at ``x``.
+    """
+    scale = lcm(x.denominator, *(v.denominator for _, v in points))
+    shift = x.numerator * (scale // x.denominator)
+    return [v.numerator * (scale // v.denominator) + d * shift for d, v in points]
+
+
 def attained_degrees(f: Polynomial) -> set[int]:
     """Exact attainment oracle: which monomials reach the maximum somewhere.
 
@@ -153,8 +166,9 @@ def attained_degrees(f: Polynomial) -> set[int]:
         probes.append(Fraction(0))
     attained: set[int] = set()
     for x in probes:
-        best = max(v + d * x for d, v in points)
-        attained |= {d for d, v in points if v + d * x == best}
+        values = _monomial_values(points, x)
+        best = max(values)
+        attained |= {d for (d, _), value in zip(points, values) if value == best}
     return attained
 
 
@@ -167,14 +181,16 @@ def brute_breakpoints(f: Polynomial):
     multiplicity. Returns ``(breakpoints, [(root, multiplicity), ...])``.
     """
     points = [(d, c) for d, c in enumerate(f.coeffs) if not c.is_zero]
+    magnitudes = [(d, c.value) for d, c in points]
     crossings = {
         Fraction(ci.value - cj.value, j - i)
         for (i, ci), (j, cj) in combinations(points, 2)
     }
     cuts, corners = [], []
     for x in sorted(crossings):
-        best = max(c.value + d * x for d, c in points)
-        attaining = [(d, c) for d, c in points if c.value + d * x == best]
+        values = _monomial_values(magnitudes, x)
+        best = max(values)
+        attaining = [p for p, value in zip(points, values) if value == best]
         if len(attaining) < 2:
             continue
         cuts.append(x)

@@ -7,6 +7,7 @@ import json
 import pytest
 
 from supertropical import Verdict, cli
+from supertropical.polynomial import MAX_PARSE_DEGREE
 from supertropical.spectral import CHECKS
 
 A_TEXT = "0 0\n1 2\n"
@@ -239,9 +240,11 @@ class TestCheckCommand:
              "--full-census is not used by thm36"),
             (["check", "claim35", "-n", "2", "--full-census"],
              "--full-census is not used by claim35 without --json"),
+            (["check", "thm13", "-g", "/nonexistent"], "-g is not used by thm13 without -f"),
         ],
         ids=["file-generation-flags", "prop32-trials", "frobenius-seed", "claim35-max-n",
-             "fixed-m-max-m", "thm36-full-census", "claim35-text-full-census"],
+             "fixed-m-max-m", "thm36-full-census", "claim35-text-full-census",
+             "thm13-g-without-f"],
     )
     def test_unread_generation_flag_exit_2(self, capsys, a_file, argv, message):
         code, out, err = run(capsys, *[a_file if arg == "A" else arg for arg in argv])
@@ -318,6 +321,15 @@ class TestErrorPaths:
         code, _, err = run(capsys, "det", str(path), "--bound", "2")
         assert code == 3
         assert "bound" in err
+
+    def test_polynomial_degree_cap_exit_3(self, capsys):
+        code, out, err = run(capsys, "roots", "x^100000000 + 1")
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: polynomial degree: size 100000000 exceeds enumeration bound "
+            f"{MAX_PARSE_DEGREE}\n"
+        )
 
     @pytest.mark.parametrize("kind", ["non-utf8", "deep-json"])
     @pytest.mark.parametrize(

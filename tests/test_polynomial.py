@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supertropical import (
+    BoundExceededError,
     DomainError,
     ONE,
     ParseError,
@@ -26,6 +27,8 @@ from supertropical import (
     roots,
     tangible,
 )
+from supertropical import polynomial
+from supertropical.polynomial import MAX_PARSE_DEGREE
 from conftest import (
     attained_degrees,
     brute_breakpoints,
@@ -222,6 +225,51 @@ def _between_breakpoints(f):
     return probes
 
 
+# Small composites and every prime 5..97, so the support's LCM is often huge.
+MIXED_DENOMINATORS = (2, 3, 4, 6, 9, 12) + tuple(
+    p for p in range(5, 98) if all(p % q for q in range(2, p))
+)
+
+
+def _mixed_value(rng):
+    return Fraction(rng.randint(-400, 400), rng.choice(MIXED_DENOMINATORS))
+
+
+def _mixed_polynomial(rng, palette):
+    """Degree up to 40 with up to 8 support points; with a palette the
+    magnitudes repeat, so ties and on-edge points are common."""
+    degree = rng.randint(1, 40)
+    coeffs = [ZERO] * (degree + 1)
+    for d in [*rng.sample(range(degree), rng.randint(0, min(7, degree))), degree]:
+        value = rng.choice(palette) if palette else _mixed_value(rng)
+        coeffs[d] = ghost(value) if rng.random() < 0.2 else tangible(value)
+    return Polynomial(tuple(coeffs))
+
+
+class TestScaledEnvelope:
+    def test_mixed_denominators_match_oracles(self):
+        rng = random.Random("mixed-denominators")
+        for index in range(2000):
+            palette = [_mixed_value(rng) for _ in range(3)] if index % 2 else None
+            f = _mixed_polynomial(rng, palette)
+            cuts, corners = brute_breakpoints(f)
+            assert breakpoints(f) == cuts, f
+            assert roots(f).corner_roots == tuple((tangible(x), m) for x, m in corners), f
+            kept = {d for d, c in enumerate(essential(f).coeffs) if not c.is_zero}
+            assert kept == attained_degrees(f), f
+
+    def test_envelope_computed_once_per_polynomial(self, monkeypatch):
+        calls = []
+        envelope = polynomial._envelope
+        monkeypatch.setattr(polynomial, "_envelope", lambda f: calls.append(f) or envelope(f))
+        f = parse_polynomial("x^3 + 1gx^2 + 2x + 3g")
+        for _ in range(2):
+            roots(f)
+            essential(f)
+            breakpoints(f)
+        assert calls == [f]
+
+
 class TestMultiplicityRecovery:
     @pytest.mark.parametrize("seed", range(25))
     def test_constructed_factorizations(self, seed):
@@ -367,6 +415,14 @@ class TestTextForms:
         f = parse_polynomial(text)
         assert str(f) == canonical
         assert [c.kind.value for c in f.coeffs] == kinds
+
+    def test_parse_caps_degree(self):
+        assert parse_polynomial(f"x^{MAX_PARSE_DEGREE} + 1").degree == MAX_PARSE_DEGREE
+        for text in ("x^100000000 + 1", f"-infx^{MAX_PARSE_DEGREE + 1}"):
+            with pytest.raises(BoundExceededError) as exc:
+                parse_polynomial(text)
+            assert exc.value.bound == MAX_PARSE_DEGREE
+            assert exc.value.size > MAX_PARSE_DEGREE
 
     def test_normalization_trims_leading_zeros(self):
         f = Polynomial((tangible(1), ZERO, ZERO))
