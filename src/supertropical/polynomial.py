@@ -149,12 +149,10 @@ def parse_polynomial(text: str) -> Polynomial:
     for raw in stripped.split("+"):
         term = raw.strip()
         match = _TERM_RE.match(term)
-        if match is None:
+        if match is None or not (match["coeff"] or match["x"]):
             raise ParseError(f"not a polynomial term: {term!r}")
         coeff_text, num, den, ghost_mark, x, deg = match.groups()
         if coeff_text is None:
-            if x is None:
-                raise ParseError(f"not a polynomial term: {term!r}")
             coeff = ONE
         elif num is None:  # "-inf"
             coeff = ZERO

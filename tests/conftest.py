@@ -133,16 +133,19 @@ def brute_det_value(a: Matrix):
     return ghost(top) if is_ghost else tangible(top)
 
 
-def _monomial_values(points, x):
-    """``v + d * x`` for each point ``(d, v)``, all times one positive int.
+def _attaining(points, x):
+    """The points ``(d, c)`` whose monomial ``c + d * x`` attains the maximum.
 
-    The common multiple of every denominator in sight makes each value a
-    plain int, so comparing them decides exactly which monomials attain
-    the maximum at ``x``.
+    Every value is taken times one common multiple of the denominators in
+    sight, so the comparison runs exactly on plain ints.
     """
-    scale = lcm(x.denominator, *(v.denominator for _, v in points))
+    scale = lcm(x.denominator, *(c.value.denominator for _, c in points))
     shift = x.numerator * (scale // x.denominator)
-    return [v.numerator * (scale // v.denominator) + d * shift for d, v in points]
+    values = [
+        c.value.numerator * (scale // c.value.denominator) + d * shift for d, c in points
+    ]
+    best = max(values)
+    return [p for p, value in zip(points, values) if value == best]
 
 
 def attained_degrees(f: Polynomial) -> set[int]:
@@ -152,10 +155,10 @@ def attained_degrees(f: Polynomial) -> set[int]:
     line crossings, so probing all crossings, the midpoints between them,
     and points beyond the extremes decides attainment exactly.
     """
-    points = [(d, c.value) for d, c in enumerate(f.coeffs) if not c.is_zero]
+    points = [(d, c) for d, c in enumerate(f.coeffs) if not c.is_zero]
     crossings = set()
-    for (i, vi), (j, vj) in combinations(points, 2):
-        crossings.add(Fraction(vi - vj, j - i))
+    for (i, ci), (j, cj) in combinations(points, 2):
+        crossings.add(Fraction(ci.value - cj.value, j - i))
     xs = sorted(crossings)
     probes = list(xs)
     if xs:
@@ -166,9 +169,7 @@ def attained_degrees(f: Polynomial) -> set[int]:
         probes.append(Fraction(0))
     attained: set[int] = set()
     for x in probes:
-        values = _monomial_values(points, x)
-        best = max(values)
-        attained |= {d for (d, _), value in zip(points, values) if value == best}
+        attained |= {d for d, _ in _attaining(points, x)}
     return attained
 
 
@@ -181,16 +182,13 @@ def brute_breakpoints(f: Polynomial):
     multiplicity. Returns ``(breakpoints, [(root, multiplicity), ...])``.
     """
     points = [(d, c) for d, c in enumerate(f.coeffs) if not c.is_zero]
-    magnitudes = [(d, c.value) for d, c in points]
     crossings = {
         Fraction(ci.value - cj.value, j - i)
         for (i, ci), (j, cj) in combinations(points, 2)
     }
     cuts, corners = [], []
     for x in sorted(crossings):
-        values = _monomial_values(magnitudes, x)
-        best = max(values)
-        attaining = [p for p, value in zip(points, values) if value == best]
+        attaining = _attaining(points, x)
         if len(attaining) < 2:
             continue
         cuts.append(x)
