@@ -355,7 +355,8 @@ class TestErrorPaths:
         code, out, err = run(capsys, *(arg.format(a=a_file, bad=bad) for arg in argv))
         assert code == 2
         assert out == ""
-        assert err.startswith("error: ")
+        prefix = {"non-utf8": f"{bad} is not UTF-8 text: ", "deep-json": "bad JSON: "}[kind]
+        assert err.startswith("error: " + prefix)
 
 
 class TestFuzzCommand:

@@ -218,6 +218,7 @@ class TestTextForms:
             parse_matrix("0 0\n1 nope")
         assert err.value.line == 2
         assert err.value.col == 2
+        assert str(err.value) == "line 2, field 2: not a scalar: 'nope'"
 
     def test_non_square_rejected(self):
         with pytest.raises(ParseError):

@@ -226,9 +226,23 @@ def test_parse_examples(text, value):
     assert parse_scalar(text) == value
 
 
-@pytest.mark.parametrize(
-    "bad", ["", "inf", "1/0", "1/00", "3/000g", "x", "5 g", "--5", "1.5", "g", "5gg"]
-)
+PARSE_ERRORS = {
+    "": "not a scalar: ''",
+    "inf": "not a scalar: 'inf'",
+    "1/0": "zero denominator in '1/0'",
+    "1/00": "zero denominator in '1/00'",
+    "3/000g": "zero denominator in '3/000g'",
+    "x": "not a scalar: 'x'",
+    "5 g": "not a scalar: '5 g'",
+    "--5": "not a scalar: '--5'",
+    "1.5": "not a scalar: '1.5'",
+    "g": "not a scalar: 'g'",
+    "5gg": "not a scalar: '5gg'",
+}
+
+
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
 def test_parse_rejects(bad):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError) as exc:
         parse_scalar(bad)
+    assert str(exc.value) == PARSE_ERRORS[bad]
