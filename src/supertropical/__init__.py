@@ -43,7 +43,6 @@ from .matrix import (
     mat_vec,
     matrix_from_json_dict,
     parse_matrix,
-    parse_matrix_any,
     principal_minor,
     trace,
 )

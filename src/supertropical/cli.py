@@ -2,7 +2,7 @@
 
 Subcommands: det, charpoly, roots, eigen, check, fuzz. Exit codes: 0 on
 success, 1 when a check or campaign found a violation, 2 for input errors,
-3 when a dimension bound was exceeded.
+3 when a bound (dimension, degree or digit count) was exceeded.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Iterable
 
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .fuzz import Config, generate_trials, run_campaign, search_eigenpairs
-from .matrix import DEFAULT_DET_BOUND, Matrix, char_poly, det, parse_matrix_any
+from .matrix import DEFAULT_DET_BOUND, Matrix, char_poly, det, matrix_from_json_dict, parse_matrix
 from .oracle import census_power_tracks, sym_charpoly_coeff, sym_direct_charpoly
 from .polynomial import (
     Polynomial,
@@ -47,28 +47,29 @@ _GENERATION_FLAGS = (
 _PROP32_MAX_PAIRS = 100
 
 
-def _read_text(path: str) -> str:
+def _read_file(path: str, json_opener: str, from_json, from_text):
+    """Parse a file by ``from_json`` if it opens with ``json_opener``, else by ``from_text``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return fh.read()
+            text = fh.read()
         except UnicodeDecodeError as exc:
             raise ParseError(f"{path} is not UTF-8 text: {exc}") from exc
+    if not text.lstrip().startswith(json_opener):
+        return from_text(text)
+    try:
+        data = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"bad JSON: {exc}") from exc
+    return from_json(data)
 
 
 def _read_matrix(path: str) -> Matrix:
-    return parse_matrix_any(_read_text(path))
+    return _read_file(path, "{", matrix_from_json_dict, parse_matrix)
 
 
 def _read_polynomial(arg: str) -> Polynomial:
     if os.path.exists(arg):
-        text = _read_text(arg)
-        if text.lstrip().startswith("["):
-            try:
-                strings = json.loads(text)
-            except (json.JSONDecodeError, RecursionError) as exc:
-                raise ParseError(f"bad JSON: {exc}") from exc
-            return polynomial_from_strings(strings)
-        return parse_polynomial(text)
+        return _read_file(arg, "[", polynomial_from_strings, parse_polynomial)
     return parse_polynomial(arg)
 
 
@@ -222,8 +223,7 @@ def cmd_check(args) -> int:
         return _print_verdicts([_summary(check_id, cases)], args.json)
     if check_id == "prop32":
         if not args.file:
-            print("error: prop32 needs a matrix file (-f)", file=sys.stderr)
-            return 2
+            raise DomainError("prop32 needs a matrix file (-f)")
         a = _read_matrix(args.file)
         pairs = search_eigenpairs(a, bound=args.bound, max_results=_PROP32_MAX_PAIRS)
         if not pairs:

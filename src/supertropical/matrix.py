@@ -24,7 +24,6 @@ is decoded once, so the API still returns exact ``Fraction`` magnitudes.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -412,14 +411,3 @@ def matrix_from_json_dict(data: dict) -> Matrix:
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"matrix JSON rows do not form an {n}x{n} array")
     return Matrix(tuple(tuple(parse_scalar(e) for e in row) for row in rows))
-
-
-def parse_matrix_any(text: str) -> Matrix:
-    """Accept either the plain-text or the JSON matrix format."""
-    if text.lstrip().startswith("{"):
-        try:
-            data = json.loads(text)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ParseError(f"bad JSON: {exc}") from exc
-        return matrix_from_json_dict(data)
-    return parse_matrix(text)

@@ -211,22 +211,16 @@ def _formal_permanent(grid: list[list[SymPoly]], subset: tuple[int, ...]) -> Sym
     return total
 
 
-def _check_symbolic_bounds(n: int, m: int, k: int, max_n: int, max_m: int) -> None:
-    if n > max_n:
-        raise BoundExceededError("symbolic expansion", n, max_n)
-    if m > max_m:
-        raise BoundExceededError("symbolic expansion power", m, max_m)
-    if not 1 <= k <= n:
-        raise BoundExceededError("minor size", k, n)
-
-
-def sym_charpoly_coeff(
-    n: int, m: int, k: int, max_n: int = MAX_SYMBOLIC_N, max_m: int = MAX_SYMBOLIC_M
-) -> SymPoly:
+def sym_charpoly_coeff(n: int, m: int, k: int) -> SymPoly:
     """Formal coefficient of x^(n-k) in charpoly(A^m): the multiset of all
     monomials contributed by the k-by-k principal-minor permanents of the
     formally expanded m-th power."""
-    _check_symbolic_bounds(n, m, k, max_n, max_m)
+    if n > MAX_SYMBOLIC_N:
+        raise BoundExceededError("symbolic expansion", n, MAX_SYMBOLIC_N)
+    if m > MAX_SYMBOLIC_M:
+        raise BoundExceededError("symbolic expansion power", m, MAX_SYMBOLIC_M)
+    if not 1 <= k <= n:
+        raise BoundExceededError("minor size", k, n)
     grid = _formal_power(n, m)
     total = SymPoly.zero()
     for subset in combinations(range(n), k):
@@ -247,12 +241,10 @@ def power_track_monomials(n: int, m: int, k: int) -> dict[SymMonomial, tuple]:
     return out
 
 
-def census_power_tracks(
-    n: int, m: int, k: int, max_n: int = MAX_SYMBOLIC_N, max_m: int = MAX_SYMBOLIC_M
-) -> Verdict:
+def census_power_tracks(n: int, m: int, k: int) -> Verdict:
     """Census of the formal coefficient: every power-track monomial must
     occur exactly once, every other monomial at least twice."""
-    coeff = sym_charpoly_coeff(n, m, k, max_n, max_m)
+    coeff = sym_charpoly_coeff(n, m, k)
     expected = power_track_monomials(n, m, k)
     violations = []
     for mono in expected:

@@ -27,6 +27,7 @@ from functools import cached_property
 from math import lcm
 
 from .errors import BoundExceededError, DomainError, ParseError
+from .scalar import DIGITS, RATIONAL, check_digits, literal_scalar
 from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar, tangible
 
 
@@ -129,10 +130,7 @@ def _format_term(c: Scalar, d: int) -> str:
 # Terms above this degree are refused before any coefficient tuple is built.
 MAX_PARSE_DEGREE = 100_000
 
-_TERM_RE = re.compile(
-    r"(?P<coeff>-inf|(?P<num>-?\d+)(?:/(?P<den>\d+))?(?P<ghost>g)?)?"
-    r"\s*(?P<x>x(?:\^(?P<deg>\d+))?)?\Z"
-)
+_TERM_RE = re.compile(rf"(?P<coeff>-inf|{RATIONAL})?\s*(?P<x>x(?:\^(?P<deg>{DIGITS}))?)?\Z")
 
 
 def parse_polynomial(text: str) -> Polynomial:
@@ -140,7 +138,8 @@ def parse_polynomial(text: str) -> Polynomial:
 
     The unit coefficient may be omitted (``x^2``), degree 1 drops the caret
     (``4x``), and a bare coefficient is the constant term. Repeated degrees
-    add up. A degree above `MAX_PARSE_DEGREE` raises `BoundExceededError`.
+    add up. A degree above `MAX_PARSE_DEGREE`, or a number of more than
+    `MAX_LITERAL_DIGITS` digits, raises `BoundExceededError`.
     """
     stripped = text.strip()
     if not stripped:
@@ -150,6 +149,7 @@ def parse_polynomial(text: str) -> Polynomial:
         term = raw.strip()
         match = _TERM_RE.match(term)
         if match is None or not (match["coeff"] or match["x"]):
+            check_digits(term)
             raise ParseError(f"not a polynomial term: {term!r}")
         coeff_text, num, den, ghost_mark, x, deg = match.groups()
         if coeff_text is None:
@@ -157,11 +157,7 @@ def parse_polynomial(text: str) -> Polynomial:
         elif num is None:  # "-inf"
             coeff = ZERO
         else:
-            den = 1 if den is None else int(den)
-            if den == 0:
-                raise ParseError(f"zero denominator in {coeff_text!r}")
-            kind = Kind.GHOST if ghost_mark else Kind.TANGIBLE
-            coeff = Scalar(kind, Fraction(int(num), den))
+            coeff = literal_scalar(num, den, ghost_mark, coeff_text)
         degree = 0 if x is None else 1 if deg is None else int(deg)
         if degree in by_degree:
             coeff = by_degree[degree] + coeff

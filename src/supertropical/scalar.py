@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import DomainError, ParseError
+from .errors import BoundExceededError, DomainError, ParseError
 
 
 class Kind(Enum):
@@ -139,11 +139,39 @@ def ghost(value) -> Scalar:
     return Scalar(Kind.GHOST, Fraction(value))
 
 
-_SCALAR_RE = re.compile(r"(-?\d+)(?:/(\d+))?(g)?\Z")
+# Numerators, denominators and degrees are capped below the interpreter's
+# int() limit (4,300 digits by default), so the outcome does not depend on it.
+MAX_LITERAL_DIGITS = 1000
+DIGITS = rf"\d{{1,{MAX_LITERAL_DIGITS}}}"
+# The rational literal; groups 1 to 3 are numerator, denominator, ghost mark.
+RATIONAL = rf"(-?{DIGITS})(?:/({DIGITS}))?(g)?"
+_SCALAR_RE = re.compile(RATIONAL + r"\Z")
+_LONG_DIGITS_RE = re.compile(rf"\d{{{MAX_LITERAL_DIGITS + 1},}}")
+
+
+def check_digits(text: str) -> None:
+    """Refuse a run of over `MAX_LITERAL_DIGITS` digits in text the capped pattern failed on."""
+    run = _LONG_DIGITS_RE.search(text)
+    if run is not None:
+        raise BoundExceededError("number of digits", len(run[0]), MAX_LITERAL_DIGITS)
+
+
+def literal_scalar(num: str, den: str | None, ghost_mark: str | None, text: str) -> Scalar:
+    """The scalar of a matched rational literal; ``text`` is quoted in errors."""
+    if den is None:
+        value = Fraction(int(num))
+    elif int(den):
+        value = Fraction(int(num), int(den))
+    else:
+        raise ParseError(f"zero denominator in {text!r}")
+    return Scalar(Kind.GHOST if ghost_mark else Kind.TANGIBLE, value)
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse ``-inf`` | RATIONAL | RATIONAL``g``, RATIONAL = ``[-]digits[/digits]``."""
+    """Parse ``-inf`` | RATIONAL | RATIONAL``g``, RATIONAL = ``[-]digits[/digits]``.
+
+    A number of over `MAX_LITERAL_DIGITS` digits raises `BoundExceededError`.
+    """
     if not isinstance(text, str):
         raise ParseError(f"expected a scalar string, got {type(text).__name__}")
     stripped = text.strip()
@@ -151,10 +179,6 @@ def parse_scalar(text: str) -> Scalar:
         return ZERO
     match = _SCALAR_RE.match(stripped)
     if match is None:
+        check_digits(stripped)
         raise ParseError(f"not a scalar: {text!r}")
-    num, den, ghost_mark = match.groups()
-    den = int(den) if den else 1
-    if den == 0:
-        raise ParseError(f"zero denominator in {text!r}")
-    value = Fraction(int(num), den)
-    return Scalar(Kind.GHOST if ghost_mark else Kind.TANGIBLE, value)
+    return literal_scalar(*match.groups(), text)

@@ -139,17 +139,20 @@ class Trial:
     def beta(self) -> Polynomial:
         return char_poly(self.power, self.bound)
 
+    @cached_property
+    def coeff_pairs(self) -> tuple[tuple[Scalar, Scalar], ...]:
+        """``(beta.coeff(i), alpha.coeff(i) ** m)`` for i = 0..n, compared by thm36 and cor37."""
+        alpha, beta, m = self.alpha, self.beta, self.m
+        return tuple((beta.coeff(i), alpha.coeff(i) ** m) for i in range(self.a.n + 1))
+
     def witness(self, **extra) -> dict:
         return {"matrix": self.a.to_json_dict(), "m": self.m, **extra}
 
 
 def _charpoly_power(t: Trial) -> Verdict:
-    alpha, beta = t.alpha, t.beta
     detail = []
     bad = None
-    for i in range(t.a.n + 1):
-        b = beta.coeff(i)
-        ap = alpha.coeff(i) ** t.m
+    for i, (b, ap) in enumerate(t.coeff_pairs):
         if b == ap:
             relation = "equal"
         elif b.surpasses(ap):
@@ -182,14 +185,11 @@ def _det_rule(t: Trial) -> Verdict:
 
 
 def _tangible_equality(t: Trial) -> Verdict:
-    alpha, beta = t.alpha, t.beta
-    if any(c.is_ghost for c in beta.coeffs):
+    if any(c.is_ghost for c in t.beta.coeffs):
         return Verdict("tangible-equality", None)
     detail = []
     bad = None
-    for i in range(t.a.n + 1):
-        b = beta.coeff(i)
-        ap = alpha.coeff(i) ** t.m
+    for i, (b, ap) in enumerate(t.coeff_pairs):
         ok = b == ap
         if not ok:
             bad = i

@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from supertropical import Verdict, cli
 from supertropical.polynomial import MAX_PARSE_DEGREE
+from supertropical.scalar import MAX_LITERAL_DIGITS
 from supertropical.spectral import CHECKS
 
 A_TEXT = "0 0\n1 2\n"
@@ -331,6 +338,35 @@ class TestErrorPaths:
             f"{MAX_PARSE_DEGREE}\n"
         )
 
+    @pytest.mark.parametrize(
+        "argv, content, code",
+        [
+            (["roots", "{n}"], None, 3),
+            (["roots", "x^{n}"], None, 3),
+            (["roots", "1/{n}"], None, 3),
+            (["det", "{file}"], "0 {n}\n1 2\n", 3),
+            (["det", "{file}"], '{{"n": {n}, "rows": []}}', 2),
+            (["roots", "{file}"], '["{n}"]', 3),
+        ],
+        ids=["roots-number", "roots-degree", "roots-denominator", "det-text-entry",
+             "det-json-integer", "roots-json-entry"],
+    )
+    def test_long_number_exit_2_or_3(self, capsys, tmp_path, argv, content, code):
+        # 5,000 digits is past the interpreter's int() limit of 4,300.
+        n = "7" * 5000
+        path = tmp_path / "f"
+        if content is not None:
+            path.write_text(content.format(n=n))
+        got, out, err = run(capsys, *(arg.format(n=n, file=path) for arg in argv))
+        assert (got, out) == (code, "")
+        if code == 3:
+            assert err == (
+                "error: number of digits: size 5000 exceeds enumeration bound "
+                f"{MAX_LITERAL_DIGITS}\n"
+            )
+        else:
+            assert err.startswith("error: bad JSON: ")
+
     @pytest.mark.parametrize("kind", ["non-utf8", "deep-json"])
     @pytest.mark.parametrize(
         "argv",
@@ -357,6 +393,55 @@ class TestErrorPaths:
         assert out == ""
         prefix = {"non-utf8": f"{bad} is not UTF-8 text: ", "deep-json": "bad JSON: "}[kind]
         assert err.startswith("error: " + prefix)
+
+
+# Every subcommand that reads a file or a polynomial argument; {a} and {b}
+# are files holding the two drawn texts, {text} is the first text itself.
+BOUNDARY_COMMANDS = (
+    ("det", "{a}"),
+    ("charpoly", "{a}"),
+    ("eigen", "{a}"),
+    ("roots", "{a}"),
+    ("roots", "{text}"),
+    ("check", "thm36", "-f", "{a}"),
+    ("check", "thm13", "-f", "{a}", "-g", "{b}"),
+)
+LITERAL_TOKENS = (
+    *"0123456789", "/", "g", "-inf", "x", "^", "+", " ", "\n", "\t", *'{}[]",:',
+)
+# Whole terms among the single tokens, so that some texts parse.
+literal_texts = st.lists(
+    st.one_of(st.sampled_from(LITERAL_TOKENS), st.from_regex(r"-?\d(/\d)?g?(x(\^\d)?)?\Z")),
+    max_size=30,
+).map("".join)
+LONG_RUN = "7" * 5000
+DEEP_JSON = "[" * 200_000
+
+
+class TestInputBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from(BOUNDARY_COMMANDS), literal_texts, literal_texts)
+    @example(("roots", "{text}"), LONG_RUN, "")
+    @example(("check", "thm13", "-f", "{a}", "-g", "{b}"), "0", "1/" + LONG_RUN)
+    @example(("det", "{a}"), '{"n": ' + LONG_RUN, "")
+    @example(("eigen", "{a}"), '{"rows": ' + DEEP_JSON, "")
+    @example(("roots", "{a}"), DEEP_JSON, "")
+    def test_exit_code_is_0_2_or_3(self, command, first, second):
+        # The laws are theorems, so exit 1 would be a finding, and any
+        # exception other than argparse's exit fails the test.
+        with tempfile.TemporaryDirectory() as tmp:
+            files = {"a": os.path.join(tmp, "a"), "b": os.path.join(tmp, "b")}
+            for name, text in zip(files, (first, second)):
+                with open(files[name], "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            argv = [arg.format(text=first, **files) for arg in command]
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                try:
+                    code = cli.main(argv)
+                except SystemExit as exc:
+                    code = exc.code
+        assert code in (0, 2, 3), err.getvalue()
 
 
 class TestFuzzCommand:

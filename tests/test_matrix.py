@@ -30,7 +30,6 @@ from supertropical import (
     mat_vec,
     matrix_from_json_dict,
     parse_matrix,
-    parse_matrix_any,
     parse_polynomial,
     principal_minor,
     tangible,
@@ -211,7 +210,6 @@ class TestTextForms:
         a = parse_matrix("0 0\n1 2g")
         data = json.loads(json.dumps(a.to_json_dict()))
         assert matrix_from_json_dict(data) == a
-        assert parse_matrix_any(json.dumps(a.to_json_dict())) == a
 
     def test_parse_error_position(self):
         with pytest.raises(ParseError) as err:
