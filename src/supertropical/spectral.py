@@ -142,8 +142,8 @@ class Trial:
     @cached_property
     def coeff_pairs(self) -> tuple[tuple[Scalar, Scalar], ...]:
         """``(beta.coeff(i), alpha.coeff(i) ** m)`` for i = 0..n, compared by thm36 and cor37."""
-        alpha, beta, m = self.alpha, self.beta, self.m
-        return tuple((beta.coeff(i), alpha.coeff(i) ** m) for i in range(self.a.n + 1))
+        # Both characteristic polynomials have degree n: n + 1 coefficients each.
+        return tuple(zip(self.beta.coeffs, [c ** self.m for c in self.alpha.coeffs]))
 
     def witness(self, **extra) -> dict:
         return {"matrix": self.a.to_json_dict(), "m": self.m, **extra}
