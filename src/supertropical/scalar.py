@@ -160,8 +160,8 @@ def literal_scalar(num: str, den: str | None, ghost_mark: str | None, text: str)
     """The scalar of a matched rational literal; ``text`` is quoted in errors."""
     if den is None:
         value = Fraction(int(num))
-    elif int(den):
-        value = Fraction(int(num), int(den))
+    elif q := int(den):
+        value = Fraction(int(num), q)
     else:
         raise ParseError(f"zero denominator in {text!r}")
     return Scalar(Kind.GHOST if ghost_mark else Kind.TANGIBLE, value)
