@@ -19,6 +19,7 @@ from supertropical.spectral import CHECKS
 
 A_TEXT = "0 0\n1 2\n"
 A2_TEXT = "1 2\n3 4\n"
+LONG_RUN = "7" * 5000  # past the interpreter's int() limit of 4,300 digits
 
 
 @pytest.fixture
@@ -352,8 +353,7 @@ class TestErrorPaths:
              "det-json-integer", "roots-json-entry"],
     )
     def test_long_number_exit_2_or_3(self, capsys, tmp_path, argv, content, code):
-        # 5,000 digits is past the interpreter's int() limit of 4,300.
-        n = "7" * 5000
+        n = LONG_RUN
         path = tmp_path / "f"
         if content is not None:
             path.write_text(content.format(n=n))
@@ -414,7 +414,6 @@ literal_terms = st.from_regex(r"-?[0-9](/[0-9])?g?(x(\^[0-9])?)?\Z")
 literal_texts = st.lists(
     st.one_of(st.sampled_from(LITERAL_TOKENS), literal_terms), max_size=30
 ).map("".join)
-LONG_RUN = "7" * 5000
 DEEP_JSON = "[" * 200_000
 
 
