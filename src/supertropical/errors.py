@@ -24,12 +24,14 @@ class ShapeError(SupertropicalError):
 
 
 class BoundExceededError(SupertropicalError):
-    """A computation was refused because it would enumerate too much."""
+    """An input or computation was refused because a size exceeds its cap:
+    a matrix dimension, a literal's digits, a polynomial degree, the matrix
+    scale's digits or a matrix power."""
 
     def __init__(self, what: str, size: int, bound: int):
         self.size = size
         self.bound = bound
-        super().__init__(f"{what}: size {size} exceeds enumeration bound {bound}")
+        super().__init__(f"{what}: size {size} exceeds bound {bound}")
 
 
 class DomainError(SupertropicalError):

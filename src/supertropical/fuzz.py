@@ -13,6 +13,7 @@ import json
 import random
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
@@ -60,12 +61,17 @@ def trial_seed(seed: int, trial: int) -> str:
     return f"{seed}:{trial}"
 
 
+@lru_cache(maxsize=1024)
+def _lattice_scalar(value: int, is_ghost: bool) -> Scalar:
+    """One shared immutable scalar per lattice point and kind."""
+    return Scalar(Kind.GHOST if is_ghost else Kind.TANGIBLE, Fraction(value))
+
+
 def random_scalar(rng: random.Random, cfg: Config, allow_zero: bool = True) -> Scalar:
     if allow_zero and rng.random() < cfg.zero_prob:
         return ZERO
     value = rng.randint(cfg.value_min, cfg.value_max)
-    kind = Kind.GHOST if rng.random() < cfg.ghost_prob else Kind.TANGIBLE
-    return Scalar(kind, Fraction(value))
+    return _lattice_scalar(value, rng.random() < cfg.ghost_prob)
 
 
 def random_matrix(rng: random.Random, n: int, cfg: Config) -> Matrix:

@@ -20,6 +20,11 @@ entries are encoded once as keys, ``(magnitude * L) << 1 | is_ghost`` with
 product of keys is ``x + y - (x & y & 1)``; a sum takes the key with the
 larger ``k >> 1``, and on a tie the ghost key ``k | 1``. Each output entry
 is decoded once, so the API still returns exact ``Fraction`` magnitudes.
+The public functions are thin wrappers over private key-space helpers
+(``_encode``, ``_key_power``, ``_char_poly_from_keys``, ``_det_value``),
+which ``spectral.Trial`` calls directly to keep a trial's matrices as keys.
+A scale ``L`` of more than ``2 * MAX_LITERAL_DIGITS`` digits and a power
+above ``MAX_POWER`` are refused with ``BoundExceededError``.
 """
 
 from __future__ import annotations
@@ -32,9 +37,15 @@ from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial
-from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar
+from .scalar import MAX_LITERAL_DIGITS, Kind, ONE, Scalar, ZERO, parse_scalar
 
 DEFAULT_DET_BOUND = 9
+# The largest matrix power computed: its magnitudes grow m-fold.
+MAX_POWER = 10**6
+# The matrix scale (the LCM of the entry denominators) has at most the digits
+# of two literal denominators; ``_SCALE_LIMIT`` is the first scale refused.
+_MAX_SCALE_DIGITS = 2 * MAX_LITERAL_DIGITS
+_SCALE_LIMIT = 10**_MAX_SCALE_DIGITS
 
 
 def check_dim_bound(what: str, a: Matrix, bound: int | None) -> int:
@@ -85,10 +96,16 @@ def _encode(*mats: Matrix) -> tuple[int, list[list[list[int | None]]]]:
 
     ``L`` is the LCM of the denominators of every nonzero entry (1 if there
     is none); a key is the magnitude times ``L``, shifted left, ghost bit low.
+    An ``L`` of more than ``2 * MAX_LITERAL_DIGITS`` digits is refused, so
+    every computed magnitude stays within the interpreter's ``str()`` limit.
     """
     scale = math.lcm(
         *{e.value.denominator for a in mats for row in a.rows for e in row if not e.is_zero}
     )
+    if scale >= _SCALE_LIMIT:
+        raise BoundExceededError(
+            "digits of the matrix scale", _digit_count(scale), _MAX_SCALE_DIGITS
+        )
     return scale, [
         [
             [
@@ -100,6 +117,14 @@ def _encode(*mats: Matrix) -> tuple[int, list[list[list[int | None]]]]:
         ]
         for a in mats
     ]
+
+
+def _digit_count(x: int) -> int:
+    """Decimal digits of ``x > 0``, without ``str()`` (which refuses long ints)."""
+    digits = int(math.log10(x)) + 1  # the float may be one off near a power of ten
+    if 10 ** (digits - 1) > x:
+        return digits - 1
+    return digits + 1 if 10**digits <= x else digits
 
 
 def _decode(k: int | None, scale: int) -> Scalar:
@@ -133,28 +158,41 @@ def _key_product(x: list[list[int | None]], y: list[list[int | None]]) -> list[l
     return out
 
 
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if a.n != b.n:
-        raise ShapeError(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
-    scale, (x, y) = _encode(a, b)
-    return _decode_matrix(_key_product(x, y), scale)
-
-
-def mat_pow(a: Matrix, m: int) -> Matrix:
+def _key_power(keys: list[list[int | None]], m: int) -> list[list[int | None]]:
+    """The m-th power in key space, by repeated squaring: m = 2 takes one
+    product, m = 3 two. A power above `MAX_POWER` is refused."""
     if m < 0:
         raise DomainError("negative matrix powers are not defined")
+    if m > MAX_POWER:
+        raise BoundExceededError("matrix power", m, MAX_POWER)
     if m == 0:
-        return Matrix.identity(a.n)
-    # Repeated squaring in key space: m = 2 takes one product, m = 3 two.
-    scale, (square,) = _encode(a)
+        n = len(keys)
+        return [[0 if i == j else None for j in range(n)] for i in range(n)]
+    square = keys
     result = None
     while True:
         if m & 1:
             result = square if result is None else _key_product(result, square)
         m >>= 1
         if not m:
-            return _decode_matrix(result, scale)
+            return result
         square = _key_product(square, square)
+
+
+def _check_product_shape(a: Matrix, b: Matrix) -> None:
+    if a.n != b.n:
+        raise ShapeError(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    _check_product_shape(a, b)
+    scale, (x, y) = _encode(a, b)
+    return _decode_matrix(_key_product(x, y), scale)
+
+
+def mat_pow(a: Matrix, m: int) -> Matrix:
+    scale, (keys,) = _encode(a)
+    return _decode_matrix(_key_power(keys, m), scale)
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -292,6 +330,27 @@ def _permanent_table(
     return table
 
 
+def _scalar_entries(keys: list[list[int | None]]) -> list[list[list[int] | None]]:
+    """Key entries as the constant polynomials `_permanent_table` reads."""
+    return [[None if k is None else [k] for k in row] for row in keys]
+
+
+def _det_value(keys: list[list[int | None]], scale: int) -> Scalar:
+    """The permanent's value alone, with no dominant-track listing."""
+    top = _permanent_table(_scalar_entries(keys), len(keys))[-1]
+    return _decode(None if top is None else top[0], scale)
+
+
+def _char_poly_from_keys(keys: list[list[int | None]], scale: int) -> Polynomial:
+    """The permanent of ``A + xI`` for A given as keys at ``scale``."""
+    entries = [
+        [[k, 0] if i == j else None if k is None else [k] for j, k in enumerate(row)]
+        for i, row in enumerate(keys)
+    ]
+    coeffs = _permanent_table(entries, len(keys))[-1]
+    return Polynomial(tuple(_decode(k, scale) for k in coeffs))
+
+
 def det(a: Matrix, bound: int | None = None) -> DetReport:
     """Permanent by the subset table, with every dominant track listed.
 
@@ -303,7 +362,7 @@ def det(a: Matrix, bound: int | None = None) -> DetReport:
     check_dim_bound("determinant", a, bound)
     n = a.n
     scale, (keys,) = _encode(a)
-    table = _permanent_table([[None if k is None else [k] for k in row] for row in keys], n)
+    table = _permanent_table(_scalar_entries(keys), n)
     full = (1 << n) - 1
     if table[full] is None:
         return DetReport(ZERO, (), DetClass.ZERO)
@@ -357,14 +416,8 @@ def char_poly(a: Matrix, bound: int | None = None) -> Polynomial:
     one permanent over polynomial entries gives every coefficient.
     """
     check_dim_bound("characteristic polynomial", a, bound)
-    n = a.n
     scale, (keys,) = _encode(a)
-    entries = [
-        [[k, 0] if i == j else None if k is None else [k] for j, k in enumerate(row)]
-        for i, row in enumerate(keys)
-    ]
-    coeffs = _permanent_table(entries, n)[-1]
-    return Polynomial(tuple(_decode(k, scale) for k in coeffs))
+    return _char_poly_from_keys(keys, scale)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ Each checker computes both sides of one stated relation and returns a
 reproduces the computation. A conditional law whose hypothesis does not
 hold reports ``holds=None`` (not applicable) rather than pass or fail.
 The matrix-power laws are functions of one cached ``Trial``, listed by
-check id in ``CHECKS``; the public ``check_*`` functions wrap them.
+check id in ``CHECKS``; the public ``check_*`` functions wrap them. A trial
+works in the matrix kernel's key space from end to end: it encodes A and B
+once, keeps A^m as keys, and decodes only the characteristic polynomials,
+the determinant values and the diagonal of A^m that the laws compare.
 """
 
 from __future__ import annotations
@@ -15,9 +18,23 @@ from functools import cached_property
 from typing import Callable, Sequence
 
 from .errors import DomainError
-from .matrix import Matrix, char_poly, det, mat_mul, mat_pow, mat_vec, trace
+from .matrix import (
+    Matrix,
+    _char_poly_from_keys,
+    _check_product_shape,
+    _decode,
+    _det_value,
+    _encode,
+    _key_power,
+    _key_product,
+    char_poly,
+    check_dim_bound,
+    mat_pow,
+    mat_vec,
+    trace,
+)
 from .polynomial import Interval, Polynomial, roots
-from .scalar import Scalar
+from .scalar import Scalar, ZERO
 
 
 @dataclass(frozen=True)
@@ -116,10 +133,12 @@ class Trial:
 
     Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m), the
     trace law reads A^m too, and the determinant rule reads det(A) as
-    coefficient 0 of charpoly(A). ``power`` (A^m), ``alpha`` (charpoly(A))
-    and ``beta`` (charpoly(A^m)) are therefore computed on first use and
-    cached on the trial, so running every law on one trial costs one
-    ``mat_pow``, two ``char_poly`` and two ``det`` calls in all, not per law.
+    coefficient 0 of charpoly(A). So the trial computes each of these once,
+    on first use, in the matrix kernel's key space: running every law on one
+    trial costs one joint encode of A and B, one key-space power A^m, two
+    characteristic-polynomial tables (``alpha`` = charpoly(A), ``beta`` =
+    charpoly(A^m)) and two value-only determinants (det(AB), det(B)), with
+    no decode of A^m or AB.
     """
 
     a: Matrix
@@ -128,16 +147,30 @@ class Trial:
     bound: int | None = None
 
     @cached_property
-    def power(self) -> Matrix:
-        return mat_pow(self.a, self.m)
+    def _keys(self) -> tuple[int, list[list[int | None]], list[list[int | None]]]:
+        """The joint scale and the keys of ``a`` and ``b``, encoded once."""
+        if self.b is self.a:
+            scale, (x,) = _encode(self.a)
+            return scale, x, x
+        scale, (x, y) = _encode(self.a, self.b)
+        return scale, x, y
+
+    @cached_property
+    def _power_keys(self) -> list[list[int | None]]:
+        return _key_power(self._keys[1], self.m)
 
     @cached_property
     def alpha(self) -> Polynomial:
-        return char_poly(self.a, self.bound)
+        check_dim_bound("characteristic polynomial", self.a, self.bound)
+        scale, x, _ = self._keys
+        return _char_poly_from_keys(x, scale)
 
     @cached_property
     def beta(self) -> Polynomial:
-        return char_poly(self.power, self.bound)
+        # The power first: a negative or oversize m is refused before the dimension.
+        power = self._power_keys
+        check_dim_bound("characteristic polynomial", self.a, self.bound)
+        return _char_poly_from_keys(power, self._keys[0])
 
     @cached_property
     def coeff_pairs(self) -> tuple[tuple[Scalar, Scalar], ...]:
@@ -166,10 +199,13 @@ def _charpoly_power(t: Trial) -> Verdict:
 
 
 def _det_rule(t: Trial) -> Verdict:
-    # det(A) is coefficient 0 of the cached charpoly(A); det(AB) goes first
-    # so that an oversize matrix is refused as a determinant.
-    lhs = det(mat_mul(t.a, t.b), t.bound).value
-    rhs = t.alpha.coeff(0) * det(t.b, t.bound).value
+    # det(A) is coefficient 0 of the cached charpoly(A); the dimension is
+    # checked first, so that an oversize matrix is refused as a determinant.
+    _check_product_shape(t.a, t.b)
+    check_dim_bound("determinant", t.a, t.bound)
+    scale, x, y = t._keys
+    lhs = _det_value(_key_product(x, y), scale)
+    rhs = t.alpha.coeff(0) * _det_value(y, scale)
     holds = lhs.surpasses(rhs)
     detail = (
         {
@@ -215,7 +251,8 @@ def _corner_root_power(t: Trial) -> Verdict:
 
 
 def _trace_power(t: Trial) -> Verdict:
-    lhs = trace(t.power)
+    scale = t._keys[0]
+    lhs = sum((_decode(row[i], scale) for i, row in enumerate(t._power_keys)), ZERO)
     rhs = trace(t.a) ** t.m
     holds = lhs.surpasses(rhs)
     witness = None if holds else t.witness()

@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supertropical import Verdict, cli
+from supertropical.matrix import MAX_POWER
 from supertropical.polynomial import MAX_PARSE_DEGREE
 from supertropical.scalar import MAX_LITERAL_DIGITS
 from supertropical.spectral import CHECKS
@@ -335,7 +336,7 @@ class TestErrorPaths:
         assert code == 3
         assert out == ""
         assert err == (
-            "error: polynomial degree: size 100000000 exceeds enumeration bound "
+            "error: polynomial degree: size 100000000 exceeds bound "
             f"{MAX_PARSE_DEGREE}\n"
         )
 
@@ -361,11 +362,46 @@ class TestErrorPaths:
         assert (got, out) == (code, "")
         if code == 3:
             assert err == (
-                "error: number of digits: size 5000 exceeds enumeration bound "
+                "error: number of digits: size 5000 exceeds bound "
                 f"{MAX_LITERAL_DIGITS}\n"
             )
         else:
             assert err.startswith("error: bad JSON: ")
+
+    @pytest.mark.parametrize("command", ["det", "charpoly", "eigen"])
+    def test_matrix_scale_cap_exit_3(self, capsys, tmp_path, command):
+        # Five pairwise coprime 1,000-digit denominators on the diagonal: each
+        # literal is within its cap, but their LCM has 4,996 digits.
+        rows = [
+            " ".join(f"1/{10**999 + 2 * i + 1}" if i == j else "0" for j in range(5))
+            for i in range(5)
+        ]
+        path = tmp_path / "diag.txt"
+        path.write_text("\n".join(rows))
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: digits of the matrix scale: size 4996 exceeds bound {2 * MAX_LITERAL_DIGITS}\n"
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "thm36", "-f", "{a}", "-m", "{m}"], ["fuzz", "--trials", "3", "--max-m", "{m}"]],
+        ids=["check-m", "fuzz-max-m"],
+    )
+    def test_matrix_power_cap_exit_3(self, capsys, a_file, argv):
+        m = 9 * 10**4299  # 4,300 digits: argparse still reads it as an int
+        code, out, err = run(capsys, *(arg.format(a=a_file, m=m) for arg in argv))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: matrix power: size ")
+        assert err.endswith(f" exceeds bound {MAX_POWER}\n")
+
+    def test_matrix_power_at_cap(self, capsys, a_file):
+        code, _, _ = run(capsys, "check", "thm36", "-f", a_file, "-m", str(MAX_POWER))
+        assert code == 0
+        code, out, err = run(capsys, "check", "trace", "-f", a_file, "-m", str(MAX_POWER + 1))
+        assert (code, out) == (3, "")
+        assert err == f"error: matrix power: size {MAX_POWER + 1} exceeds bound {MAX_POWER}\n"
 
     @pytest.mark.parametrize("kind", ["non-utf8", "deep-json"])
     @pytest.mark.parametrize(

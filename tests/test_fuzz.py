@@ -7,7 +7,8 @@ from collections import Counter
 
 import pytest
 
-from supertropical import spectral
+from supertropical import matrix, spectral
+from supertropical.fuzz import generate_trials
 from supertropical import (
     Config,
     DomainError,
@@ -72,16 +73,29 @@ class TestCampaign:
         assert result.ok
 
     def test_power_and_charpolys_computed_once_per_trial(self, monkeypatch):
+        # Count the kernel work wherever it is called from: one joint encode,
+        # two charpoly tables and two value-only determinant tables per trial;
+        # the key products are those of A^m's repeated squaring plus one for AB.
         calls = Counter()
-        for name in ("char_poly", "mat_pow", "det"):
+        for name in ("_encode", "_permanent_table", "_key_product"):
 
-            def counted(*args, _name=name, _original=getattr(spectral, name)):
+            def counted(*args, _name=name, _original=getattr(matrix, name)):
                 calls[_name] += 1
                 return _original(*args)
 
-            monkeypatch.setattr(spectral, name, counted)
-        run_campaign(Config(trials=10, seed=0))
-        assert calls == {"char_poly": 20, "mat_pow": 10, "det": 20}
+            for module in (matrix, spectral):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
+        cfg = Config(trials=10, seed=0)
+        run_campaign(cfg)
+        power_products = sum(
+            t.m.bit_length() + t.m.bit_count() - 2 for t in generate_trials(cfg)
+        )
+        assert calls == {
+            "_encode": 10,
+            "_permanent_table": 40,
+            "_key_product": power_products + 10,
+        }
 
     def test_unknown_check_id_rejected(self):
         with pytest.raises(DomainError, match="thm99"):

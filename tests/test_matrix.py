@@ -12,6 +12,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import supertropical.matrix as matrix_module
+from supertropical.matrix import MAX_POWER
 from supertropical import (
     BoundExceededError,
     DetClass,
@@ -185,6 +186,25 @@ class TestCharPoly:
     def test_bound_propagates(self):
         with pytest.raises(BoundExceededError):
             char_poly(Matrix.identity(4), bound=3)
+
+
+class TestCaps:
+    def test_scale_digits_cap(self):
+        # The scale is the denominator here: 2,000 digits pass, 2,001 do not.
+        within = Fraction(1, 10**2000 - 1)
+        assert det(Matrix(((tangible(within),),))).value == tangible(within)
+        over = Matrix(((tangible(Fraction(1, 10**2000)),),))
+        message = r"^digits of the matrix scale: size 2001 exceeds bound 2000$"
+        for route in (det, char_poly, lambda a: mat_mul(a, a), lambda a: mat_pow(a, 2)):
+            with pytest.raises(BoundExceededError, match=message):
+                route(over)
+
+    def test_power_cap(self):
+        one = Matrix(((tangible(1),),))
+        assert mat_pow(one, MAX_POWER) == Matrix(((tangible(MAX_POWER),),))
+        message = rf"^matrix power: size {MAX_POWER + 1} exceeds bound {MAX_POWER}$"
+        with pytest.raises(BoundExceededError, match=message):
+            mat_pow(one, MAX_POWER + 1)
 
 
 class TestSurpassesMatrix:

@@ -4,14 +4,17 @@ from __future__ import annotations
 
 import json
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from supertropical import (
+    BoundExceededError,
     DomainError,
     Matrix,
+    ShapeError,
     ZERO,
     char_poly,
     check_charpoly_power,
@@ -22,13 +25,18 @@ from supertropical import (
     check_frobenius,
     check_tangible_equality,
     check_trace_power,
+    det,
     eigenvalues,
     ghost,
     is_root,
+    mat_mul,
+    mat_pow,
     parse_matrix,
     search_eigenpairs,
     tangible,
+    trace,
 )
+from supertropical.spectral import CHECKS, Trial
 from conftest import matrices, sample_matrix, scalars
 
 A = parse_matrix("0 0\n1 2")
@@ -237,3 +245,60 @@ class TestVerdictJson:
         assert data["holds"] is False
         assert data["witness"]["matrix"]["n"] == 2
         json.dumps(data)
+
+
+# Denominators with common factors, and every prime from 5 to 97.
+_DENOMINATORS = (2, 3, 4, 6, 9, 12, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47,
+                 53, 59, 61, 67, 71, 73, 79, 83, 89, 97)
+
+
+def _palette_matrix(rng: random.Random, n: int) -> Matrix:
+    """A matrix over a three-value palette of rationals with one or two
+    denominators of its own: 20% ghosts, 10% -inf, ties common."""
+    dens = rng.sample(_DENOMINATORS, rng.randint(1, 2))
+    palette = [Fraction(rng.randint(-40, 40) * 2 + 1, rng.choice(dens)) for _ in range(3)]
+
+    def entry():
+        if rng.random() < 0.1:
+            return ZERO
+        value = rng.choice(palette)
+        return ghost(value) if rng.random() < 0.2 else tangible(value)
+
+    return Matrix(tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+
+
+class TestTrialKeySpace:
+    """A trial computes in key space, with A and B scaled jointly; it must
+    give what the public matrix functions give on each matrix alone."""
+
+    def test_matches_public_route(self):
+        rng = random.Random("trial-key-space")
+        for _ in range(300):
+            n = rng.randint(1, 5)
+            m = rng.randint(0, 4)
+            a, b = _palette_matrix(rng, n), _palette_matrix(rng, n)
+            t = Trial(a, b, m)
+            assert t.alpha == char_poly(a), a
+            power = mat_pow(a, m)
+            assert t.beta == char_poly(power), (a, m)
+            lhs = det(mat_mul(a, b)).value
+            rhs = det(a).value * det(b).value
+            record = CHECKS["thm13"](t).detail[0]
+            assert (record["lhs"], record["rhs"]) == (str(lhs), str(rhs)), (a, b)
+            assert CHECKS["trace"](t).detail[0]["lhs"] == str(trace(power)), (a, m)
+
+    def test_error_texts(self):
+        a3 = parse_matrix("0 1 2\n1 2 0\n2 0 1")
+        with pytest.raises(ShapeError, match=r"^cannot multiply 2x2 by 3x3$"):
+            CHECKS["thm13"](Trial(A, a3, 1))
+        with pytest.raises(
+            BoundExceededError, match=r"^determinant: size 3 exceeds bound 2$"
+        ):
+            CHECKS["thm13"](Trial(a3, a3, 1, bound=2))
+        for check_id in ("thm36", "cor37", "cor38"):
+            with pytest.raises(
+                BoundExceededError, match=r"^characteristic polynomial: size 3 exceeds bound 2$"
+            ):
+                CHECKS[check_id](Trial(a3, a3, 2, bound=2))
+        # The trace law computes no determinant, so no dimension bound applies.
+        assert CHECKS["trace"](Trial(a3, a3, 2, bound=2)).holds
