@@ -18,8 +18,14 @@ from supertropical import cli
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
 # The same 2x2 fixtures as test_cli.py: A has a tangible determinant, A2 a
-# ghost-by-tie one.
-MATRICES = {"A": "0 0\n1 2\n", "A2": "1 2\n3 4\n"}
+# ghost-by-tie one. B4 mixes ghosts, -inf and non-integers: its determinant
+# ties two tracks, its characteristic polynomial has a ghost constant term,
+# and it has a double eigenvalue and a ghost root region.
+MATRICES = {
+    "A": "0 0\n1 2\n",
+    "A2": "1 2\n3 4\n",
+    "B4": "1/2g 3/2 1/2 -inf\n1/2 1g 1 -1/3\n-2/3 2 3/2 -inf\n-1/3 2 1 2\n",
+}
 
 LAW_IDS = ("thm13", "thm36", "cor37", "cor38", "trace")
 
@@ -42,6 +48,12 @@ CASES = {
     "check_frobenius.json": ["check", "frobenius", "--json"],
     "check_charpoly-equiv_fA2.txt": ["check", "charpoly-equiv", "-f", "{A2}"],
     "check_charpoly-equiv_fA2.json": ["check", "charpoly-equiv", "-f", "{A2}", "--json"],
+    **{
+        f"{command}_f{key}.{ext}": [command, f"{{{key}}}", *(["--json"] if ext == "json" else [])]
+        for command in ("det", "charpoly", "eigen")
+        for key in MATRICES
+        for ext in ("txt", "json")
+    },
     "fuzz_t100_s5_n1-3_m4_g0.5.json": [
         "fuzz", "--trials", "100", "--seed", "5", "--min-n", "1", "--max-n", "3",
         "--max-m", "4", "--ghost-prob", "0.5", "--json",
