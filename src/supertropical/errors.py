@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import math
+
+# A refused size of more than 30 digits is reported by its digit count.
+_SHOWN_LIMIT = 10**30
+
 
 class SupertropicalError(Exception):
     """Base class for all errors raised by this package."""
@@ -26,13 +31,24 @@ class ShapeError(SupertropicalError):
 class BoundExceededError(SupertropicalError):
     """An input or computation was refused because a size exceeds its cap:
     a matrix dimension, a literal's digits, a polynomial degree, the matrix
-    scale's digits or a matrix power."""
+    scale's digits, a matrix power or a campaign's trial count. A size of
+    more than 30 digits is written as its digit count, so the message stays
+    one short line however large the refused size."""
 
     def __init__(self, what: str, size: int, bound: int):
         self.size = size
         self.bound = bound
-        super().__init__(f"{what}: size {size} exceeds bound {bound}")
+        shown = f"of {_digit_count(size)} digits" if size >= _SHOWN_LIMIT else size
+        super().__init__(f"{what}: size {shown} exceeds bound {bound}")
 
 
 class DomainError(SupertropicalError):
     """An argument lies outside the operation's domain."""
+
+
+def _digit_count(x: int) -> int:
+    """Decimal digits of ``x > 0``, without ``str()`` (which refuses long ints)."""
+    digits = int(math.log10(x)) + 1  # the float may be one off near a power of ten
+    if 10 ** (digits - 1) > x:
+        return digits - 1
+    return digits + 1 if 10**digits <= x else digits

@@ -17,7 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .errors import DomainError
+from .errors import BoundExceededError, DomainError
 from .matrix import Matrix
 from .polynomial import Polynomial
 from .scalar import Kind, Scalar, ZERO, tangible
@@ -26,6 +26,9 @@ from .spectral import CHECKS, Trial, check_eigenpair, eigenvalues
 # The default checks, in the order a campaign reports them; they run in
 # ``CHECKS`` order.
 CAMPAIGN_CHECKS = ("thm13", "thm36", "cor37", "cor38", "trace")
+
+# The most trials one campaign runs; more are refused before any is drawn.
+MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -47,6 +50,8 @@ class Config:
     def __post_init__(self):
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
+        if self.trials > MAX_TRIALS:
+            raise BoundExceededError("trials", self.trials, MAX_TRIALS)
         if not 1 <= self.min_n <= self.max_n:
             raise DomainError("need 1 <= min_n <= max_n")
         if not 1 <= self.min_m <= self.max_m:

@@ -23,6 +23,11 @@ is decoded once, so the API still returns exact ``Fraction`` magnitudes.
 The public functions are thin wrappers over private key-space helpers
 (``_encode``, ``_key_power``, ``_char_poly_from_keys``, ``_det_value``),
 which ``spectral.Trial`` calls directly to keep a trial's matrices as keys.
+A matrix encodes itself once and computes its characteristic polynomial
+once: ``Matrix._keys`` and ``Matrix._char_poly`` are cached on the object,
+so ``det``, ``char_poly``, ``mat_pow`` and ``eigenvalues`` on one matrix
+share one encoding, and the charpoly table is built once however often it
+is asked for. Nothing is cached across matrix objects.
 A scale ``L`` of more than ``2 * MAX_LITERAL_DIGITS`` digits and a power
 above ``MAX_POWER`` are refused with ``BoundExceededError``.
 """
@@ -33,9 +38,10 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import BoundExceededError, DomainError, ParseError, ShapeError
+from .errors import BoundExceededError, DomainError, ParseError, ShapeError, _digit_count
 from .polynomial import Polynomial
 from .scalar import MAX_LITERAL_DIGITS, Kind, ONE, Scalar, ZERO, parse_scalar
 
@@ -46,6 +52,9 @@ MAX_POWER = 10**6
 # of two literal denominators; ``_SCALE_LIMIT`` is the first scale refused.
 _MAX_SCALE_DIGITS = 2 * MAX_LITERAL_DIGITS
 _SCALE_LIMIT = 10**_MAX_SCALE_DIGITS
+
+# A matrix's entries as kernel keys, row by row (see the module docstring).
+_Keys = Sequence[Sequence[int | None]]
 
 
 def check_dim_bound(what: str, a: Matrix, bound: int | None) -> int:
@@ -90,6 +99,20 @@ class Matrix:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "rows": [[str(e) for e in row] for row in self.rows]}
 
+    @cached_property
+    def _keys(self) -> tuple[int, tuple[tuple[int | None, ...], ...]]:
+        """The scale and the entries as keys, encoded once and shared by
+        `det`, `char_poly` and `mat_pow`; tuples, so no reader can change them."""
+        scale, (keys,) = _encode(self)
+        return scale, tuple(map(tuple, keys))
+
+    @cached_property
+    def _char_poly(self) -> Polynomial:
+        """The characteristic polynomial, computed once; `char_poly` checks
+        the dimension bound on every call before it reads this."""
+        scale, keys = self._keys
+        return _char_poly_from_keys(keys, scale)
+
 
 def _encode(*mats: Matrix) -> tuple[int, list[list[list[int | None]]]]:
     """The scale ``L`` of the matrices and each one's entries as keys.
@@ -119,25 +142,17 @@ def _encode(*mats: Matrix) -> tuple[int, list[list[list[int | None]]]]:
     ]
 
 
-def _digit_count(x: int) -> int:
-    """Decimal digits of ``x > 0``, without ``str()`` (which refuses long ints)."""
-    digits = int(math.log10(x)) + 1  # the float may be one off near a power of ten
-    if 10 ** (digits - 1) > x:
-        return digits - 1
-    return digits + 1 if 10**digits <= x else digits
-
-
 def _decode(k: int | None, scale: int) -> Scalar:
     if k is None:
         return ZERO
     return Scalar(Kind.GHOST if k & 1 else Kind.TANGIBLE, Fraction(k >> 1, scale))
 
 
-def _decode_matrix(keys: list[list[int | None]], scale: int) -> Matrix:
+def _decode_matrix(keys: _Keys, scale: int) -> Matrix:
     return Matrix(tuple(tuple(_decode(k, scale) for k in row) for row in keys))
 
 
-def _key_product(x: list[list[int | None]], y: list[list[int | None]]) -> list[list[int | None]]:
+def _key_product(x: _Keys, y: _Keys) -> _Keys:
     """Matrix product in key space."""
     cols = list(zip(*y))
     out = []
@@ -158,7 +173,7 @@ def _key_product(x: list[list[int | None]], y: list[list[int | None]]) -> list[l
     return out
 
 
-def _key_power(keys: list[list[int | None]], m: int) -> list[list[int | None]]:
+def _key_power(keys: _Keys, m: int) -> _Keys:
     """The m-th power in key space, by repeated squaring: m = 2 takes one
     product, m = 3 two. A power above `MAX_POWER` is refused."""
     if m < 0:
@@ -191,7 +206,7 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def mat_pow(a: Matrix, m: int) -> Matrix:
-    scale, (keys,) = _encode(a)
+    scale, keys = a._keys
     return _decode_matrix(_key_power(keys, m), scale)
 
 
@@ -330,18 +345,18 @@ def _permanent_table(
     return table
 
 
-def _scalar_entries(keys: list[list[int | None]]) -> list[list[list[int] | None]]:
+def _scalar_entries(keys: _Keys) -> list[list[list[int] | None]]:
     """Key entries as the constant polynomials `_permanent_table` reads."""
     return [[None if k is None else [k] for k in row] for row in keys]
 
 
-def _det_value(keys: list[list[int | None]], scale: int) -> Scalar:
+def _det_value(keys: _Keys, scale: int) -> Scalar:
     """The permanent's value alone, with no dominant-track listing."""
     top = _permanent_table(_scalar_entries(keys), len(keys))[-1]
     return _decode(None if top is None else top[0], scale)
 
 
-def _char_poly_from_keys(keys: list[list[int | None]], scale: int) -> Polynomial:
+def _char_poly_from_keys(keys: _Keys, scale: int) -> Polynomial:
     """The permanent of ``A + xI`` for A given as keys at ``scale``."""
     entries = [
         [[k, 0] if i == j else None if k is None else [k] for j, k in enumerate(row)]
@@ -361,7 +376,7 @@ def det(a: Matrix, bound: int | None = None) -> DetReport:
     """
     check_dim_bound("determinant", a, bound)
     n = a.n
-    scale, (keys,) = _encode(a)
+    scale, keys = a._keys
     table = _permanent_table(_scalar_entries(keys), n)
     full = (1 << n) - 1
     if table[full] is None:
@@ -414,10 +429,14 @@ def char_poly(a: Matrix, bound: int | None = None) -> Polynomial:
     is the unit. Each track of a principal minor, joined with x on the
     remaining diagonal, is exactly one permutation track of ``A + xI``, so
     one permanent over polynomial entries gives every coefficient.
+
+    The bound is checked on every call, but a matrix computes its
+    characteristic polynomial once: later calls on the same object, and
+    `eigenvalues`, read the cached result, and `det` and `mat_pow` share its
+    encoding.
     """
     check_dim_bound("characteristic polynomial", a, bound)
-    scale, (keys,) = _encode(a)
-    return _char_poly_from_keys(keys, scale)
+    return a._char_poly
 
 
 # ---------------------------------------------------------------------------

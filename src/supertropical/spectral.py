@@ -20,6 +20,7 @@ from typing import Callable, Sequence
 from .errors import DomainError
 from .matrix import (
     Matrix,
+    _Keys,
     _char_poly_from_keys,
     _check_product_shape,
     _decode,
@@ -147,16 +148,17 @@ class Trial:
     bound: int | None = None
 
     @cached_property
-    def _keys(self) -> tuple[int, list[list[int | None]], list[list[int | None]]]:
-        """The joint scale and the keys of ``a`` and ``b``, encoded once."""
+    def _keys(self) -> tuple[int, _Keys, _Keys]:
+        """The joint scale and the keys of ``a`` and ``b``, encoded once; the
+        matrix's own cached keys when ``b`` is ``a``."""
         if self.b is self.a:
-            scale, (x,) = _encode(self.a)
+            scale, x = self.a._keys
             return scale, x, x
         scale, (x, y) = _encode(self.a, self.b)
         return scale, x, y
 
     @cached_property
-    def _power_keys(self) -> list[list[int | None]]:
+    def _power_keys(self) -> _Keys:
         return _key_power(self._keys[1], self.m)
 
     @cached_property

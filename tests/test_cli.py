@@ -13,6 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from supertropical import Verdict, cli
+from supertropical.fuzz import MAX_TRIALS, CampaignResult
 from supertropical.matrix import MAX_POWER
 from supertropical.polynomial import MAX_PARSE_DEGREE
 from supertropical.scalar import MAX_LITERAL_DIGITS
@@ -395,6 +396,28 @@ class TestErrorPaths:
         assert (code, out) == (3, "")
         assert err.startswith("error: matrix power: size ")
         assert err.endswith(f" exceeds bound {MAX_POWER}\n")
+        # The refused power is reported by its digit count, not echoed.
+        assert err == f"error: matrix power: size of 4300 digits exceeds bound {MAX_POWER}\n"
+        assert len(err.encode()) < 120
+
+    @pytest.mark.parametrize("command", [["fuzz"], ["check", "thm36"]])
+    def test_trials_cap(self, capsys, monkeypatch, command):
+        # The campaign is stubbed out: at the cap the config is accepted and
+        # handed over, above it the run is refused before any trial is drawn.
+        configs = []
+
+        def no_campaign(cfg, checks=("thm36",)):
+            configs.append(cfg)
+            return CampaignResult(cfg, {c: {"pass": 0, "fail": 0, "na": 0} for c in checks}, [])
+
+        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        code, _, _ = run(capsys, *command, "--trials", str(MAX_TRIALS), "--json")
+        assert code == 0
+        assert [cfg.trials for cfg in configs] == [MAX_TRIALS]
+        code, out, err = run(capsys, *command, "--trials", str(MAX_TRIALS + 1))
+        assert (code, out) == (3, "")
+        assert err == f"error: trials: size {MAX_TRIALS + 1} exceeds bound {MAX_TRIALS}\n"
+        assert len(configs) == 1
 
     def test_matrix_power_at_cap(self, capsys, a_file):
         code, _, _ = run(capsys, "check", "thm36", "-f", a_file, "-m", str(MAX_POWER))

@@ -8,8 +8,9 @@ from collections import Counter
 import pytest
 
 from supertropical import matrix, spectral
-from supertropical.fuzz import generate_trials
+from supertropical.fuzz import MAX_TRIALS, generate_trials
 from supertropical import (
+    BoundExceededError,
     Config,
     DomainError,
     check_eigenpair,
@@ -42,6 +43,13 @@ class TestConfig:
     def test_bad_configs_rejected(self, kwargs):
         with pytest.raises(DomainError):
             Config(**kwargs)
+
+    def test_trials_cap(self):
+        # Building the config draws nothing, so neither side runs a trial.
+        assert Config(trials=MAX_TRIALS).trials == MAX_TRIALS
+        message = rf"^trials: size {MAX_TRIALS + 1} exceeds bound {MAX_TRIALS}$"
+        with pytest.raises(BoundExceededError, match=message):
+            Config(trials=MAX_TRIALS + 1)
 
 
 class TestGenerators:

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -23,6 +25,7 @@ from supertropical import (
     ZERO,
     char_poly,
     det,
+    eigenvalues,
     format_matrix,
     ghost,
     mat_mul,
@@ -205,6 +208,77 @@ class TestCaps:
         message = rf"^matrix power: size {MAX_POWER + 1} exceeds bound {MAX_POWER}$"
         with pytest.raises(BoundExceededError, match=message):
             mat_pow(one, MAX_POWER + 1)
+
+    def test_huge_power_reported_by_digit_count(self):
+        # 10**5000 is past the interpreter's str() limit for ints; the
+        # message gives its digit count instead of the number.
+        message = rf"^matrix power: size of 5001 digits exceeds bound {MAX_POWER}$"
+        with pytest.raises(BoundExceededError, match=message):
+            mat_pow(parse_matrix("0"), 10**5000)
+
+    @pytest.mark.parametrize(
+        "size, shown",
+        [(10**30 - 1, str(10**30 - 1)), (10**30, "of 31 digits"), (9 * 10**4299, "of 4300 digits")],
+    )
+    def test_long_sizes_shown_as_digit_counts(self, size, shown):
+        assert str(BoundExceededError("x", size, 1)) == f"x: size {shown} exceeds bound 1"
+
+
+class TestSharedCache:
+    """A matrix encodes itself once and computes its characteristic
+    polynomial once; the cache is invisible otherwise."""
+
+    B3 = "1/2g 0 -inf\n2 -1/3 1\n0g 1 1/2"
+
+    def test_bound_checked_on_every_call(self):
+        a = parse_matrix(self.B3)
+        char_poly(a)
+        for route in (char_poly, det, eigenvalues):
+            with pytest.raises(
+                BoundExceededError, match=r"^(characteristic polynomial|determinant): size 3 exceeds bound 2$"
+            ):
+                route(a, bound=2)
+        assert char_poly(a) == sym_direct_charpoly(a)
+
+    def test_cache_leaves_identity_unchanged(self):
+        a, fresh = parse_matrix(self.B3), parse_matrix(self.B3)
+        before = (hash(a), repr(a), a.to_json_dict(), pickle.dumps(a))
+        det(a), char_poly(a), eigenvalues(a), mat_pow(a, 2)
+        assert a == fresh and fresh == a
+        assert (hash(a), repr(a), a.to_json_dict()) == before[:3]
+        assert (hash(fresh), repr(fresh), fresh.to_json_dict()) == before[:3]
+        for copy in (pickle.loads(before[3]), pickle.loads(pickle.dumps(a))):
+            assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
+            assert char_poly(copy) == char_poly(fresh)
+        assert [f.name for f in dataclasses.fields(a)] == ["rows"]
+
+    def test_cached_keys_are_immutable(self):
+        scale, keys = parse_matrix(self.B3)._keys
+        assert scale == 6
+        assert isinstance(keys, tuple) and all(isinstance(row, tuple) for row in keys)
+
+    @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
+    def test_one_encode_two_tables(self, monkeypatch, order):
+        """det + char_poly + eigenvalues on one matrix: one encode, the
+        determinant's table and one charpoly table."""
+        calls = {"_encode": 0, "_permanent_table": 0}
+
+        def counting(name):
+            original = getattr(matrix_module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(matrix_module, name, counting(name))
+        a = parse_matrix(self.B3)
+        routes = (det, char_poly, eigenvalues)
+        for k in order:
+            routes[k](a)
+        assert calls == {"_encode": 1, "_permanent_table": 2}
 
 
 class TestSurpassesMatrix:

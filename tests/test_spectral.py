@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -32,10 +33,12 @@ from supertropical import (
     mat_mul,
     mat_pow,
     parse_matrix,
+    roots,
     search_eigenpairs,
     tangible,
     trace,
 )
+from supertropical.oracle import enum_det, sym_direct_charpoly
 from supertropical.spectral import CHECKS, Trial
 from conftest import matrices, sample_matrix, scalars
 
@@ -302,3 +305,40 @@ class TestTrialKeySpace:
                 CHECKS[check_id](Trial(a3, a3, 2, bound=2))
         # The trace law computes no determinant, so no dimension bound applies.
         assert CHECKS["trace"](Trial(a3, a3, 2, bound=2)).holds
+
+
+def _tied_lattice_matrix(rng: random.Random, trial: int) -> Matrix:
+    """n <= 6 over the integers -2..2, 20% ghosts, 10% -inf: ties are common.
+    The oracles grow like n!, so every 20th matrix is 6x6 and every 5th 5x5."""
+    n = 6 if trial % 20 == 0 else 5 if trial % 5 == 0 else rng.randint(1, 4)
+
+    def entry():
+        if rng.random() < 0.1:
+            return ZERO
+        value = rng.randint(-2, 2)
+        return ghost(value) if rng.random() < 0.2 else tangible(value)
+
+    return Matrix(tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+
+
+_SPECTRAL_CALLS = {"det": det, "char_poly": char_poly, "eigenvalues": eigenvalues}
+
+
+def test_shared_cache_in_every_call_order():
+    """det, char_poly and eigenvalues share one matrix's cached encoding and
+    characteristic polynomial; in every order of the three calls on one
+    object, each result is the one a fresh object gives, and the oracle's."""
+    rng = random.Random("shared-matrix-cache")
+    for trial in range(300):
+        a = _tied_lattice_matrix(rng, trial)
+        fresh = {name: call(Matrix(a.rows)) for name, call in _SPECTRAL_CALLS.items()}
+        assert fresh["det"].to_json_dict() == enum_det(a).to_json_dict(), a
+        direct = sym_direct_charpoly(a)
+        assert fresh["char_poly"] == direct, a
+        report = roots(direct)
+        assert fresh["eigenvalues"].eigenvalues == report.corner_roots, a
+        assert fresh["eigenvalues"].ghost_region == report.ghost_intervals, a
+        for order in itertools.permutations(_SPECTRAL_CALLS):
+            shared = Matrix(a.rows)
+            for name in order:
+                assert _SPECTRAL_CALLS[name](shared) == fresh[name], (a, order, name)
