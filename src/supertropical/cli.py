@@ -2,8 +2,8 @@
 
 Subcommands: det, charpoly, roots, eigen, check, fuzz. Exit codes: 0 on
 success, 1 when a check or campaign found a violation, 2 for input errors,
-3 when a bound (dimension, degree, digit count, matrix scale, matrix power
-or trial count) was exceeded.
+3 when a bound (dimension, degree, digit count, matrix or polynomial scale,
+matrix power or trial count) was exceeded.
 """
 
 from __future__ import annotations

@@ -19,7 +19,9 @@ entries are encoded once as keys, ``(magnitude * L) << 1 | is_ghost`` with
 ``L`` the LCM of the input denominators and ``None`` for ``-inf``. A
 product of keys is ``x + y - (x & y & 1)``; a sum takes the key with the
 larger ``k >> 1``, and on a tie the ghost key ``k | 1``. Each output entry
-is decoded once, so the API still returns exact ``Fraction`` magnitudes.
+is decoded when read, so the API still returns exact ``Fraction`` magnitudes:
+a matrix result is decoded as it is returned, and the characteristic
+polynomial keeps its keys and decodes its coefficients on their first read.
 The public functions are thin wrappers over private key-space helpers
 (``_encode``, ``_key_power``, ``_char_poly_from_keys``, ``_det_value``),
 which ``spectral.Trial`` calls directly to keep a trial's matrices as keys.
@@ -27,9 +29,9 @@ A matrix encodes itself once and computes its characteristic polynomial
 once: ``Matrix._keys`` and ``Matrix._char_poly`` are cached on the object,
 so ``det``, ``char_poly``, ``mat_pow`` and ``eigenvalues`` on one matrix
 share one encoding, and the charpoly table is built once however often it
-is asked for. Nothing is cached across matrix objects.
-A scale ``L`` of more than ``2 * MAX_LITERAL_DIGITS`` digits and a power
-above ``MAX_POWER`` are refused with ``BoundExceededError``.
+is asked for. Nothing is cached across matrix objects, and a pickle holds
+only the rows. A scale ``L`` of more than ``2 * MAX_LITERAL_DIGITS`` digits
+and a power above ``MAX_POWER`` are refused with ``BoundExceededError``.
 """
 
 from __future__ import annotations
@@ -37,21 +39,16 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .errors import BoundExceededError, DomainError, ParseError, ShapeError, _digit_count
+from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial
-from .scalar import MAX_LITERAL_DIGITS, Kind, ONE, Scalar, ZERO, parse_scalar
+from .scalar import Kind, ONE, Scalar, ZERO, _check_scale, _decode, parse_scalar
 
 DEFAULT_DET_BOUND = 9
 # The largest matrix power computed: its magnitudes grow m-fold.
 MAX_POWER = 10**6
-# The matrix scale (the LCM of the entry denominators) has at most the digits
-# of two literal denominators; ``_SCALE_LIMIT`` is the first scale refused.
-_MAX_SCALE_DIGITS = 2 * MAX_LITERAL_DIGITS
-_SCALE_LIMIT = 10**_MAX_SCALE_DIGITS
 
 # A matrix's entries as kernel keys, row by row (see the module docstring).
 _Keys = Sequence[Sequence[int | None]]
@@ -99,6 +96,13 @@ class Matrix:
     def to_json_dict(self) -> dict:
         return {"n": self.n, "rows": [[str(e) for e in row] for row in self.rows]}
 
+    def __getstate__(self) -> dict:
+        """A pickle holds ``rows`` only, not the cached keys and characteristic polynomial."""
+        return {"rows": self.rows}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "rows", state["rows"])
+
     @cached_property
     def _keys(self) -> tuple[int, tuple[tuple[int | None, ...], ...]]:
         """The scale and the entries as keys, encoded once and shared by
@@ -125,10 +129,7 @@ def _encode(*mats: Matrix) -> tuple[int, list[list[list[int | None]]]]:
     scale = math.lcm(
         *{e.value.denominator for a in mats for row in a.rows for e in row if not e.is_zero}
     )
-    if scale >= _SCALE_LIMIT:
-        raise BoundExceededError(
-            "digits of the matrix scale", _digit_count(scale), _MAX_SCALE_DIGITS
-        )
+    _check_scale(scale, "matrix")
     return scale, [
         [
             [
@@ -140,12 +141,6 @@ def _encode(*mats: Matrix) -> tuple[int, list[list[list[int | None]]]]:
         ]
         for a in mats
     ]
-
-
-def _decode(k: int | None, scale: int) -> Scalar:
-    if k is None:
-        return ZERO
-    return Scalar(Kind.GHOST if k & 1 else Kind.TANGIBLE, Fraction(k >> 1, scale))
 
 
 def _decode_matrix(keys: _Keys, scale: int) -> Matrix:
@@ -362,8 +357,7 @@ def _char_poly_from_keys(keys: _Keys, scale: int) -> Polynomial:
         [[k, 0] if i == j else None if k is None else [k] for j, k in enumerate(row)]
         for i, row in enumerate(keys)
     ]
-    coeffs = _permanent_table(entries, len(keys))[-1]
-    return Polynomial(tuple(_decode(k, scale) for k in coeffs))
+    return Polynomial._from_keys(scale, _permanent_table(entries, len(keys))[-1])
 
 
 def det(a: Matrix, bound: int | None = None) -> DetReport:

@@ -11,11 +11,23 @@ get a corner root whose multiplicity is the degree gap. Where a ghost
 essential monomial attains the maximum, evaluation is ghost over a whole
 interval of magnitudes.
 
-The envelope is computed on plain ints: every magnitude is scaled by the
-LCM of the support's denominators, which leaves the hull unchanged, and
-only the crossings that survive become exact `Fraction` values, once, at
-the end. Each `Polynomial` caches its envelope, so `roots`, `essential`
-and `breakpoints` on the same polynomial share one computation.
+The envelope is computed on plain ints. A polynomial keeps its
+coefficients as keys too: a scale, a common multiple of the denominators,
+and per degree the key ``(numerator * (scale // denominator)) << 1 |
+is_ghost``, ``None`` for ``-inf``, as the matrix kernels do. Scaling every
+magnitude by one constant leaves the hull unchanged, and only the crossings
+that survive become exact `Fraction` values, once, at the end. Each
+`Polynomial` caches its envelope, so `roots`, `essential` and `breakpoints`
+on the same polynomial share one computation; they, `is_zero` and `degree`
+read the keys and their ghost bits.
+
+`parse_polynomial`, `essential` and the characteristic polynomial fill the
+keys directly, and ``coeffs`` are decoded into `Scalar` values on their
+first read; printing decodes only the nonzero keys. A polynomial built from
+`Scalar` values derives its keys once, on its first envelope. Either way
+``coeffs``, equality, hash, repr and pickles are those of the `Scalar`
+form. A scale of more than ``2 * MAX_LITERAL_DIGITS`` digits is refused
+with `BoundExceededError` while it is being built.
 """
 
 from __future__ import annotations
@@ -25,17 +37,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from typing import Iterable, Sequence
 
 from .errors import BoundExceededError, DomainError, ParseError
-from .scalar import DIGITS, RATIONAL, check_digits, literal_scalar
-from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar, tangible
+from .scalar import DIGITS, RATIONAL, check_digits, literal_ratio
+from .scalar import Kind, ONE, Scalar, ZERO, _check_scale, _decode, parse_scalar, tangible
 
 
 @dataclass(frozen=True)
 class Polynomial:
     """Coefficients by ascending degree; normalized so the top one is nonzero.
 
-    The zero polynomial is stored as the single coefficient ``-inf``.
+    The zero polynomial is stored as the single coefficient ``-inf``. A
+    polynomial built by `_from_keys` holds only its keys until ``coeffs``
+    is first read (see the module docstring).
     """
 
     coeffs: tuple[Scalar, ...]
@@ -48,14 +63,58 @@ class Polynomial:
             cs = cs[:-1]
         object.__setattr__(self, "coeffs", cs)
 
+    @classmethod
+    def _from_keys(cls, scale: int, keys: Sequence[int | None]) -> Polynomial:
+        """The polynomial whose degree-``d`` coefficient has key ``keys[d]``
+        at ``scale``, normalized like ``coeffs``; nothing is decoded."""
+        keys = list(keys)
+        while len(keys) > 1 and keys[-1] is None:
+            keys.pop()
+        f = object.__new__(cls)
+        f.__dict__["_keys"] = (scale, tuple(keys) or (None,))
+        return f
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute: ``coeffs`` of a key-built
+        # polynomial is decoded here on its first read, then stored.
+        given = self.__dict__.get("_keys")
+        if name != "coeffs" or given is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        scale, keys = given
+        coeffs = tuple([_decode(k, scale) for k in keys])
+        object.__setattr__(self, "coeffs", coeffs)
+        return coeffs
+
+    @cached_property
+    def _keys(self) -> tuple[int, tuple[int | None, ...]]:
+        """The scale and the coefficients as keys, derived once from
+        ``coeffs`` unless `_from_keys` gave them."""
+        scale = _scale(dict.fromkeys(c.value.denominator for c in self.coeffs if not c.is_zero))
+        return scale, tuple([
+            None if c.is_zero
+            else (c.value.numerator * (scale // c.value.denominator)) << 1 | c.is_ghost
+            for c in self.coeffs
+        ])
+
+    def __getstate__(self) -> dict:
+        """A pickle holds ``coeffs`` only, not the cached keys and envelope."""
+        return {"coeffs": self.coeffs}
+
+    def __setstate__(self, state: dict) -> None:
+        object.__setattr__(self, "coeffs", state["coeffs"])
+
     @property
     def is_zero(self) -> bool:
+        given = self.__dict__.get("_keys")
+        if given is not None:
+            return given[1] == (None,)
         return len(self.coeffs) == 1 and self.coeffs[0].is_zero
 
     @property
     def degree(self) -> int:
         """Degree of the leading stored coefficient (0 for the zero polynomial)."""
-        return len(self.coeffs) - 1
+        given = self.__dict__.get("_keys")
+        return len(self.coeffs if given is None else given[1]) - 1
 
     @cached_property
     def _hull(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
@@ -108,13 +167,12 @@ class Polynomial:
     def __str__(self) -> str:
         if self.is_zero:
             return "-inf"
-        terms = []
-        for d in range(self.degree, -1, -1):
-            c = self.coeffs[d]
-            if c.is_zero:
-                continue
-            terms.append(_format_term(c, d))
-        return " + ".join(terms)
+        if "coeffs" in self.__dict__:
+            terms = [(d, c) for d, c in enumerate(self.coeffs) if not c.is_zero]
+        else:
+            scale, keys = self._keys
+            terms = [(d, _decode(k, scale)) for d, k in enumerate(keys) if k is not None]
+        return " + ".join(_format_term(c, d) for d, c in reversed(terms))
 
     def __repr__(self) -> str:
         return f"Polynomial({self})"
@@ -138,13 +196,17 @@ def parse_polynomial(text: str) -> Polynomial:
 
     The unit coefficient may be omitted (``x^2``), degree 1 drops the caret
     (``4x``), and a bare coefficient is the constant term. Repeated degrees
-    add up. A degree above `MAX_PARSE_DEGREE`, or a number of more than
-    `MAX_LITERAL_DIGITS` digits, raises `BoundExceededError`.
+    add up. A degree above `MAX_PARSE_DEGREE`, a number of more than
+    `MAX_LITERAL_DIGITS` digits, or a scale (the LCM of the denominators as
+    written) of more than twice that many digits raises `BoundExceededError`.
+
+    The terms are read straight into keys; no `Scalar` is built.
     """
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty polynomial")
-    by_degree: dict[int, Scalar] = {}
+    # (degree, numerator or None for "-inf", denominator, ghost bit) per term.
+    terms: list[tuple[int, int | None, int, bool]] = []
     for raw in stripped.split("+"):
         term = raw.strip()
         match = _TERM_RE.match(term)
@@ -152,23 +214,42 @@ def parse_polynomial(text: str) -> Polynomial:
             check_digits(term)
             raise ParseError(f"not a polynomial term: {term!r}")
         coeff_text, num, den, ghost_mark, x, deg = match.groups()
-        if coeff_text is None:
-            coeff = ONE
-        elif num is None:  # "-inf"
-            coeff = ZERO
-        else:
-            coeff = literal_scalar(num, den, ghost_mark, coeff_text)
         degree = 0 if x is None else 1 if deg is None else int(deg)
-        if degree in by_degree:
-            coeff = by_degree[degree] + coeff
-        by_degree[degree] = coeff
-    top = max(by_degree)
+        if coeff_text is None:
+            terms.append((degree, 0, 1, False))
+        elif num is None:  # "-inf"
+            terms.append((degree, None, 1, False))
+        else:
+            p, q = literal_ratio(num, den, coeff_text)
+            terms.append((degree, p, q, ghost_mark is not None))
+    top = max(t[0] for t in terms)
     if top > MAX_PARSE_DEGREE:
         raise BoundExceededError("polynomial degree", top, MAX_PARSE_DEGREE)
-    coeffs = [ZERO] * (top + 1)
-    for degree, coeff in by_degree.items():
-        coeffs[degree] = coeff
-    return Polynomial(tuple(coeffs))
+    scale = _scale(dict.fromkeys(q for _, p, q, _ in terms if p is not None))
+    keys: list[int | None] = [None] * (top + 1)
+    for degree, p, q, ghost_bit in terms:
+        if p is None:
+            continue
+        # Repeated degrees add: the larger magnitude wins, a tie is ghost.
+        key = (p * (scale // q)) << 1 | ghost_bit
+        old = keys[degree]
+        if old is None or key > old | 1:
+            keys[degree] = key
+        elif key >> 1 == old >> 1:
+            keys[degree] = old | 1
+    return Polynomial._from_keys(scale, keys)
+
+
+def _scale(denominators: Iterable[int]) -> int:
+    """The LCM of ``denominators``, taken in the order given and refused as
+    soon as the running LCM passes the scale cap, so an oversized one is
+    never built in full."""
+    scale = 1
+    for q in denominators:
+        if scale % q:
+            scale = lcm(scale, q)
+            _check_scale(scale, "polynomial")
+    return scale
 
 
 def coeff_strings(f: Polynomial) -> list[str]:
@@ -198,18 +279,19 @@ def _envelope(f: Polynomial) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     where the cut changes.
 
     Scaling every magnitude by one positive constant leaves the hull as it
-    is, so the walk runs on the magnitudes times ``scale``, the LCM of the
-    support's denominators, which are plain ints. A crossing is kept as the
-    int pair ``(key difference, degree gap)``, whose second entry is
+    is, so the walk runs on ``f``'s keys without their ghost bits: the
+    magnitudes times ``f``'s scale, which are plain ints. A crossing is kept
+    as the int pair ``(key difference, degree gap)``, whose second entry is
     positive, and compared with the last cut by cross-multiplying. Only the
     cuts that survive become `Fraction` values, once, at the end.
     """
-    support = [(d, c.value) for d, c in enumerate(f.coeffs) if c.value is not None]
-    scale = lcm(*(v.denominator for _, v in support))
+    scale, keys = f._keys
     hull: list[tuple[int, int]] = []
     cuts: list[tuple[int, int]] = []
-    for d, v in support:
-        key = v.numerator * (scale // v.denominator)
+    for d, k in enumerate(keys):
+        if k is None:
+            continue
+        key = k >> 1
         while hull:
             last_d, last_key = hull[-1]
             num, den = last_key - key, d - last_d
@@ -219,9 +301,13 @@ def _envelope(f: Polynomial) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
             hull.pop()
             cuts.pop()
         hull.append((d, key))
+    # Tuples are built from lists, so each is allocated at its final size.
+    # From a generator, CPython allocates a guessed size and resizes, and the
+    # freed tuple then fills the free list of a size it was not taken from,
+    # which only a full garbage collection empties.
     return (
-        tuple(d for d, _ in hull),
-        tuple(Fraction(num, den * scale) for num, den in cuts),
+        tuple([d for d, _ in hull]),
+        tuple([Fraction(num, den * scale) for num, den in cuts]),
     )
 
 
@@ -233,10 +319,11 @@ def essential(f: Polynomial) -> Polynomial:
     """
     if f.is_zero:
         raise DomainError("the zero polynomial has no essential part")
-    keep = set(f._hull[0])
-    return Polynomial(
-        tuple(c if d in keep else ZERO for d, c in enumerate(f.coeffs))
-    )
+    scale, keys = f._keys
+    kept: list[int | None] = [None] * len(keys)
+    for d in f._hull[0]:
+        kept[d] = keys[d]
+    return Polynomial._from_keys(scale, kept)
 
 
 def breakpoints(f: Polynomial) -> list[Fraction]:
@@ -318,11 +405,12 @@ def roots(f: Polynomial) -> RootReport:
     merged as they come. Each time the cut changes, the edge between the
     last two strict vertices is complete; when both of its end
     coefficients are tangible it gives a corner root at its cut, with the
-    degree gap as multiplicity.
+    degree gap as multiplicity. A coefficient's kind is its key's ghost bit.
     """
     if f.is_zero:
         return RootReport((), (), True)
     hull, cuts = f._hull
+    keys = f._keys[1]
     corner: list[tuple[Scalar, int]] = []
     spans: list[list] = []
     start = hull[0]
@@ -330,17 +418,17 @@ def roots(f: Polynomial) -> RootReport:
         lo = cuts[k - 1] if k > 0 else None
         hi = cuts[k] if k < len(cuts) else None
         if k > 0 and lo != hi:
-            if f.coeffs[start].is_tangible and f.coeffs[d].is_tangible:
+            if not (keys[start] | keys[d]) & 1:
                 corner.append((tangible(lo), d - start))
             start = d
-        if f.coeffs[d].kind is Kind.GHOST:
+        if keys[d] & 1:
             if spans and spans[-1][1] == lo:
                 spans[-1][1] = hi
             else:
                 spans.append([lo, hi])
-    all_ghost = all(f.coeffs[d].kind is Kind.GHOST for d in hull)
+    all_ghost = all(keys[d] & 1 for d in hull)
     return RootReport(
-        tuple(corner), tuple(_closed(lo, hi) for lo, hi in spans), all_ghost
+        tuple(corner), tuple([_closed(lo, hi) for lo, hi in spans]), all_ghost
     )
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-from .errors import BoundExceededError, DomainError, ParseError
+from .errors import BoundExceededError, DomainError, ParseError, _digit_count
 
 
 class Kind(Enum):
@@ -156,15 +156,20 @@ def check_digits(text: str) -> None:
         raise BoundExceededError("number of digits", len(run[0]), MAX_LITERAL_DIGITS)
 
 
+def literal_ratio(num: str, den: str | None, text: str) -> tuple[int, int]:
+    """Numerator and denominator of a matched rational literal, as written;
+    ``text`` is quoted in errors."""
+    if den is None:
+        return int(num), 1
+    if q := int(den):
+        return int(num), q
+    raise ParseError(f"zero denominator in {text!r}")
+
+
 def literal_scalar(num: str, den: str | None, ghost_mark: str | None, text: str) -> Scalar:
     """The scalar of a matched rational literal; ``text`` is quoted in errors."""
-    if den is None:
-        value = Fraction(int(num))
-    elif q := int(den):
-        value = Fraction(int(num), q)
-    else:
-        raise ParseError(f"zero denominator in {text!r}")
-    return Scalar(Kind.GHOST if ghost_mark else Kind.TANGIBLE, value)
+    kind = Kind.GHOST if ghost_mark else Kind.TANGIBLE
+    return Scalar(kind, Fraction(*literal_ratio(num, den, text)))
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -182,3 +187,34 @@ def parse_scalar(text: str) -> Scalar:
         check_digits(stripped)
         raise ParseError(f"not a scalar: {text!r}")
     return literal_scalar(*match.groups(), text)
+
+
+# ---------------------------------------------------------------------------
+# Keys: the integer form the matrix kernels and the polynomial envelope run on.
+#
+# Multiplying every magnitude by one positive constant ``scale`` keeps order,
+# ties and kinds, so a value is kept as the key
+# ``(numerator * (scale // denominator)) << 1 | is_ghost``, ``None`` for
+# ``-inf``, with ``scale`` a common multiple of the denominators at hand.
+
+# A scale has at most the digits of two literal denominators, so every
+# magnitude computed from it stays within the interpreter's ``str()`` limit;
+# ``_SCALE_LIMIT`` is the first scale refused.
+_MAX_SCALE_DIGITS = 2 * MAX_LITERAL_DIGITS
+_SCALE_LIMIT = 10**_MAX_SCALE_DIGITS
+
+
+def _check_scale(scale: int, what: str) -> None:
+    """Refuse a scale of more than `_MAX_SCALE_DIGITS` digits; ``what`` names
+    its owner (``matrix`` or ``polynomial``)."""
+    if scale >= _SCALE_LIMIT:
+        raise BoundExceededError(
+            f"digits of the {what} scale", _digit_count(scale), _MAX_SCALE_DIGITS
+        )
+
+
+def _decode(k: int | None, scale: int) -> Scalar:
+    """The scalar of key ``k`` at ``scale``."""
+    if k is None:
+        return ZERO
+    return Scalar(Kind.GHOST if k & 1 else Kind.TANGIBLE, Fraction(k >> 1, scale))

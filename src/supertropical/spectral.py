@@ -23,7 +23,6 @@ from .matrix import (
     _Keys,
     _char_poly_from_keys,
     _check_product_shape,
-    _decode,
     _det_value,
     _encode,
     _key_power,
@@ -35,7 +34,7 @@ from .matrix import (
     trace,
 )
 from .polynomial import Interval, Polynomial, roots
-from .scalar import Scalar, ZERO
+from .scalar import Scalar, ZERO, _decode
 
 
 @dataclass(frozen=True)

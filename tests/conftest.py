@@ -14,7 +14,7 @@ from math import lcm
 
 import hypothesis.strategies as st
 
-from supertropical import Matrix, Polynomial, ZERO, ghost, tangible
+from supertropical import Matrix, ONE, Polynomial, ZERO, ghost, parse_scalar, tangible
 
 acceptance_lines: list[str] = []
 
@@ -71,6 +71,20 @@ def sample_polynomial(rng: random.Random, max_degree: int):
     coeffs = [sample_scalar(rng) for _ in range(degree)]
     lead = sample_scalar(rng, zero_p=0.0)
     coeffs.append(lead)
+    return Polynomial(tuple(coeffs))
+
+
+def literal_sum_polynomial(terms) -> Polynomial:
+    """The polynomial of ``(degree, coefficient text)`` terms, built with one
+    literal `Scalar` per term and summed by degree with `Scalar` addition;
+    an empty coefficient text is the unit."""
+    by_degree = {}
+    for degree, text in terms:
+        c = ONE if text == "" else parse_scalar(text)
+        by_degree[degree] = by_degree[degree] + c if degree in by_degree else c
+    coeffs = [ZERO] * (max(by_degree) + 1)
+    for degree, c in by_degree.items():
+        coeffs[degree] = c
     return Polynomial(tuple(coeffs))
 
 

@@ -385,6 +385,29 @@ class TestErrorPaths:
             f"error: digits of the matrix scale: size 4996 exceeds bound {2 * MAX_LITERAL_DIGITS}\n"
         )
 
+    @pytest.mark.parametrize("source", ["text", "json"])
+    def test_polynomial_scale_cap_exit_3(self, capsys, tmp_path, source):
+        # Each literal is within its cap; the LCM of the first two
+        # denominators has 2,000 digits and passes, with 7 it has 2,001.
+        q1, q2 = 10**1000 - 1, 10**1000 - 3
+        for coeffs, code in (([f"1/{q1}", f"1/{q2}"], 0), ([f"1/{q1}", f"1/{q2}", "1/7"], 3)):
+            if source == "text":
+                arg = " + ".join(f"{c}x^{d}" for d, c in enumerate(coeffs))
+            else:
+                path = tmp_path / "f.json"
+                path.write_text(json.dumps(coeffs))
+                arg = str(path)
+            got, out, err = run(capsys, "roots", arg)
+            assert got == code
+            if code == 0:
+                assert out.startswith("corner roots: ") and err == ""
+            else:
+                assert out == ""
+                assert err == (
+                    "error: digits of the polynomial scale: size 2001 exceeds bound "
+                    f"{2 * MAX_LITERAL_DIGITS}\n"
+                )
+
     @pytest.mark.parametrize(
         "argv",
         [["check", "thm36", "-f", "{a}", "-m", "{m}"], ["fuzz", "--trials", "3", "--max-m", "{m}"]],

@@ -252,6 +252,14 @@ class TestSharedCache:
             assert char_poly(copy) == char_poly(fresh)
         assert [f.name for f in dataclasses.fields(a)] == ["rows"]
 
+    def test_pickle_holds_only_rows(self):
+        # The golden fixture B4.
+        a = parse_matrix("1/2g 3/2 1/2 -inf\n1/2 1g 1 -1/3\n-2/3 2 3/2 -inf\n-1/3 2 1 2\n")
+        fresh = pickle.dumps(a)
+        det(a), char_poly(a), eigenvalues(a)
+        assert pickle.dumps(a) == fresh
+        assert char_poly(pickle.loads(fresh)) == char_poly(a)
+
     def test_cached_keys_are_immutable(self):
         scale, keys = parse_matrix(self.B3)._keys
         assert scale == 6

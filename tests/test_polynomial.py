@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -17,11 +20,13 @@ from supertropical import (
     Polynomial,
     ZERO,
     breakpoints,
+    char_poly,
     coeff_strings,
     essential,
     ghost,
     is_root,
     parse_polynomial,
+    parse_scalar,
     polynomial_from_strings,
     primary_root,
     roots,
@@ -32,7 +37,9 @@ from conftest import (
     attained_degrees,
     brute_breakpoints,
     brute_eval,
+    literal_sum_polynomial,
     polynomials,
+    sample_matrix,
     sample_polynomial,
     scalars,
 )
@@ -267,6 +274,134 @@ class TestScaledEnvelope:
             essential(f)
             breakpoints(f)
         assert calls == [f]
+
+
+def _coeff_text(rng: random.Random, degree: int) -> str:
+    """A coefficient on a tight lattice, written reduced or not (``2/4``,
+    ``4/2``, ``0/7``, ``-0``), a quarter of them ghost; or ``-inf``, or
+    ``""`` for the omitted unit (never at degree 0, where it is ``0``)."""
+    r = rng.random()
+    if r < 0.1:
+        return "-inf"
+    if r < 0.2:
+        return "" if degree else "0"
+    q = rng.choice((1, 1, 2, 3, 4, 6, 7))
+    p = rng.randint(-2 * q, 2 * q)
+    num = "-0" if p == 0 and rng.random() < 0.5 else str(p)
+    text = num if q == 1 and rng.random() < 0.5 else f"{num}/{q}"
+    return text + "g" if rng.random() < 0.25 else text
+
+
+def _term_text(coeff: str, degree: int, rng: random.Random) -> str:
+    if degree == 0:
+        return coeff
+    space = " " if coeff and rng.random() < 0.3 else ""
+    return f"{coeff}{space}x" if degree == 1 else f"{coeff}{space}x^{degree}"
+
+
+def _roots_json(f: Polynomial) -> str:
+    return json.dumps(roots(f).to_json_dict(), sort_keys=True)
+
+
+def _scalar_form(f: Polynomial) -> Polynomial:
+    """``f`` rebuilt from its printed coefficients, one `Scalar` each."""
+    return Polynomial(tuple(parse_scalar(str(c)) for c in f.coeffs))
+
+
+class TestKeyForm:
+    """The parser, `essential` and the characteristic polynomial build
+    polynomials from keys; ``coeffs`` are decoded on their first read, and
+    nothing else tells the two forms apart."""
+
+    def test_key_parse_matches_literal_scalars(self):
+        rng = random.Random("key-parse")
+        for _ in range(1500):
+            top = rng.randint(0, 12)
+            # Degrees from a narrow range, so repeats (and ties) are common.
+            terms = [(d, _coeff_text(rng, d)) for d in
+                     [top, *(rng.randint(0, top) for _ in range(rng.randint(0, 2 * top + 2)))]]
+            rng.shuffle(terms)
+            text = (" + " if rng.random() < 0.5 else "+").join(
+                _term_text(c, d, rng) for d, c in terms
+            )
+            f, ref = parse_polynomial(text), literal_sum_polynomial(terms)
+            # The key paths first, before anything has read f.coeffs.
+            assert (str(f), f.degree, f.is_zero) == (str(ref), ref.degree, ref.is_zero), text
+            assert _roots_json(f) == _roots_json(ref), text
+            assert breakpoints(f) == breakpoints(ref), text
+            if not ref.is_zero:
+                assert str(essential(f)) == str(essential(ref)), text
+            assert "coeffs" not in vars(f)
+            assert f.coeffs == ref.coeffs, text
+            assert f == ref and ref == f and hash(f) == hash(ref), text
+            assert repr(f) == repr(ref)
+
+    def test_charpoly_keys_match_scalar_form(self):
+        rng = random.Random("charpoly-keys")
+        for _ in range(150):
+            f = char_poly(sample_matrix(rng, rng.randint(1, 5)))
+            report, ess = _roots_json(f), str(essential(f))
+            g = Polynomial(f.coeffs)
+            assert (report, ess) == (_roots_json(g), str(essential(g)))
+
+    def test_decodes_only_what_is_read(self, monkeypatch):
+        """roots, essential and printing the essential part decode only the
+        essential terms; the full coefficient tuple is never built."""
+        rng = random.Random("lazy-decode")
+        text = " + ".join(
+            f"{Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3)))}x^{d}" for d in range(240, 0, -1)
+        ) + " + 1g"
+        decoded = []
+        decode = polynomial._decode
+        monkeypatch.setattr(polynomial, "_decode", lambda k, scale: decoded.append(k) or decode(k, scale))
+        f = parse_polynomial(text)
+        report = roots(f)
+        ess = essential(f)
+        printed = str(ess)
+        hull = f._hull[0]
+        assert f.degree == 240 and len(hull) < 20
+        assert sorted(decoded) == sorted(f._keys[1][d] for d in hull)
+        assert "coeffs" not in vars(f) and "coeffs" not in vars(ess)
+        monkeypatch.undo()
+        g = Polynomial(f.coeffs)
+        assert (report, printed) == (roots(g), str(essential(g)))
+
+    def test_pickle_holds_only_coeffs(self):
+        text = "1/2gx^5 + 3x^4 + 0/7x^3 + 2/4x^2 + -inf x + x^4 + -0g"
+        f = parse_polynomial(text)
+        fresh = pickle.dumps(f)
+        roots(f), essential(f), breakpoints(f)
+        assert pickle.dumps(f) == fresh
+        g = parse_polynomial(text)
+        roots(g), essential(g)
+        assert pickle.dumps(g) == fresh
+        assert pickle.dumps(_scalar_form(f)) == fresh
+        ess = essential(f)
+        assert pickle.dumps(ess) == pickle.dumps(_scalar_form(ess))
+        copy = pickle.loads(fresh)
+        assert copy == f and hash(copy) == hash(f) and repr(copy) == repr(f)
+        assert roots(copy) == roots(f) and essential(copy) == ess
+        assert [field.name for field in dataclasses.fields(f)] == ["coeffs"]
+
+    def test_scale_cap(self):
+        # Each literal is within its digit cap. Two 1,000-digit denominators
+        # make a scale of 2,000 digits, which passes. With a third, 7, the
+        # running LCM reaches 2,001 digits and is refused there, whatever
+        # follows it.
+        q1, q2, q3 = 10**1000 - 1, 10**1000 - 3, 10**1000 - 7
+        within = parse_polynomial(f"1/{q1}x + 1/{q2}")
+        assert within._keys[0] == q1 * q2
+        assert roots(within) == roots(Polynomial(within.coeffs))
+        message = r"^digits of the polynomial scale: size 2001 exceeds bound 2000$"
+        with pytest.raises(BoundExceededError, match=message):
+            parse_polynomial(f"1/{q1}x^3 + 1/{q2}x^2 + 1/7x + 1/{q3}")
+        # From scalars, the keys are derived on the first envelope: by
+        # ascending degree, q3, 7 and q2 reach 2,001 digits.
+        over = Polynomial(tuple(tangible(Fraction(1, q)) for q in (q3, 7, q2, q1)))
+        assert str(over).startswith(f"1/{q1}x^3 + ")
+        for route in (roots, essential, breakpoints):
+            with pytest.raises(BoundExceededError, match=message):
+                route(over)
 
 
 class TestMultiplicityRecovery:
