@@ -6,78 +6,60 @@ reduction, root classification), matrices (permanent-style determinant
 with dominant-track reporting, characteristic polynomial), eigenvalue
 extraction, law checkers for the matrix-power relations, and symbolic
 brute-force oracles that validate the production code paths.
+
+Importing the package loads none of its modules: each name below is
+imported from its home module on first access (PEP 562), and is an
+ordinary module global from then on.
 """
 
-from .errors import (
-    BoundExceededError,
-    DomainError,
-    ParseError,
-    ShapeError,
-    SupertropicalError,
-)
-from .scalar import Kind, ONE, Scalar, ZERO, ghost, parse_scalar, tangible
-from .polynomial import (
-    Interval,
-    Polynomial,
-    RootReport,
-    breakpoints,
-    coeff_strings,
-    essential,
-    is_root,
-    parse_polynomial,
-    polynomial_from_strings,
-    primary_root,
-    roots,
-)
-from .matrix import (
-    DetClass,
-    DetReport,
-    Matrix,
-    PermutationTrack,
-    char_poly,
-    det,
-    format_matrix,
-    mat_mul,
-    mat_pow,
-    mat_surpasses,
-    mat_vec,
-    matrix_from_json_dict,
-    parse_matrix,
-    principal_minor,
-    trace,
-)
-from .spectral import (
-    EigenReport,
-    Verdict,
-    check_charpoly_power,
-    check_corner_root_power,
-    check_det_rule,
-    check_eigen_power,
-    check_eigenpair,
-    check_frobenius,
-    check_tangible_equality,
-    check_trace_power,
-    eigenvalues,
-)
-from .oracle import (
-    SymMonomial,
-    SymPoly,
-    census_power_tracks,
-    enum_det,
-    minor_sum_charpoly,
-    sampled_equiv,
-    sym_charpoly_coeff,
-    sym_direct_charpoly,
-)
-from .fuzz import (
-    CampaignResult,
-    Config,
-    random_matrix,
-    random_polynomial,
-    random_scalar,
-    run_campaign,
-    search_eigenpairs,
-    trial_seed,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+# Every public name, by the module that defines it.
+_EXPORTS = {
+    "errors": (
+        "BoundExceededError", "DomainError", "ParseError", "ShapeError", "SupertropicalError",
+    ),
+    "scalar": ("Kind", "ONE", "Scalar", "ZERO", "ghost", "parse_scalar", "tangible"),
+    "polynomial": (
+        "Interval", "Polynomial", "RootReport", "breakpoints", "coeff_strings", "essential",
+        "is_root", "parse_polynomial", "polynomial_from_strings", "primary_root", "roots",
+    ),
+    "matrix": (
+        "DetClass", "DetReport", "Matrix", "PermutationTrack", "char_poly", "det",
+        "format_matrix", "mat_mul", "mat_pow", "mat_surpasses", "mat_vec",
+        "matrix_from_json_dict", "parse_matrix", "principal_minor", "trace",
+    ),
+    "spectral": (
+        "EigenReport", "Verdict", "check_charpoly_power", "check_corner_root_power",
+        "check_det_rule", "check_eigen_power", "check_eigenpair", "check_frobenius",
+        "check_tangible_equality", "check_trace_power", "eigenvalues",
+    ),
+    "oracle": (
+        "SymMonomial", "SymPoly", "census_power_tracks", "enum_det", "minor_sum_charpoly",
+        "sampled_equiv", "sym_charpoly_coeff", "sym_direct_charpoly",
+    ),
+    "fuzz": (
+        "CampaignResult", "Config", "random_matrix", "random_polynomial", "random_scalar",
+        "run_campaign", "search_eigenpairs", "trial_seed",
+    ),
+}
+_HOME = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = [*_EXPORTS, *_HOME]
+
+
+def __getattr__(name: str):
+    if name in _EXPORTS:
+        value = importlib.import_module(f".{name}", __name__)
+    elif name in _HOME:
+        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -4,6 +4,9 @@ Subcommands: det, charpoly, roots, eigen, check, fuzz. Exit codes: 0 on
 success, 1 when a check or campaign found a violation, 2 for input errors,
 3 when a bound (dimension, degree, digit count, matrix or polynomial scale,
 matrix power or trial count) was exceeded.
+
+Every subcommand uses ``polynomial`` (and ``scalar``), which load with this
+module; each imports the rest of what it runs when it runs.
 """
 
 from __future__ import annotations
@@ -12,37 +15,16 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
+from .defaults import DEFAULT_DET_BOUND, DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_SEED, DEFAULT_TRIALS
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
-from .fuzz import Config, generate_trials, run_campaign, search_eigenpairs
-from .matrix import DEFAULT_DET_BOUND, Matrix, char_poly, det, matrix_from_json_dict, parse_matrix
-from .oracle import census_power_tracks, sym_charpoly_coeff, sym_direct_charpoly
-from .polynomial import (
-    Polynomial,
-    coeff_strings,
-    parse_polynomial,
-    polynomial_from_strings,
-    roots,
-)
-from .scalar import ZERO, ghost, tangible
-from .spectral import CHECKS, Trial, Verdict, check_eigen_power, check_frobenius, eigenvalues
+from .polynomial import Polynomial, coeff_strings, parse_polynomial, polynomial_from_strings, roots
 
-CHECK_IDS = (*CHECKS, "frobenius", "prop32", "claim35", "charpoly-equiv")
-
-# The input flags each check reads; checks not listed read -f and -m.
-_CHECK_FLAGS = {
-    "thm13": ("-f", "-g"),
-    "charpoly-equiv": ("-f",),
-    "claim35": ("-n", "-m"),
-    "frobenius": (),
-}
-
-# The flags that shape generated inputs, with their `Config` field names.
-_GENERATION_FLAGS = (
-    ("--trials", "trials"), ("--seed", "seed"), ("--max-n", "max_n"), ("--max-m", "max_m")
-)
+if TYPE_CHECKING:
+    from .fuzz import Config
+    from .matrix import Matrix
+    from .spectral import Trial, Verdict
 
 # How many eigenpairs `check prop32` looks for on its search lattice.
 _PROP32_MAX_PAIRS = 100
@@ -65,6 +47,7 @@ def _read_file(path: str, json_opener: str, from_json, from_text):
 
 
 def _read_matrix(path: str) -> Matrix:
+    from .matrix import matrix_from_json_dict, parse_matrix
     return _read_file(path, "{", matrix_from_json_dict, parse_matrix)
 
 
@@ -74,58 +57,50 @@ def _read_polynomial(arg: str) -> Polynomial:
     return parse_polynomial(arg)
 
 
-def _emit(data: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        print(text)
+def _emit(data: dict, as_json: bool, text: str) -> int:
+    print(json.dumps(data, sort_keys=True, indent=2) if as_json else text)
+    return 0
 
 
 def cmd_det(args) -> int:
+    from .matrix import det
     report = det(_read_matrix(args.path), bound=args.bound)
     names = ", ".join(t.name for t in report.dominant_tracks) or "none"
     text = f"{report.value} ({report.classification.value}), dominant: {names}"
-    _emit(report.to_json_dict(), args.json, text)
-    return 0
+    return _emit(report.to_json_dict(), args.json, text)
 
 
 def cmd_charpoly(args) -> int:
+    from .matrix import char_poly
     poly = char_poly(_read_matrix(args.path), bound=args.bound)
-    _emit({"coeffs": coeff_strings(poly), "text": str(poly)}, args.json, str(poly))
-    return 0
+    return _emit({"coeffs": coeff_strings(poly), "text": str(poly)}, args.json, str(poly))
 
 
 def _root_report_text(report) -> str:
-    lines = []
-    if report.is_identically_root:
-        lines.append("identically a root (every evaluation is ghost or -inf)")
     corners = ", ".join(f"{r} (mult {m})" for r, m in report.corner_roots) or "none"
-    lines.append(f"corner roots: {corners}")
     intervals = ", ".join(str(iv) for iv in report.ghost_intervals) or "none"
-    lines.append(f"ghost intervals: {intervals}")
+    lines = [f"corner roots: {corners}", f"ghost intervals: {intervals}"]
+    if report.is_identically_root:
+        lines.insert(0, "identically a root (every evaluation is ghost or -inf)")
     return "\n".join(lines)
 
 
 def cmd_roots(args) -> int:
     report = roots(_read_polynomial(args.poly))
-    _emit(report.to_json_dict(), args.json, _root_report_text(report))
-    return 0
+    return _emit(report.to_json_dict(), args.json, _root_report_text(report))
 
 
 def cmd_eigen(args) -> int:
+    from .spectral import eigenvalues
     report = eigenvalues(_read_matrix(args.path), bound=args.bound)
     values = ", ".join(f"{v} (mult {m})" for v, m in report.eigenvalues) or "none"
     region = ", ".join(str(iv) for iv in report.ghost_region) or "none"
     text = f"eigenvalues: {values}\nghost root region: {region}"
-    _emit(report.to_json_dict(), args.json, text)
-    return 0
+    return _emit(report.to_json_dict(), args.json, text)
 
 
 def _verdict_text(v: Verdict) -> str:
-    if v.holds is None:
-        status = "N/A "
-    else:
-        status = "PASS" if v.holds else "FAIL"
+    status = "N/A " if v.holds is None else "PASS" if v.holds else "FAIL"
     lines = [f"{status} {v.check}"]
     for record in v.detail:
         lines.append("  " + "  ".join(f"{k}={val}" for k, val in record.items()))
@@ -137,8 +112,7 @@ def _verdict_text(v: Verdict) -> str:
 def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
     if as_json:
         payload = [v.to_json_dict() for v in verdicts]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         sort_keys=True, indent=2))
+        print(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2))
     else:
         for v in verdicts:
             print(_verdict_text(v))
@@ -146,11 +120,11 @@ def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
 
 
 def _generated_config(args) -> Config:
-    """The campaign shape the generation flags give, for `fuzz` and `check`.
-
-    Each flag named after a `Config` field sets that field, flags left out
-    take `Config`'s defaults, and `check`'s -m fixes the power.
-    """
+    """The campaign shape the generation flags give, for `fuzz` and `check`:
+    each flag named after a `Config` field sets that field, flags left out
+    take `Config`'s defaults, and `check`'s -m fixes the power."""
+    from dataclasses import fields
+    from .fuzz import Config
     names = {f.name for f in fields(Config)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     if getattr(args, "power", None) is not None:
@@ -161,112 +135,152 @@ def _generated_config(args) -> Config:
 def _summary(check_id: str, verdicts: Iterable[Verdict]) -> Verdict:
     """One verdict over many cases: the case and failure counts, and the
     first failure's witness."""
-    cases = 0
-    failures = []
-    for v in verdicts:
-        cases += 1
+    from .spectral import Verdict
+    cases, failures = 0, []
+    for cases, v in enumerate(verdicts, start=1):
         if v.holds is False:
             failures.append(v)
-    return Verdict(
-        check_id,
-        not failures,
-        failures[0].witness if failures else None,
-        ({"cases": cases, "failures": len(failures)},),
-    )
+    witness = failures[0].witness if failures else None
+    return Verdict(check_id, not failures, witness, ({"cases": cases, "failures": len(failures)},))
 
 
-def _charpoly_equiv(t: Trial) -> Verdict:
-    """Does the kernel's charpoly(A) equal the one the direct route expands?"""
-    same = t.alpha == sym_direct_charpoly(t.a, t.bound)
-    return Verdict("charpoly-equiv", same, None if same else {"matrix": t.a.to_json_dict()})
+def _power(args) -> int:
+    return 2 if args.power is None else args.power
 
 
-def cmd_check(args) -> int:
+def _file_trial(args) -> Trial:
+    """The trial that -f (and -g, else A again) and -m give."""
+    from .spectral import Trial
+    a = _read_matrix(args.file)
+    b = _read_matrix(args.file_b) if args.file_b else a
+    return Trial(a, b, _power(args), args.bound)
+
+
+def _run_law(args) -> int:
+    """One of `spectral.CHECKS` on the file's trial, or tallied over a campaign."""
+    from .spectral import CHECKS, Verdict
     check_id = args.theorem
-    given = {"-f": args.file, "-g": args.file_b, "-m": args.power, "-n": args.dim}
-    for flag, value in given.items():
-        if value is not None and flag not in _CHECK_FLAGS.get(check_id, ("-f", "-m")):
-            raise DomainError(f"{flag} is not used by {check_id}")
-    if args.file_b is not None and args.file is None:
-        raise DomainError(f"-g is not used by {check_id} without -f")
-    for flag, name in _GENERATION_FLAGS:
-        if getattr(args, name) is None:
-            continue
-        if check_id in ("frobenius", "claim35"):
-            raise DomainError(f"{flag} is not used by {check_id}")
-        if args.file is not None:
-            raise DomainError(f"{flag} is not used by {check_id} with -f")
-        if flag == "--max-m" and args.power is not None:
-            raise DomainError(f"{flag} is not used by {check_id} with -m")
-    if args.full_census and (check_id != "claim35" or not args.json):
-        where = "claim35 without --json" if check_id == "claim35" else check_id
-        raise DomainError(f"--full-census is not used by {where}")
-    for flag, value in (("-m", args.power), ("-n", args.dim)):
-        if value is not None and value < 1:
-            raise DomainError(f"{flag} must be at least 1, got {value}")
-    m = 2 if args.power is None else args.power
-    if check_id == "claim35":
-        n = 2 if args.dim is None else args.dim
-        verdicts = [
-            census_power_tracks(n, m, k) for k in range(1, n + 1)
-        ]
-        if args.json:
-            payload = [v.to_json_dict() for v in verdicts]
-            if args.full_census:
-                for k, entry in enumerate(payload, start=1):
-                    entry["census"] = sym_charpoly_coeff(n, m, k).to_json_list()
-            print(json.dumps(payload, sort_keys=True, indent=2))
-            return 1 if any(v.holds is False for v in verdicts) else 0
-        return _print_verdicts(verdicts, False)
-    if check_id == "frobenius":
-        grid = [ZERO] + [f(v) for v in range(-3, 4) for f in (tangible, ghost)]
-        cases = (check_frobenius(a, b, n) for a in grid for b in grid for n in range(1, 5))
-        return _print_verdicts([_summary(check_id, cases)], args.json)
-    if check_id == "prop32":
-        if not args.file:
-            raise DomainError("prop32 needs a matrix file (-f)")
-        a = _read_matrix(args.file)
-        pairs = search_eigenpairs(a, bound=args.bound, max_results=_PROP32_MAX_PAIRS)
-        if not pairs:
-            v = Verdict("eigen-power", None, None,
-                        ({"note": "no tangible eigenpair found on the search lattice"},))
-            return _print_verdicts([v], args.json)
-        verdicts = [check_eigen_power(a, v, x, m) for v, x in pairs]
-        return _print_verdicts(verdicts, args.json)
-
-    check = _charpoly_equiv if check_id == "charpoly-equiv" else CHECKS[check_id]
     if args.file:
-        a = _read_matrix(args.file)
-        b = _read_matrix(args.file_b) if args.file_b else a
-        return _print_verdicts([check(Trial(a, b, m, args.bound))], args.json)
-    cfg = _generated_config(args)
-    if check_id == "charpoly-equiv":
-        verdicts = map(check, generate_trials(cfg))
-        return _print_verdicts([_summary(check_id, verdicts)], args.json)
-    result = run_campaign(cfg, (check_id,))
+        return _print_verdicts([CHECKS[check_id](_file_trial(args))], args.json)
+    from .fuzz import run_campaign
+    result = run_campaign(_generated_config(args), (check_id,))
     first = result.violations[0]["verdict"] if result.violations else {}
     summary = Verdict(check_id, result.ok, first.get("witness"), (result.tallies[check_id],))
     return _print_verdicts([summary], args.json)
 
 
+def _run_charpoly_equiv(args) -> int:
+    """Does the kernel's charpoly(A) equal the one the direct route expands?"""
+    from .oracle import sym_direct_charpoly
+    from .spectral import Verdict
+
+    def check(t: Trial) -> Verdict:
+        same = t.alpha == sym_direct_charpoly(t.a, t.bound)
+        return Verdict("charpoly-equiv", same, None if same else {"matrix": t.a.to_json_dict()})
+
+    if args.file:
+        return _print_verdicts([check(_file_trial(args))], args.json)
+    from .fuzz import generate_trials
+    verdicts = map(check, generate_trials(_generated_config(args)))
+    return _print_verdicts([_summary(args.theorem, verdicts)], args.json)
+
+
+def _run_frobenius(args) -> int:
+    from .scalar import ZERO, ghost, tangible
+    from .spectral import check_frobenius
+    grid = [ZERO] + [f(v) for v in range(-3, 4) for f in (tangible, ghost)]
+    cases = (check_frobenius(a, b, n) for a in grid for b in grid for n in range(1, 5))
+    return _print_verdicts([_summary(args.theorem, cases)], args.json)
+
+
+def _run_prop32(args) -> int:
+    from .fuzz import search_eigenpairs
+    from .spectral import Verdict, check_eigen_power
+    a = _read_matrix(args.file)
+    pairs = search_eigenpairs(a, bound=args.bound, max_results=_PROP32_MAX_PAIRS)
+    verdicts = [check_eigen_power(a, v, x, _power(args)) for v, x in pairs]
+    note = {"note": "no tangible eigenpair found on the search lattice"}
+    return _print_verdicts(verdicts or [Verdict("eigen-power", None, None, (note,))], args.json)
+
+
+def _run_claim35(args) -> int:
+    from .oracle import census_power_tracks, sym_charpoly_coeff
+    n, m = 2 if args.dim is None else args.dim, _power(args)
+    verdicts = [census_power_tracks(n, m, k) for k in range(1, n + 1)]
+    if not args.json:
+        return _print_verdicts(verdicts, False)
+    payload = [v.to_json_dict() for v in verdicts]
+    if args.full_census:
+        for k, entry in enumerate(payload, start=1):
+            entry["census"] = sym_charpoly_coeff(n, m, k).to_json_list()
+    print(json.dumps(payload, sort_keys=True, indent=2))
+    return 1 if any(v.holds is False for v in verdicts) else 0
+
+
+# Every `check` id in `check --help` order, laws first: the flags it reads,
+# whether it draws generated trials without -f, and its runner. A check that
+# reads no -f reads no generation flag; one that reads -f but draws no trials needs it.
+_LAW = (("-f", "-m"), True, _run_law)
+_CHECK_TABLE = {
+    "thm36": _LAW,
+    "thm13": (("-f", "-g"), True, _run_law),
+    "cor37": _LAW,
+    "cor38": _LAW,
+    "trace": _LAW,
+    "frobenius": ((), False, _run_frobenius),
+    "prop32": (("-f", "-m"), False, _run_prop32),
+    "claim35": (("-n", "-m", "--full-census"), False, _run_claim35),
+    "charpoly-equiv": (("-f",), True, _run_charpoly_equiv),
+}
+CHECK_IDS = tuple(_CHECK_TABLE)
+
+
+def _at_least_one(flag: str, value: int | None) -> None:
+    if value is not None and value < 1:
+        raise DomainError(f"{flag} must be at least 1, got {value}")
+
+
+def cmd_check(args) -> int:
+    check_id = args.theorem
+    reads, generated, run = _CHECK_TABLE[check_id]
+    given = {"-f": args.file, "-g": args.file_b, "-m": args.power, "-n": args.dim}
+    for flag, value in given.items():
+        if value is not None and flag not in reads:
+            raise DomainError(f"{flag} is not used by {check_id}")
+    if args.file_b is not None and args.file is None:
+        raise DomainError(f"-g is not used by {check_id} without -f")
+    generation = {"--trials": args.trials, "--seed": args.seed,
+                  "--max-n": args.max_n, "--max-m": args.max_m}
+    for flag, value in generation.items():
+        if value is None:
+            continue
+        if "-f" not in reads:
+            raise DomainError(f"{flag} is not used by {check_id}")
+        if args.file is not None:
+            raise DomainError(f"{flag} is not used by {check_id} with -f")
+        if flag == "--max-m" and args.power is not None:
+            raise DomainError(f"{flag} is not used by {check_id} with -m")
+    if args.full_census and not ("--full-census" in reads and args.json):
+        where = " without --json" if "--full-census" in reads else ""
+        raise DomainError(f"--full-census is not used by {check_id}{where}")
+    _at_least_one("-m", args.power)
+    _at_least_one("-n", args.dim)
+    if "-f" in reads and not (generated or args.file):
+        raise DomainError(f"{check_id} needs a matrix file (-f)")
+    return run(args)
+
+
 def cmd_fuzz(args) -> int:
+    from .fuzz import run_campaign
     cfg = _generated_config(args)
     result = run_campaign(cfg)
-    if args.json:
-        print(result.to_json())
-    else:
-        print(
-            f"fuzz: {cfg.trials} trials, seed {cfg.seed}, "
-            f"n in [{cfg.min_n},{cfg.max_n}], m in [{cfg.min_m},{cfg.max_m}]"
-        )
-        for name, t in result.tallies.items():
-            print(f"  {name:<6} pass {t['pass']:>5}  fail {t['fail']:>3}  na {t['na']:>5}")
-        if result.violations:
-            print("violations:")
-            for item in result.violations:
-                print(json.dumps(item, sort_keys=True))
-        else:
-            print("violations: none")
+    lines = [f"fuzz: {cfg.trials} trials, seed {cfg.seed}, "
+             f"n in [{cfg.min_n},{cfg.max_n}], m in [{cfg.min_m},{cfg.max_m}]"]
+    lines += [f"  {name:<6} pass {t['pass']:>5}  fail {t['fail']:>3}  na {t['na']:>5}"
+              for name, t in result.tallies.items()]
+    lines.append("violations:" if result.violations else "violations: none")
+    lines += [json.dumps(item, sort_keys=True) for item in result.violations]
+    _emit(result.to_json_dict(), args.json, "\n".join(lines))
     return 0 if result.ok else 1
 
 
@@ -280,30 +294,19 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_bound=True):
         p.add_argument("--json", action="store_true", help="emit JSON")
         if with_bound:
-            p.add_argument(
-                "--bound", type=int, default=None,
-                help=f"dimension bound for det and charpoly (default {DEFAULT_DET_BOUND})",
-            )
+            p.add_argument("--bound", type=int, default=None, help="dimension bound for det "
+                           f"and charpoly (default {DEFAULT_DET_BOUND})")
 
-    p = sub.add_parser("det", help="determinant with dominant tracks")
-    p.add_argument("path", help="matrix file (text or JSON)")
-    add_common(p)
-    p.set_defaults(func=cmd_det)
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial")
-    p.add_argument("path")
-    add_common(p)
-    p.set_defaults(func=cmd_charpoly)
-
-    p = sub.add_parser("roots", help="root report for a polynomial")
-    p.add_argument("poly", help="polynomial string or file")
-    add_common(p, with_bound=False)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("eigen", help="eigenvalues of a matrix")
-    p.add_argument("path")
-    add_common(p)
-    p.set_defaults(func=cmd_eigen)
+    for name, func, what, arg, arg_help in (
+        ("det", cmd_det, "determinant with dominant tracks", "path", "matrix file (text or JSON)"),
+        ("charpoly", cmd_charpoly, "characteristic polynomial", "path", None),
+        ("roots", cmd_roots, "root report for a polynomial", "poly", "polynomial string or file"),
+        ("eigen", cmd_eigen, "eigenvalues of a matrix", "path", None),
+    ):
+        p = sub.add_parser(name, help=what)
+        p.add_argument(arg, help=arg_help)
+        add_common(p, with_bound=name != "roots")
+        p.set_defaults(func=func)
 
     p = sub.add_parser("check", help="run one law checker")
     p.add_argument("theorem", choices=CHECK_IDS)
@@ -311,25 +314,21 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--file-b", help="second matrix file (thm13)")
     p.add_argument("-m", "--power", type=int, default=None, help="matrix power")
     p.add_argument("-n", "--dim", type=int, default=None, help="dimension (claim35)")
-    p.add_argument("--trials", type=int, default=None,
-                   help=f"generated-input trials when no file is given (default {Config.trials})")
-    p.add_argument("--seed", type=int, default=None,
-                   help=f"generated-input seed (default {Config.seed})")
-    p.add_argument("--max-n", type=int, default=None,
-                   help=f"largest generated dimension (default {Config.max_n})")
-    p.add_argument("--max-m", type=int, default=None,
-                   help=f"largest generated power when -m is not given (default {Config.max_m})")
+    for flag, what, default in (
+        ("--trials", "generated-input trials when no file is given", DEFAULT_TRIALS),
+        ("--seed", "generated-input seed", DEFAULT_SEED),
+        ("--max-n", "largest generated dimension", DEFAULT_MAX_N),
+        ("--max-m", "largest generated power when -m is not given", DEFAULT_MAX_M),
+    ):
+        p.add_argument(flag, type=int, default=None, help=f"{what} (default {default})")
     p.add_argument("--full-census", action="store_true",
                    help="include the complete monomial census in JSON output")
     add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="seeded law-checking campaign")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-n", type=int)
-    p.add_argument("--max-n", type=int)
-    p.add_argument("--max-m", type=int)
+    for flag in ("--trials", "--seed", "--min-n", "--max-n", "--max-m"):
+        p.add_argument(flag, type=int)
     p.add_argument("--ghost-prob", type=float)
     add_common(p)
     p.set_defaults(func=cmd_fuzz)
@@ -340,13 +339,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _at_least_one("--bound", getattr(args, "bound", None))
         return args.func(args)
-    except BoundExceededError as exc:
+    except (BoundExceededError, ParseError, ShapeError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except (ParseError, ShapeError, DomainError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 3 if isinstance(exc, BoundExceededError) else 2
 
 
 if __name__ == "__main__":

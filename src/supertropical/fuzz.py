@@ -17,6 +17,7 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
+from .defaults import DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_SEED, DEFAULT_TRIALS
 from .errors import BoundExceededError, DomainError
 from .matrix import Matrix
 from .polynomial import Polynomial
@@ -35,12 +36,12 @@ MAX_TRIALS = 10**6
 class Config:
     """Campaign shape; the seed fully determines every generated input."""
 
-    trials: int = 100
-    seed: int = 0
+    trials: int = DEFAULT_TRIALS
+    seed: int = DEFAULT_SEED
     min_n: int = 2
-    max_n: int = 4
+    max_n: int = DEFAULT_MAX_N
     min_m: int = 2
-    max_m: int = 3
+    max_m: int = DEFAULT_MAX_M
     value_min: int = -5
     value_max: int = 5
     ghost_prob: float = 0.2

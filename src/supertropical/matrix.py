@@ -42,11 +42,11 @@ from enum import Enum
 from functools import cached_property
 from typing import Iterable, Sequence
 
+from .defaults import DEFAULT_DET_BOUND
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial
 from .scalar import Kind, ONE, Scalar, ZERO, _check_scale, _decode, parse_scalar
 
-DEFAULT_DET_BOUND = 9
 # The largest matrix power computed: its magnitudes grow m-fold.
 MAX_POWER = 10**6
 
@@ -54,9 +54,12 @@ MAX_POWER = 10**6
 _Keys = Sequence[Sequence[int | None]]
 
 
-def check_dim_bound(what: str, a: Matrix, bound: int | None) -> int:
-    """Refuse ``what`` for a matrix above the dimension bound; return the bound."""
-    limit = DEFAULT_DET_BOUND if bound is None else bound
+def check_dim_bound(
+    what: str, a: Matrix, bound: int | None, default: int = DEFAULT_DET_BOUND
+) -> int:
+    """Refuse ``what`` for a matrix above ``bound`` (``default`` when None);
+    return the bound."""
+    limit = default if bound is None else bound
     if a.n > limit:
         raise BoundExceededError(what, a.n, limit)
     return limit

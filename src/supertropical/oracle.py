@@ -34,10 +34,15 @@ from .spectral import Verdict
 
 Var = tuple[int, int]  # 0-based (row, column) entry variable
 
+# The largest dimension the enumerations accept unless given ``bound=``: set
+# apart from ``DEFAULT_DET_BOUND``, so that raising the production bound does
+# not raise the size of an ``n!`` enumeration.
+ORACLE_DIM_BOUND = 9
+
 
 def enum_det(a: Matrix, bound: int | None = None) -> DetReport:
     """Permanent by full permutation enumeration, with dominant-track report."""
-    check_dim_bound("determinant", a, bound)
+    check_dim_bound("determinant", a, bound, ORACLE_DIM_BOUND)
     rows = a.rows
     value = ZERO
     tracks: list[PermutationTrack] = []
@@ -72,7 +77,7 @@ def minor_sum_charpoly(a: Matrix, bound: int | None = None) -> Polynomial:
     enumerated determinant of the corresponding principal minor; the top
     coefficient is the unit.
     """
-    limit = check_dim_bound("characteristic polynomial", a, bound)
+    limit = check_dim_bound("characteristic polynomial", a, bound, ORACLE_DIM_BOUND)
     n = a.n
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
@@ -274,7 +279,7 @@ def sym_direct_charpoly(a: Matrix, bound: int | None = None) -> Polynomial:
     """Characteristic polynomial by the direct route: the permanent of the
     matrix with x joined onto the diagonal, expanded over the polynomial
     semiring by permutation enumeration."""
-    check_dim_bound("direct characteristic polynomial", a, bound)
+    check_dim_bound("direct characteristic polynomial", a, bound, ORACLE_DIM_BOUND)
     n = a.n
     x_plus = [
         [

@@ -190,6 +190,10 @@ class TestCheckCommand:
         assert out.startswith("PASS thm36")
         assert "pass=20" in out and "fail=0" in out
 
+    def test_every_law_is_a_check_id(self):
+        # The laws come first, in `CHECKS` order, as `check --help` lists them.
+        assert cli.CHECK_IDS[: len(CHECKS)] == tuple(CHECKS)
+
     def test_unknown_theorem_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:
             cli.main(["check", "thm99"])
@@ -332,6 +336,24 @@ class TestErrorPaths:
         assert code == 3
         assert "bound" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-1"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["det", "A"], ["charpoly", "A"], ["eigen", "A"], ["check", "thm36", "-f", "A"],
+         ["check", "frobenius"], ["fuzz", "--trials", "2"]],
+        ids=["det", "charpoly", "eigen", "check-f", "check-frobenius", "fuzz"],
+    )
+    def test_bound_below_one_exit_2(self, capsys, a_file, argv, bound):
+        code, out, err = run(capsys, *[a_file if arg == "A" else arg for arg in argv],
+                             "--bound", bound)
+        assert (code, out) == (2, "")
+        assert err == f"error: --bound must be at least 1, got {bound}\n"
+
+    def test_bound_one_is_a_bound(self, capsys, a_file):
+        code, out, err = run(capsys, "det", a_file, "--bound", "1")
+        assert (code, out) == (3, "")
+        assert err == "error: determinant: size 2 exceeds bound 1\n"
+
     def test_polynomial_degree_cap_exit_3(self, capsys):
         code, out, err = run(capsys, "roots", "x^100000000 + 1")
         assert code == 3
@@ -433,7 +455,7 @@ class TestErrorPaths:
             configs.append(cfg)
             return CampaignResult(cfg, {c: {"pass": 0, "fail": 0, "na": 0} for c in checks}, [])
 
-        monkeypatch.setattr(cli, "run_campaign", no_campaign)
+        monkeypatch.setattr("supertropical.fuzz.run_campaign", no_campaign)
         code, _, _ = run(capsys, *command, "--trials", str(MAX_TRIALS), "--json")
         assert code == 0
         assert [cfg.trials for cfg in configs] == [MAX_TRIALS]

@@ -73,3 +73,15 @@ def test_output_matches_golden(name, tmp_path, capsys):
     expected = (GOLDEN / name).read_text(encoding="utf-8")
     assert code == 0
     assert out == expected
+
+
+# The help texts show the defaults of --bound and of the generation flags,
+# which the parser reads from `supertropical.defaults`; recorded with Python
+# 3.11's argparse at 80 columns.
+@pytest.mark.parametrize("command", ["det", "check"])
+def test_help_matches_golden(command, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text(encoding="utf-8")

@@ -15,8 +15,12 @@ from supertropical import (
     SymPoly,
     census_power_tracks,
     char_poly,
+    det,
+    enum_det,
     essential,
     mat_pow,
+    minor_sum_charpoly,
+    oracle,
     parse_matrix,
     parse_polynomial,
     sampled_equiv,
@@ -126,6 +130,25 @@ class TestDirectCharpoly:
     def test_bound_rejected(self):
         with pytest.raises(BoundExceededError):
             sym_direct_charpoly(Matrix.identity(3), bound=2)
+
+
+class TestOracleBound:
+    """The enumerations default to their own dimension bound, not production's."""
+
+    @pytest.mark.parametrize("enumerate_", [enum_det, minor_sum_charpoly, sym_direct_charpoly])
+    def test_default_is_the_oracle_bound(self, enumerate_, monkeypatch):
+        monkeypatch.setattr(oracle, "ORACLE_DIM_BOUND", 2)
+        a = Matrix.identity(3)
+        with pytest.raises(BoundExceededError) as exc:
+            enumerate_(a)
+        assert (exc.value.size, exc.value.bound) == (3, 2)
+        assert det(a).value == char_poly(a).coeff(0)  # production keeps its own bound
+        enumerate_(a, bound=3)
+
+    def test_nine_by_default(self):
+        assert oracle.ORACLE_DIM_BOUND == 9
+        with pytest.raises(BoundExceededError, match="size 10 exceeds bound 9"):
+            enum_det(Matrix.identity(10))
 
 
 class TestSampledEquiv:
