@@ -7,12 +7,19 @@ with dominant-track reporting, characteristic polynomial), eigenvalue
 extraction, law checkers for the matrix-power relations, and symbolic
 brute-force oracles that validate the production code paths.
 
-Importing the package loads none of its modules: each name below is
-imported from its home module on first access (PEP 562), and is an
-ordinary module global from then on.
+Importing the package runs none of its modules. Each submodule below is
+registered in ``sys.modules`` and in this namespace as a lazy module
+(``importlib.util.LazyLoader``): it runs on the first attribute read or
+``import`` statement that reaches it, so code that looks modules up in
+``sys.modules`` finds every one of them. Each public name is read from its
+home module on first access (PEP 562) and is an ordinary module global from
+then on. That first read binds the name for good: if the home module's
+attribute is patched at that moment, the package keeps the patched object
+after the patch is undone.
 """
 
-import importlib
+import importlib.util
+import sys
 
 __version__ = "0.1.0"
 
@@ -50,13 +57,23 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = [*_EXPORTS, *_HOME]
 
 
+def _lazy_submodule(name: str):
+    """Register submodule ``name`` in ``sys.modules``, to run on first use."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+globals().update({name: _lazy_submodule(name) for name in _EXPORTS})
+
+
 def __getattr__(name: str):
-    if name in _EXPORTS:
-        value = importlib.import_module(f".{name}", __name__)
-    elif name in _HOME:
-        value = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
-    else:
+    if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(globals()[_HOME[name]], name)
     globals()[name] = value
     return value
 

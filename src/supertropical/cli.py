@@ -15,11 +15,25 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from typing import TYPE_CHECKING, Iterable
 
-from .defaults import DEFAULT_DET_BOUND, DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_SEED, DEFAULT_TRIALS
+from .defaults import (
+    DEFAULT_DET_BOUND,
+    DEFAULT_MAX_M,
+    DEFAULT_MAX_N,
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+    LAW_IDS,
+)
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
-from .polynomial import Polynomial, coeff_strings, parse_polynomial, polynomial_from_strings, roots
+from .polynomial import (
+    Polynomial,
+    coeff_strings,
+    parse_polynomial,
+    polynomial_from_strings,
+    roots,
+)
 
 if TYPE_CHECKING:
     from .fuzz import Config
@@ -57,9 +71,11 @@ def _read_polynomial(arg: str) -> Polynomial:
     return parse_polynomial(arg)
 
 
-def _emit(data: dict, as_json: bool, text: str) -> int:
-    print(json.dumps(data, sort_keys=True, indent=2) if as_json else text)
-    return 0
+def _emit(data: dict, as_json: bool, text: str) -> None:
+    if as_json:
+        print(json.dumps(data, sort_keys=True, indent=2))
+    else:
+        print(text)
 
 
 def cmd_det(args) -> int:
@@ -67,27 +83,32 @@ def cmd_det(args) -> int:
     report = det(_read_matrix(args.path), bound=args.bound)
     names = ", ".join(t.name for t in report.dominant_tracks) or "none"
     text = f"{report.value} ({report.classification.value}), dominant: {names}"
-    return _emit(report.to_json_dict(), args.json, text)
+    _emit(report.to_json_dict(), args.json, text)
+    return 0
 
 
 def cmd_charpoly(args) -> int:
     from .matrix import char_poly
     poly = char_poly(_read_matrix(args.path), bound=args.bound)
-    return _emit({"coeffs": coeff_strings(poly), "text": str(poly)}, args.json, str(poly))
+    _emit({"coeffs": coeff_strings(poly), "text": str(poly)}, args.json, str(poly))
+    return 0
 
 
 def _root_report_text(report) -> str:
-    corners = ", ".join(f"{r} (mult {m})" for r, m in report.corner_roots) or "none"
-    intervals = ", ".join(str(iv) for iv in report.ghost_intervals) or "none"
-    lines = [f"corner roots: {corners}", f"ghost intervals: {intervals}"]
+    lines = []
     if report.is_identically_root:
-        lines.insert(0, "identically a root (every evaluation is ghost or -inf)")
+        lines.append("identically a root (every evaluation is ghost or -inf)")
+    corners = ", ".join(f"{r} (mult {m})" for r, m in report.corner_roots) or "none"
+    lines.append(f"corner roots: {corners}")
+    intervals = ", ".join(str(iv) for iv in report.ghost_intervals) or "none"
+    lines.append(f"ghost intervals: {intervals}")
     return "\n".join(lines)
 
 
 def cmd_roots(args) -> int:
     report = roots(_read_polynomial(args.poly))
-    return _emit(report.to_json_dict(), args.json, _root_report_text(report))
+    _emit(report.to_json_dict(), args.json, _root_report_text(report))
+    return 0
 
 
 def cmd_eigen(args) -> int:
@@ -96,11 +117,15 @@ def cmd_eigen(args) -> int:
     values = ", ".join(f"{v} (mult {m})" for v, m in report.eigenvalues) or "none"
     region = ", ".join(str(iv) for iv in report.ghost_region) or "none"
     text = f"eigenvalues: {values}\nghost root region: {region}"
-    return _emit(report.to_json_dict(), args.json, text)
+    _emit(report.to_json_dict(), args.json, text)
+    return 0
 
 
 def _verdict_text(v: Verdict) -> str:
-    status = "N/A " if v.holds is None else "PASS" if v.holds else "FAIL"
+    if v.holds is None:
+        status = "N/A "
+    else:
+        status = "PASS" if v.holds else "FAIL"
     lines = [f"{status} {v.check}"]
     for record in v.detail:
         lines.append("  " + "  ".join(f"{k}={val}" for k, val in record.items()))
@@ -112,7 +137,8 @@ def _verdict_text(v: Verdict) -> str:
 def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
     if as_json:
         payload = [v.to_json_dict() for v in verdicts]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload, sort_keys=True, indent=2))
+        print(json.dumps(payload[0] if len(payload) == 1 else payload,
+                         sort_keys=True, indent=2))
     else:
         for v in verdicts:
             print(_verdict_text(v))
@@ -120,10 +146,11 @@ def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
 
 
 def _generated_config(args) -> Config:
-    """The campaign shape the generation flags give, for `fuzz` and `check`:
-    each flag named after a `Config` field sets that field, flags left out
-    take `Config`'s defaults, and `check`'s -m fixes the power."""
-    from dataclasses import fields
+    """The campaign shape the generation flags give, for `fuzz` and `check`.
+
+    Each flag named after a `Config` field sets that field, flags left out
+    take `Config`'s defaults, and `check`'s -m fixes the power.
+    """
     from .fuzz import Config
     names = {f.name for f in fields(Config)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
@@ -136,12 +163,18 @@ def _summary(check_id: str, verdicts: Iterable[Verdict]) -> Verdict:
     """One verdict over many cases: the case and failure counts, and the
     first failure's witness."""
     from .spectral import Verdict
-    cases, failures = 0, []
-    for cases, v in enumerate(verdicts, start=1):
+    cases = 0
+    failures = []
+    for v in verdicts:
+        cases += 1
         if v.holds is False:
             failures.append(v)
-    witness = failures[0].witness if failures else None
-    return Verdict(check_id, not failures, witness, ({"cases": cases, "failures": len(failures)},))
+    return Verdict(
+        check_id,
+        not failures,
+        failures[0].witness if failures else None,
+        ({"cases": cases, "failures": len(failures)},),
+    )
 
 
 def _power(args) -> int:
@@ -198,35 +231,37 @@ def _run_prop32(args) -> int:
     from .spectral import Verdict, check_eigen_power
     a = _read_matrix(args.file)
     pairs = search_eigenpairs(a, bound=args.bound, max_results=_PROP32_MAX_PAIRS)
+    if not pairs:
+        v = Verdict("eigen-power", None, None,
+                    ({"note": "no tangible eigenpair found on the search lattice"},))
+        return _print_verdicts([v], args.json)
     verdicts = [check_eigen_power(a, v, x, _power(args)) for v, x in pairs]
-    note = {"note": "no tangible eigenpair found on the search lattice"}
-    return _print_verdicts(verdicts or [Verdict("eigen-power", None, None, (note,))], args.json)
+    return _print_verdicts(verdicts, args.json)
 
 
 def _run_claim35(args) -> int:
     from .oracle import census_power_tracks, sym_charpoly_coeff
     n, m = 2 if args.dim is None else args.dim, _power(args)
     verdicts = [census_power_tracks(n, m, k) for k in range(1, n + 1)]
-    if not args.json:
-        return _print_verdicts(verdicts, False)
-    payload = [v.to_json_dict() for v in verdicts]
-    if args.full_census:
-        for k, entry in enumerate(payload, start=1):
-            entry["census"] = sym_charpoly_coeff(n, m, k).to_json_list()
-    print(json.dumps(payload, sort_keys=True, indent=2))
-    return 1 if any(v.holds is False for v in verdicts) else 0
+    if args.json:
+        payload = [v.to_json_dict() for v in verdicts]
+        if args.full_census:
+            for k, entry in enumerate(payload, start=1):
+                entry["census"] = sym_charpoly_coeff(n, m, k).to_json_list()
+        print(json.dumps(payload, sort_keys=True, indent=2))
+        return 1 if any(v.holds is False for v in verdicts) else 0
+    return _print_verdicts(verdicts, False)
 
 
 # Every `check` id in `check --help` order, laws first: the flags it reads,
 # whether it draws generated trials without -f, and its runner. A check that
-# reads no -f reads no generation flag; one that reads -f but draws no trials needs it.
-_LAW = (("-f", "-m"), True, _run_law)
+# reads no -f reads no generation flag; one that reads -f but draws no trials
+# needs it. thm13 (det(AB)) reads a second matrix and no power.
 _CHECK_TABLE = {
-    "thm36": _LAW,
-    "thm13": (("-f", "-g"), True, _run_law),
-    "cor37": _LAW,
-    "cor38": _LAW,
-    "trace": _LAW,
+    **{
+        law: (("-f", "-g") if law == "thm13" else ("-f", "-m"), True, _run_law)
+        for law in LAW_IDS
+    },
     "frobenius": ((), False, _run_frobenius),
     "prop32": (("-f", "-m"), False, _run_prop32),
     "claim35": (("-n", "-m", "--full-census"), False, _run_claim35),
@@ -274,13 +309,21 @@ def cmd_fuzz(args) -> int:
     from .fuzz import run_campaign
     cfg = _generated_config(args)
     result = run_campaign(cfg)
-    lines = [f"fuzz: {cfg.trials} trials, seed {cfg.seed}, "
-             f"n in [{cfg.min_n},{cfg.max_n}], m in [{cfg.min_m},{cfg.max_m}]"]
-    lines += [f"  {name:<6} pass {t['pass']:>5}  fail {t['fail']:>3}  na {t['na']:>5}"
-              for name, t in result.tallies.items()]
-    lines.append("violations:" if result.violations else "violations: none")
-    lines += [json.dumps(item, sort_keys=True) for item in result.violations]
-    _emit(result.to_json_dict(), args.json, "\n".join(lines))
+    if args.json:
+        print(result.to_json())
+    else:
+        print(
+            f"fuzz: {cfg.trials} trials, seed {cfg.seed}, "
+            f"n in [{cfg.min_n},{cfg.max_n}], m in [{cfg.min_m},{cfg.max_m}]"
+        )
+        for name, t in result.tallies.items():
+            print(f"  {name:<6} pass {t['pass']:>5}  fail {t['fail']:>3}  na {t['na']:>5}")
+        if result.violations:
+            print("violations:")
+            for item in result.violations:
+                print(json.dumps(item, sort_keys=True))
+        else:
+            print("violations: none")
     return 0 if result.ok else 1
 
 
@@ -294,19 +337,30 @@ def build_parser() -> argparse.ArgumentParser:
     def add_common(p, with_bound=True):
         p.add_argument("--json", action="store_true", help="emit JSON")
         if with_bound:
-            p.add_argument("--bound", type=int, default=None, help="dimension bound for det "
-                           f"and charpoly (default {DEFAULT_DET_BOUND})")
+            p.add_argument(
+                "--bound", type=int, default=None,
+                help=f"dimension bound for det and charpoly (default {DEFAULT_DET_BOUND})",
+            )
 
-    for name, func, what, arg, arg_help in (
-        ("det", cmd_det, "determinant with dominant tracks", "path", "matrix file (text or JSON)"),
-        ("charpoly", cmd_charpoly, "characteristic polynomial", "path", None),
-        ("roots", cmd_roots, "root report for a polynomial", "poly", "polynomial string or file"),
-        ("eigen", cmd_eigen, "eigenvalues of a matrix", "path", None),
-    ):
-        p = sub.add_parser(name, help=what)
-        p.add_argument(arg, help=arg_help)
-        add_common(p, with_bound=name != "roots")
-        p.set_defaults(func=func)
+    p = sub.add_parser("det", help="determinant with dominant tracks")
+    p.add_argument("path", help="matrix file (text or JSON)")
+    add_common(p)
+    p.set_defaults(func=cmd_det)
+
+    p = sub.add_parser("charpoly", help="characteristic polynomial")
+    p.add_argument("path")
+    add_common(p)
+    p.set_defaults(func=cmd_charpoly)
+
+    p = sub.add_parser("roots", help="root report for a polynomial")
+    p.add_argument("poly", help="polynomial string or file")
+    add_common(p, with_bound=False)
+    p.set_defaults(func=cmd_roots)
+
+    p = sub.add_parser("eigen", help="eigenvalues of a matrix")
+    p.add_argument("path")
+    add_common(p)
+    p.set_defaults(func=cmd_eigen)
 
     p = sub.add_parser("check", help="run one law checker")
     p.add_argument("theorem", choices=CHECK_IDS)
@@ -314,21 +368,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-g", "--file-b", help="second matrix file (thm13)")
     p.add_argument("-m", "--power", type=int, default=None, help="matrix power")
     p.add_argument("-n", "--dim", type=int, default=None, help="dimension (claim35)")
-    for flag, what, default in (
-        ("--trials", "generated-input trials when no file is given", DEFAULT_TRIALS),
-        ("--seed", "generated-input seed", DEFAULT_SEED),
-        ("--max-n", "largest generated dimension", DEFAULT_MAX_N),
-        ("--max-m", "largest generated power when -m is not given", DEFAULT_MAX_M),
-    ):
-        p.add_argument(flag, type=int, default=None, help=f"{what} (default {default})")
+    p.add_argument("--trials", type=int, default=None,
+                   help=f"generated-input trials when no file is given (default {DEFAULT_TRIALS})")
+    p.add_argument("--seed", type=int, default=None,
+                   help=f"generated-input seed (default {DEFAULT_SEED})")
+    p.add_argument("--max-n", type=int, default=None,
+                   help=f"largest generated dimension (default {DEFAULT_MAX_N})")
+    p.add_argument("--max-m", type=int, default=None,
+                   help=f"largest generated power when -m is not given (default {DEFAULT_MAX_M})")
     p.add_argument("--full-census", action="store_true",
                    help="include the complete monomial census in JSON output")
     add_common(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="seeded law-checking campaign")
-    for flag in ("--trials", "--seed", "--min-n", "--max-n", "--max-m"):
-        p.add_argument(flag, type=int)
+    p.add_argument("--trials", type=int)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--min-n", type=int)
+    p.add_argument("--max-n", type=int)
+    p.add_argument("--max-m", type=int)
     p.add_argument("--ghost-prob", type=float)
     add_common(p)
     p.set_defaults(func=cmd_fuzz)
@@ -341,9 +399,12 @@ def main(argv=None) -> int:
     try:
         _at_least_one("--bound", getattr(args, "bound", None))
         return args.func(args)
-    except (BoundExceededError, ParseError, ShapeError, DomainError, OSError) as exc:
+    except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3 if isinstance(exc, BoundExceededError) else 2
+        return 3
+    except (ParseError, ShapeError, DomainError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

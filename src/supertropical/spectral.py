@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Sequence
 
+from .defaults import LAW_IDS
 from .errors import DomainError
 from .matrix import (
     Matrix,
@@ -260,16 +261,15 @@ def _trace_power(t: Trial) -> Verdict:
     return Verdict("trace-power", holds, witness, ({"lhs": str(lhs), "rhs": str(rhs)},))
 
 
-CHECKS: dict[str, Callable[[Trial], Verdict]] = {
-    "thm36": _charpoly_power,
-    "thm13": _det_rule,
-    "cor37": _tangible_equality,
-    "cor38": _corner_root_power,
-    "trace": _trace_power,
-}
+CHECKS: dict[str, Callable[[Trial], Verdict]] = dict(zip(
+    LAW_IDS,
+    (_charpoly_power, _det_rule, _tangible_equality, _corner_root_power, _trace_power),
+    strict=True,
+))
 """The matrix-power laws by check id, each a function of one ``Trial``.
 
-Both ``check`` and ``fuzz`` dispatch through this table, and every law reads
+The ids are ``defaults.LAW_IDS``, which the command line reads without
+loading this module. Both ``check`` and ``fuzz`` dispatch through this table, and every law reads
 the trial's cached A^m and characteristic polynomials instead of computing
 its own. A campaign runs the laws in this order, which is also the order of
 one trial's entries in the violations list.

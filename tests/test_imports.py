@@ -1,7 +1,9 @@
-"""The package and the command line load only the modules they use.
+"""The package and the command line run only the modules they use.
 
 Each case runs in a fresh interpreter and reads ``sys.modules`` there: in
-this process every module is loaded already.
+this process every module has run already. The package registers each
+submodule in ``sys.modules`` as a lazy module that has not run yet; its type
+turns into a plain module when it runs, and ``type()`` does not run it.
 """
 
 from __future__ import annotations
@@ -51,27 +53,44 @@ def fresh(code: str, *args: str):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-LOADED = (
-    "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules"
-    " if m.startswith('supertropical.'))))"
+# The package modules that have run, as an expression over sys and types.
+RAN = (
+    "sorted(n.split('.', 1)[1] for n, m in sys.modules.items()"
+    " if n.startswith('supertropical.') and type(m) is types.ModuleType)"
 )
 
 
 def cli_modules(tmp_path, *argv: str) -> set[str]:
-    """The package modules a CLI call loads, after checking that it succeeded."""
+    """The package modules a CLI call runs, after checking that it succeeded."""
     path = tmp_path / "A.txt"
     path.write_text("0 0\n1 2\n", encoding="utf-8")
     code = (
-        "import contextlib, io, json, sys\n"
+        "import contextlib, io, json, sys, types\n"
         "from supertropical import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
-        "    assert cli.main(sys.argv[1:]) == 0\n" + LOADED
+        "    assert cli.main(sys.argv[1:]) == 0\n"
+        f"print(json.dumps({RAN}))"
     )
     return set(fresh(code, *(str(path) if arg == "A" else arg for arg in argv)))
 
 
-def test_import_loads_no_submodule():
-    assert set(fresh("import json, sys, supertropical\n" + LOADED)) <= {"errors"}
+def test_import_runs_no_submodule():
+    ran = fresh(f"import json, sys, types, supertropical\nprint(json.dumps({RAN}))")
+    assert set(ran) <= {"errors"}
+
+
+def test_import_registers_every_submodule():
+    # Code that scans sys.modules after `import supertropical` finds every
+    # submodule, and reading one of its attributes runs it.
+    code = (
+        "import json, sys, types, supertropical\n"
+        "registered = sorted(n for n in sys.modules if n.startswith('supertropical.'))\n"
+        "sys.modules['supertropical.oracle'].enum_det\n"
+        f"print(json.dumps([registered, {RAN}]))"
+    )
+    registered, ran = fresh(code)
+    assert registered == sorted(f"supertropical.{name}" for name in EXPORTED)
+    assert {"oracle", "matrix", "spectral"} <= set(ran)
 
 
 def test_roots_loads_no_matrix_module(tmp_path):
