@@ -185,7 +185,7 @@ def _file_trial(args) -> Trial:
     """The trial that -f (and -g, else A again) and -m give."""
     from .spectral import Trial
     a = _read_matrix(args.file)
-    b = _read_matrix(args.file_b) if args.file_b else a
+    b = a if args.file_b is None else _read_matrix(args.file_b)
     return Trial(a, b, _power(args), args.bound)
 
 
@@ -193,7 +193,7 @@ def _run_law(args) -> int:
     """One of `spectral.CHECKS` on the file's trial, or tallied over a campaign."""
     from .spectral import CHECKS, Verdict
     check_id = args.theorem
-    if args.file:
+    if args.file is not None:
         return _print_verdicts([CHECKS[check_id](_file_trial(args))], args.json)
     from .fuzz import run_campaign
     result = run_campaign(_generated_config(args), (check_id,))
@@ -211,7 +211,7 @@ def _run_charpoly_equiv(args) -> int:
         same = t.alpha == sym_direct_charpoly(t.a, t.bound)
         return Verdict("charpoly-equiv", same, None if same else {"matrix": t.a.to_json_dict()})
 
-    if args.file:
+    if args.file is not None:
         return _print_verdicts([check(_file_trial(args))], args.json)
     from .fuzz import generate_trials
     verdicts = map(check, generate_trials(_generated_config(args)))
@@ -259,13 +259,13 @@ def _run_claim35(args) -> int:
 # needs it. thm13 (det(AB)) reads a second matrix and no power.
 _CHECK_TABLE = {
     **{
-        law: (("-f", "-g") if law == "thm13" else ("-f", "-m"), True, _run_law)
+        law: (("-f", "-g" if law == "thm13" else "-m", "--bound"), True, _run_law)
         for law in LAW_IDS
     },
     "frobenius": ((), False, _run_frobenius),
-    "prop32": (("-f", "-m"), False, _run_prop32),
+    "prop32": (("-f", "-m", "--bound"), False, _run_prop32),
     "claim35": (("-n", "-m", "--full-census"), False, _run_claim35),
-    "charpoly-equiv": (("-f",), True, _run_charpoly_equiv),
+    "charpoly-equiv": (("-f", "--bound"), True, _run_charpoly_equiv),
 }
 CHECK_IDS = tuple(_CHECK_TABLE)
 
@@ -278,7 +278,8 @@ def _at_least_one(flag: str, value: int | None) -> None:
 def cmd_check(args) -> int:
     check_id = args.theorem
     reads, generated, run = _CHECK_TABLE[check_id]
-    given = {"-f": args.file, "-g": args.file_b, "-m": args.power, "-n": args.dim}
+    given = {"-f": args.file, "-g": args.file_b, "-m": args.power, "-n": args.dim,
+             "--bound": args.bound}
     for flag, value in given.items():
         if value is not None and flag not in reads:
             raise DomainError(f"{flag} is not used by {check_id}")
@@ -300,7 +301,7 @@ def cmd_check(args) -> int:
         raise DomainError(f"--full-census is not used by {check_id}{where}")
     _at_least_one("-m", args.power)
     _at_least_one("-n", args.dim)
-    if "-f" in reads and not (generated or args.file):
+    if "-f" in reads and not generated and args.file is None:
         raise DomainError(f"{check_id} needs a matrix file (-f)")
     return run(args)
 

@@ -17,7 +17,13 @@ from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
-from .defaults import DEFAULT_MAX_M, DEFAULT_MAX_N, DEFAULT_SEED, DEFAULT_TRIALS
+from .defaults import (
+    DEFAULT_DET_BOUND,
+    DEFAULT_MAX_M,
+    DEFAULT_MAX_N,
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+)
 from .errors import BoundExceededError, DomainError
 from .matrix import Matrix
 from .polynomial import Polynomial
@@ -55,6 +61,11 @@ class Config:
             raise BoundExceededError("trials", self.trials, MAX_TRIALS)
         if not 1 <= self.min_n <= self.max_n:
             raise DomainError("need 1 <= min_n <= max_n")
+        # Refused before any trial is drawn: an n-by-n draw and its key power
+        # cost time in n before the first dimension check reads n.
+        limit = DEFAULT_DET_BOUND if self.det_bound is None else self.det_bound
+        if self.max_n > limit:
+            raise BoundExceededError("largest generated dimension", self.max_n, limit)
         if not 1 <= self.min_m <= self.max_m:
             raise DomainError("need 1 <= min_m <= max_m")
         if self.value_min > self.value_max:

@@ -13,15 +13,12 @@ computations are guarded by an explicit dimension bound (default 9, set
 per call with ``bound=``, or with ``--bound`` on the command line).
 
 The kernels (the permanent table and the matrix product) run on plain
-integers. Multiplying every magnitude by one positive constant is an
-automorphism of the semiring: it keeps order, ties and kinds. So the
-entries are encoded once as keys, ``(magnitude * L) << 1 | is_ghost`` with
-``L`` the LCM of the input denominators and ``None`` for ``-inf``. A
-product of keys is ``x + y - (x & y & 1)``; a sum takes the key with the
-larger ``k >> 1``, and on a tie the ghost key ``k | 1``. Each output entry
-is decoded when read, so the API still returns exact ``Fraction`` magnitudes:
-a matrix result is decoded as it is returned, and the characteristic
-polynomial keeps its keys and decodes its coefficients on their first read.
+integers: the entries are encoded once as keys at one scale for all the
+input matrices, in the key format that ``scalar.py`` describes. Each output
+entry is decoded when read, so the API still returns exact ``Fraction``
+magnitudes: a matrix result is decoded as it is returned, and the
+characteristic polynomial keeps its keys and decodes its coefficients on
+their first read.
 The public functions are thin wrappers over private key-space helpers
 (``_encode``, ``_key_power``, ``_char_poly_from_keys``, ``_det_value``),
 which ``spectral.Trial`` calls directly to keep a trial's matrices as keys.
@@ -30,13 +27,12 @@ once: ``Matrix._keys`` and ``Matrix._char_poly`` are cached on the object,
 so ``det``, ``char_poly``, ``mat_pow`` and ``eigenvalues`` on one matrix
 share one encoding, and the charpoly table is built once however often it
 is asked for. Nothing is cached across matrix objects, and a pickle holds
-only the rows. A scale ``L`` of more than ``2 * MAX_LITERAL_DIGITS`` digits
-and a power above ``MAX_POWER`` are refused with ``BoundExceededError``.
+only the rows. A scale of more than ``2 * MAX_LITERAL_DIGITS`` digits and a
+power above ``MAX_POWER`` are refused with ``BoundExceededError``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -45,7 +41,7 @@ from typing import Iterable, Sequence
 from .defaults import DEFAULT_DET_BOUND
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial
-from .scalar import Kind, ONE, Scalar, ZERO, _check_scale, _decode, parse_scalar
+from .scalar import Kind, ONE, Scalar, ZERO, _decode, _encode_keys, _key_scale, parse_scalar
 
 # The largest matrix power computed: its magnitudes grow m-fold.
 MAX_POWER = 10**6
@@ -122,28 +118,13 @@ class Matrix:
 
 
 def _encode(*mats: Matrix) -> tuple[int, list[list[list[int | None]]]]:
-    """The scale ``L`` of the matrices and each one's entries as keys.
-
-    ``L`` is the LCM of the denominators of every nonzero entry (1 if there
-    is none); a key is the magnitude times ``L``, shifted left, ghost bit low.
-    An ``L`` of more than ``2 * MAX_LITERAL_DIGITS`` digits is refused, so
-    every computed magnitude stays within the interpreter's ``str()`` limit.
-    """
-    scale = math.lcm(
-        *{e.value.denominator for a in mats for row in a.rows for e in row if not e.is_zero}
+    """The joint scale of the matrices (see `scalar._key_scale`) and each
+    one's entries as keys at that scale."""
+    scale = _key_scale(
+        (e.value.denominator for a in mats for row in a.rows for e in row if not e.is_zero),
+        "matrix",
     )
-    _check_scale(scale, "matrix")
-    return scale, [
-        [
-            [
-                None if e.is_zero
-                else (e.value.numerator * (scale // e.value.denominator)) << 1 | e.is_ghost
-                for e in row
-            ]
-            for row in a.rows
-        ]
-        for a in mats
-    ]
+    return scale, [[_encode_keys(row, scale) for row in a.rows] for a in mats]
 
 
 def _decode_matrix(keys: _Keys, scale: int) -> Matrix:

@@ -12,9 +12,8 @@ essential monomial attains the maximum, evaluation is ghost over a whole
 interval of magnitudes.
 
 The envelope is computed on plain ints. A polynomial keeps its
-coefficients as keys too: a scale, a common multiple of the denominators,
-and per degree the key ``(numerator * (scale // denominator)) << 1 |
-is_ghost``, ``None`` for ``-inf``, as the matrix kernels do. Scaling every
+coefficients as keys too: a scale and a key per degree, in the format that
+``scalar.py`` describes and the matrix kernels use. Scaling every
 magnitude by one constant leaves the hull unchanged, and only the crossings
 that survive become exact `Fraction` values, once, at the end. Each
 `Polynomial` caches its envelope, so `roots`, `essential` and `breakpoints`
@@ -36,12 +35,12 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import BoundExceededError, DomainError, ParseError
 from .scalar import DIGITS, RATIONAL, check_digits, literal_ratio
-from .scalar import Kind, ONE, Scalar, ZERO, _check_scale, _decode, parse_scalar, tangible
+from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar, tangible
+from .scalar import _decode, _encode_keys, _key_scale
 
 
 @dataclass(frozen=True)
@@ -89,12 +88,10 @@ class Polynomial:
     def _keys(self) -> tuple[int, tuple[int | None, ...]]:
         """The scale and the coefficients as keys, derived once from
         ``coeffs`` unless `_from_keys` gave them."""
-        scale = _scale(dict.fromkeys(c.value.denominator for c in self.coeffs if not c.is_zero))
-        return scale, tuple([
-            None if c.is_zero
-            else (c.value.numerator * (scale // c.value.denominator)) << 1 | c.is_ghost
-            for c in self.coeffs
-        ])
+        scale = _key_scale(
+            (c.value.denominator for c in self.coeffs if not c.is_zero), "polynomial"
+        )
+        return scale, tuple(_encode_keys(self.coeffs, scale))
 
     def __getstate__(self) -> dict:
         """A pickle holds ``coeffs`` only, not the cached keys and envelope."""
@@ -225,7 +222,7 @@ def parse_polynomial(text: str) -> Polynomial:
     top = max(t[0] for t in terms)
     if top > MAX_PARSE_DEGREE:
         raise BoundExceededError("polynomial degree", top, MAX_PARSE_DEGREE)
-    scale = _scale(dict.fromkeys(q for _, p, q, _ in terms if p is not None))
+    scale = _key_scale((q for _, p, q, _ in terms if p is not None), "polynomial")
     keys: list[int | None] = [None] * (top + 1)
     for degree, p, q, ghost_bit in terms:
         if p is None:
@@ -238,18 +235,6 @@ def parse_polynomial(text: str) -> Polynomial:
         elif key >> 1 == old >> 1:
             keys[degree] = old | 1
     return Polynomial._from_keys(scale, keys)
-
-
-def _scale(denominators: Iterable[int]) -> int:
-    """The LCM of ``denominators``, taken in the order given and refused as
-    soon as the running LCM passes the scale cap, so an oversized one is
-    never built in full."""
-    scale = 1
-    for q in denominators:
-        if scale % q:
-            scale = lcm(scale, q)
-            _check_scale(scale, "polynomial")
-    return scale
 
 
 def coeff_strings(f: Polynomial) -> list[str]:

@@ -15,6 +15,8 @@ import re
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
+from typing import Iterable
 
 from .errors import BoundExceededError, DomainError, ParseError, _digit_count
 
@@ -195,7 +197,10 @@ def parse_scalar(text: str) -> Scalar:
 # Multiplying every magnitude by one positive constant ``scale`` keeps order,
 # ties and kinds, so a value is kept as the key
 # ``(numerator * (scale // denominator)) << 1 | is_ghost``, ``None`` for
-# ``-inf``, with ``scale`` a common multiple of the denominators at hand.
+# ``-inf``, with ``scale`` a common multiple of the denominators at hand
+# (`_key_scale`). In key space a product is ``x + y - (x & y & 1)``, and a sum
+# takes the key with the larger ``k >> 1``, or on a tie the ghost key
+# ``k | 1``. `_encode_keys` and `_decode` convert between keys and scalars.
 
 # A scale has at most the digits of two literal denominators, so every
 # magnitude computed from it stays within the interpreter's ``str()`` limit;
@@ -204,13 +209,29 @@ _MAX_SCALE_DIGITS = 2 * MAX_LITERAL_DIGITS
 _SCALE_LIMIT = 10**_MAX_SCALE_DIGITS
 
 
-def _check_scale(scale: int, what: str) -> None:
-    """Refuse a scale of more than `_MAX_SCALE_DIGITS` digits; ``what`` names
-    its owner (``matrix`` or ``polynomial``)."""
-    if scale >= _SCALE_LIMIT:
-        raise BoundExceededError(
-            f"digits of the {what} scale", _digit_count(scale), _MAX_SCALE_DIGITS
-        )
+def _key_scale(denominators: Iterable[int], what: str) -> int:
+    """The LCM of ``denominators``, taken in the order given and refused as
+    soon as the running LCM passes `_MAX_SCALE_DIGITS` digits, so an
+    oversized one is never built in full; ``what`` names its owner
+    (``matrix`` or ``polynomial``)."""
+    scale = 1
+    for q in dict.fromkeys(denominators):
+        if scale % q:
+            scale = lcm(scale, q)
+            if scale >= _SCALE_LIMIT:
+                raise BoundExceededError(
+                    f"digits of the {what} scale", _digit_count(scale), _MAX_SCALE_DIGITS
+                )
+    return scale
+
+
+def _encode_keys(values: Iterable[Scalar], scale: int) -> list[int | None]:
+    """The keys of ``values`` at ``scale``, a multiple of their denominators."""
+    return [
+        None if v.kind is Kind.ZERO
+        else (v.value.numerator * (scale // v.value.denominator)) << 1 | (v.kind is Kind.GHOST)
+        for v in values
+    ]
 
 
 def _decode(k: int | None, scale: int) -> Scalar:

@@ -149,11 +149,7 @@ class Trial:
 
     @cached_property
     def _keys(self) -> tuple[int, _Keys, _Keys]:
-        """The joint scale and the keys of ``a`` and ``b``, encoded once; the
-        matrix's own cached keys when ``b`` is ``a``."""
-        if self.b is self.a:
-            scale, x = self.a._keys
-            return scale, x, x
+        """The joint scale and the keys of ``a`` and ``b``, encoded once."""
         scale, (x, y) = _encode(self.a, self.b)
         return scale, x, y
 

@@ -225,8 +225,11 @@ class TestCheckCommand:
             (["check", "charpoly-equiv", "--trials", "3", "-m", "5"], "-m"),
             (["check", "thm36", "-f", "A", "-n", "7"], "-n"),
             (["check", "thm36", "-f", "A", "-g", "B"], "-g"),
+            (["check", "frobenius", "--bound", "2"], "--bound"),
+            (["check", "claim35", "--bound", "3"], "--bound"),
         ],
-        ids=["frobenius-f", "claim35-f", "charpoly-equiv-m", "thm36-n", "thm36-g"],
+        ids=["frobenius-f", "claim35-f", "charpoly-equiv-m", "thm36-n", "thm36-g",
+             "frobenius-bound", "claim35-bound"],
     )
     def test_unread_flag_exit_2(self, capsys, a_file, a2_file, argv, flag):
         files = {"A": a_file, "B": a2_file}
@@ -325,6 +328,18 @@ class TestErrorPaths:
         code, _, err = run(capsys, "det", "/does/not/exist.txt")
         assert code == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["check", "thm36", "-f", ""], ["check", "charpoly-equiv", "-f", ""],
+         ["check", "thm13", "-f", "A", "-g", ""]],
+        ids=["thm36-f", "charpoly-equiv-f", "thm13-g"],
+    )
+    def test_empty_path_exit_2(self, capsys, a_file, argv):
+        # An empty path is a file that cannot be opened, not a missing flag.
+        code, out, err = run(capsys, *[a_file if arg == "A" else arg for arg in argv])
+        assert (code, out) == (2, "")
+        assert err == "error: [Errno 2] No such file or directory: ''\n"
+
     def test_bound_exit_3(self, capsys, tmp_path):
         path = tmp_path / "big.txt"
         path.write_text("\n".join(" ".join("0" for _ in range(3)) for _ in range(3)))
@@ -390,7 +405,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command", ["det", "charpoly", "eigen"])
     def test_matrix_scale_cap_exit_3(self, capsys, tmp_path, command):
         # Five pairwise coprime 1,000-digit denominators on the diagonal: each
-        # literal is within its cap, but their LCM has 4,996 digits.
+        # literal is within its cap, but the running LCM of the first three
+        # has 2,998 digits, and it is refused there.
         rows = [
             " ".join(f"1/{10**999 + 2 * i + 1}" if i == j else "0" for j in range(5))
             for i in range(5)
@@ -400,7 +416,7 @@ class TestErrorPaths:
         code, out, err = run(capsys, command, str(path))
         assert (code, out) == (3, "")
         assert err == (
-            f"error: digits of the matrix scale: size 4996 exceeds bound {2 * MAX_LITERAL_DIGITS}\n"
+            f"error: digits of the matrix scale: size 2998 exceeds bound {2 * MAX_LITERAL_DIGITS}\n"
         )
 
     @pytest.mark.parametrize("source", ["text", "json"])
@@ -459,6 +475,16 @@ class TestErrorPaths:
         assert (code, out) == (3, "")
         assert err == f"error: trials: size {MAX_TRIALS + 1} exceeds bound {MAX_TRIALS}\n"
         assert len(configs) == 1
+
+    def test_max_n_cap(self, capsys):
+        # Refused before any trial is drawn, however large; within the
+        # dimension bound the campaign runs.
+        code, out, err = run(capsys, "fuzz", "--max-n", "1000000")
+        assert (code, out) == (3, "")
+        assert err == "error: largest generated dimension: size 1000000 exceeds bound 9\n"
+        code, out, _ = run(capsys, "fuzz", "--max-n", "12", "--bound", "12", "--trials", "1")
+        assert code == 0
+        assert out.startswith("fuzz: 1 trials, seed 0, n in [2,12], ")
 
     def test_matrix_power_at_cap(self, capsys, a_file):
         code, _, _ = run(capsys, "check", "thm36", "-f", a_file, "-m", str(MAX_POWER))
@@ -541,6 +567,69 @@ class TestInputBoundary:
                 except SystemExit as exc:
                     code = exc.code
         assert code in (0, 2, 3), err.getvalue()
+
+
+def _flag_values(valid, past_cap):
+    """A flag's text: a small valid value, or one past its cap."""
+    return st.one_of(valid, st.sampled_from(past_cap)).map(str)
+
+
+# Past every cap: below 1, above the power and trial caps, above the default
+# dimension bound (and so above every bound drawn here), and not a number.
+_PAST_CAP = (0, -1, MAX_POWER + 1, MAX_TRIALS + 1, 10, 10**30, "nan")
+NUMERIC_FLAGS = {
+    "--trials": _flag_values(st.integers(1, 3), _PAST_CAP),
+    "--max-n": _flag_values(st.integers(1, 4), _PAST_CAP),
+    "--max-m": _flag_values(st.integers(1, 3), _PAST_CAP),
+    "-m": _flag_values(st.integers(1, 3), _PAST_CAP),
+    "-n": _flag_values(st.integers(1, 4), _PAST_CAP),
+    "--bound": _flag_values(st.integers(1, 9), _PAST_CAP[:2] + ("nan",)),
+    "--ghost-prob": _flag_values(
+        st.floats(0, 1), (-0.5, 1.5, "nan", "inf", "-inf")
+    ),
+}
+# Each command with the numeric flags it reads, and whether it draws
+# generated trials. Those draw a --trials always, so that no example runs the
+# default 100 trials.
+FLAG_COMMANDS = [
+    (["fuzz"], ("--max-n", "--max-m", "--bound", "--ghost-prob"), True),
+    *(
+        (["check", check_id],
+         tuple(f for f in reads if f in NUMERIC_FLAGS) + ("--max-n", "--max-m") * generated,
+         generated)
+        for check_id, (reads, generated, _) in cli._CHECK_TABLE.items()
+    ),
+]
+
+
+@st.composite
+def flag_argvs(draw):
+    command, flags, generated = draw(st.sampled_from(FLAG_COMMANDS))
+    required = {"--trials": NUMERIC_FLAGS["--trials"]} if generated else {}
+    optional = {flag: NUMERIC_FLAGS[flag] for flag in flags}
+    values = draw(st.fixed_dictionaries(required, optional=optional))
+    return command + [arg for item in values.items() for arg in item]
+
+
+class TestFlagBoundary:
+    @settings(max_examples=150, deadline=None)
+    @given(flag_argvs())
+    @example(["fuzz", "--trials", "1", "--max-n", "1000000"])
+    @example(["check", "thm36", "--trials", str(10**30)])
+    @example(["check", "claim35", "-n", "3", "-m", str(MAX_POWER + 1)])
+    @example(["fuzz", "--trials", "1", "--ghost-prob", "nan"])
+    def test_exit_code_is_0_2_or_3(self, argv):
+        # Every value past a cap is refused before its work starts, so each
+        # example is quick; the laws are theorems, so exit 1 would be a
+        # finding, and any exception other than argparse's exit fails the test.
+        err = io.StringIO()
+        with redirect_stdout(io.StringIO()), redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 2, 3), err.getvalue()
+        assert "Traceback" not in err.getvalue()
 
 
 class TestFuzzCommand:

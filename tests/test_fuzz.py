@@ -8,6 +8,7 @@ from collections import Counter
 import pytest
 
 from supertropical import matrix, spectral
+from supertropical.defaults import DEFAULT_DET_BOUND
 from supertropical.fuzz import MAX_TRIALS, generate_trials
 from supertropical import (
     BoundExceededError,
@@ -50,6 +51,17 @@ class TestConfig:
         message = rf"^trials: size {MAX_TRIALS + 1} exceeds bound {MAX_TRIALS}$"
         with pytest.raises(BoundExceededError, match=message):
             Config(trials=MAX_TRIALS + 1)
+
+    def test_max_n_cap(self):
+        # The largest generated dimension is capped by the campaign's
+        # dimension bound, the default one when none is given.
+        assert Config(max_n=DEFAULT_DET_BOUND).max_n == DEFAULT_DET_BOUND
+        assert Config(max_n=12, det_bound=12).max_n == 12
+        message = rf"^largest generated dimension: size 10 exceeds bound {DEFAULT_DET_BOUND}$"
+        with pytest.raises(BoundExceededError, match=message):
+            Config(max_n=10)
+        with pytest.raises(BoundExceededError, match=r"size 4 exceeds bound 3$"):
+            Config(det_bound=3)
 
 
 class TestGenerators:

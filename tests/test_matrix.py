@@ -202,6 +202,21 @@ class TestCaps:
             with pytest.raises(BoundExceededError, match=message):
                 route(over)
 
+    def test_scale_refused_while_built(self):
+        # 256 distinct odd 1,000-digit denominators: their full LCM would
+        # have over 250,000 digits, but the running LCM passes the cap at
+        # the third denominator and is refused there.
+        n = 16
+        a = Matrix(tuple(
+            tuple(tangible(Fraction(1, 10**999 + 2 * (n * i + j) + 1)) for j in range(n))
+            for i in range(n)
+        ))
+        for route in (lambda a: det(a, bound=n), lambda a: char_poly(a, bound=n),
+                      lambda a: mat_mul(a, a)):
+            with pytest.raises(BoundExceededError, match="^digits of the matrix scale") as exc:
+                route(a)
+            assert 2000 < exc.value.size < 3000
+
     def test_power_cap(self):
         one = Matrix(((tangible(1),),))
         assert mat_pow(one, MAX_POWER) == Matrix(((tangible(MAX_POWER),),))
