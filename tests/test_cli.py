@@ -584,9 +584,7 @@ NUMERIC_FLAGS = {
     "-m": _flag_values(st.integers(1, 3), _PAST_CAP),
     "-n": _flag_values(st.integers(1, 4), _PAST_CAP),
     "--bound": _flag_values(st.integers(1, 9), _PAST_CAP[:2] + ("nan",)),
-    "--ghost-prob": _flag_values(
-        st.floats(0, 1), (-0.5, 1.5, "nan", "inf", "-inf")
-    ),
+    "--ghost-prob": _flag_values(st.floats(0, 1), (-0.5, 1.5, "nan", "inf", "-inf")),
 }
 # Each command with the numeric flags it reads, and whether it draws
 # generated trials. Those draw a --trials always, so that no example runs the
@@ -619,9 +617,10 @@ class TestFlagBoundary:
     @example(["check", "claim35", "-n", "3", "-m", str(MAX_POWER + 1)])
     @example(["fuzz", "--trials", "1", "--ghost-prob", "nan"])
     def test_exit_code_is_0_2_or_3(self, argv):
-        # Every value past a cap is refused before its work starts, so each
-        # example is quick; the laws are theorems, so exit 1 would be a
-        # finding, and any exception other than argparse's exit fails the test.
+        # A dimension, trial count or power past its cap is refused before it
+        # sizes any work, so each example is quick; the laws are theorems, so
+        # exit 1 would be a finding, and any exception other than argparse's
+        # exit fails the test.
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             try:
