@@ -12,10 +12,7 @@ registered in ``sys.modules`` and in this namespace as a lazy module
 (``importlib.util.LazyLoader``): it runs on the first attribute read or
 ``import`` statement that reaches it, so code that looks modules up in
 ``sys.modules`` finds every one of them. Each public name is read from its
-home module on first access (PEP 562) and is an ordinary module global from
-then on. That first read binds the name for good: if the home module's
-attribute is patched at that moment, the package keeps the patched object
-after the patch is undone.
+home module on every access (PEP 562); the package stores none of them.
 """
 
 import importlib.util
@@ -73,9 +70,7 @@ globals().update({name: _lazy_submodule(name) for name in _EXPORTS})
 def __getattr__(name: str):
     if name not in _HOME:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(globals()[_HOME[name]], name)
-    globals()[name] = value
-    return value
+    return getattr(globals()[_HOME[name]], name)
 
 
 def __dir__():

@@ -6,7 +6,9 @@ success, 1 when a check or campaign found a violation, 2 for input errors,
 matrix power or trial count) was exceeded.
 
 Every subcommand uses ``polynomial`` (and ``scalar``), which load with this
-module; each imports the rest of what it runs when it runs.
+module. The other submodules are bound here as the package's lazy modules:
+each runs when a command first reads one of its names, so a command runs
+only the modules it calls.
 """
 
 from __future__ import annotations
@@ -16,8 +18,9 @@ import json
 import os
 import sys
 from dataclasses import fields
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable
 
+from . import fuzz, matrix, oracle, scalar, spectral
 from .defaults import (
     DEFAULT_DET_BOUND,
     DEFAULT_MAX_M,
@@ -34,11 +37,6 @@ from .polynomial import (
     polynomial_from_strings,
     roots,
 )
-
-if TYPE_CHECKING:
-    from .fuzz import Config
-    from .matrix import Matrix
-    from .spectral import Trial, Verdict
 
 # How many eigenpairs `check prop32` looks for on its search lattice.
 _PROP32_MAX_PAIRS = 100
@@ -60,9 +58,8 @@ def _read_file(path: str, json_opener: str, from_json, from_text):
     return from_json(data)
 
 
-def _read_matrix(path: str) -> Matrix:
-    from .matrix import matrix_from_json_dict, parse_matrix
-    return _read_file(path, "{", matrix_from_json_dict, parse_matrix)
+def _read_matrix(path: str) -> matrix.Matrix:
+    return _read_file(path, "{", matrix.matrix_from_json_dict, matrix.parse_matrix)
 
 
 def _read_polynomial(arg: str) -> Polynomial:
@@ -79,8 +76,7 @@ def _emit(data: dict, as_json: bool, text: str) -> None:
 
 
 def cmd_det(args) -> int:
-    from .matrix import det
-    report = det(_read_matrix(args.path), bound=args.bound)
+    report = matrix.det(_read_matrix(args.path), bound=args.bound)
     names = ", ".join(t.name for t in report.dominant_tracks) or "none"
     text = f"{report.value} ({report.classification.value}), dominant: {names}"
     _emit(report.to_json_dict(), args.json, text)
@@ -88,8 +84,7 @@ def cmd_det(args) -> int:
 
 
 def cmd_charpoly(args) -> int:
-    from .matrix import char_poly
-    poly = char_poly(_read_matrix(args.path), bound=args.bound)
+    poly = matrix.char_poly(_read_matrix(args.path), bound=args.bound)
     _emit({"coeffs": coeff_strings(poly), "text": str(poly)}, args.json, str(poly))
     return 0
 
@@ -112,8 +107,7 @@ def cmd_roots(args) -> int:
 
 
 def cmd_eigen(args) -> int:
-    from .spectral import eigenvalues
-    report = eigenvalues(_read_matrix(args.path), bound=args.bound)
+    report = spectral.eigenvalues(_read_matrix(args.path), bound=args.bound)
     values = ", ".join(f"{v} (mult {m})" for v, m in report.eigenvalues) or "none"
     region = ", ".join(str(iv) for iv in report.ghost_region) or "none"
     text = f"eigenvalues: {values}\nghost root region: {region}"
@@ -121,7 +115,7 @@ def cmd_eigen(args) -> int:
     return 0
 
 
-def _verdict_text(v: Verdict) -> str:
+def _verdict_text(v: spectral.Verdict) -> str:
     if v.holds is None:
         status = "N/A "
     else:
@@ -134,7 +128,7 @@ def _verdict_text(v: Verdict) -> str:
     return "\n".join(lines)
 
 
-def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
+def _print_verdicts(verdicts: list[spectral.Verdict], as_json: bool) -> int:
     if as_json:
         payload = [v.to_json_dict() for v in verdicts]
         print(json.dumps(payload[0] if len(payload) == 1 else payload,
@@ -145,31 +139,29 @@ def _print_verdicts(verdicts: list[Verdict], as_json: bool) -> int:
     return 1 if any(v.holds is False for v in verdicts) else 0
 
 
-def _generated_config(args) -> Config:
+def _generated_config(args) -> fuzz.Config:
     """The campaign shape the generation flags give, for `fuzz` and `check`.
 
     Each flag named after a `Config` field sets that field, flags left out
     take `Config`'s defaults, and `check`'s -m fixes the power.
     """
-    from .fuzz import Config
-    names = {f.name for f in fields(Config)}
+    names = {f.name for f in fields(fuzz.Config)}
     given = {k: v for k, v in vars(args).items() if k in names and v is not None}
     if getattr(args, "power", None) is not None:
         given["min_m"] = given["max_m"] = args.power
-    return Config(**given, det_bound=args.bound)
+    return fuzz.Config(**given, det_bound=args.bound)
 
 
-def _summary(check_id: str, verdicts: Iterable[Verdict]) -> Verdict:
+def _summary(check_id: str, verdicts: Iterable[spectral.Verdict]) -> spectral.Verdict:
     """One verdict over many cases: the case and failure counts, and the
     first failure's witness."""
-    from .spectral import Verdict
     cases = 0
     failures = []
     for v in verdicts:
         cases += 1
         if v.holds is False:
             failures.append(v)
-    return Verdict(
+    return spectral.Verdict(
         check_id,
         not failures,
         failures[0].witness if failures else None,
@@ -181,73 +173,64 @@ def _power(args) -> int:
     return 2 if args.power is None else args.power
 
 
-def _file_trial(args) -> Trial:
+def _file_trial(args) -> spectral.Trial:
     """The trial that -f (and -g, else A again) and -m give."""
-    from .spectral import Trial
     a = _read_matrix(args.file)
     b = a if args.file_b is None else _read_matrix(args.file_b)
-    return Trial(a, b, _power(args), args.bound)
+    return spectral.Trial(a, b, _power(args), args.bound)
 
 
 def _run_law(args) -> int:
     """One of `spectral.CHECKS` on the file's trial, or tallied over a campaign."""
-    from .spectral import CHECKS, Verdict
     check_id = args.theorem
     if args.file is not None:
-        return _print_verdicts([CHECKS[check_id](_file_trial(args))], args.json)
-    from .fuzz import run_campaign
-    result = run_campaign(_generated_config(args), (check_id,))
+        return _print_verdicts([spectral.CHECKS[check_id](_file_trial(args))], args.json)
+    result = fuzz.run_campaign(_generated_config(args), (check_id,))
     first = result.violations[0]["verdict"] if result.violations else {}
-    summary = Verdict(check_id, result.ok, first.get("witness"), (result.tallies[check_id],))
+    tally = (result.tallies[check_id],)
+    summary = spectral.Verdict(check_id, result.ok, first.get("witness"), tally)
     return _print_verdicts([summary], args.json)
 
 
 def _run_charpoly_equiv(args) -> int:
     """Does the kernel's charpoly(A) equal the one the direct route expands?"""
-    from .oracle import sym_direct_charpoly
-    from .spectral import Verdict
 
-    def check(t: Trial) -> Verdict:
-        same = t.alpha == sym_direct_charpoly(t.a, t.bound)
-        return Verdict("charpoly-equiv", same, None if same else {"matrix": t.a.to_json_dict()})
+    def check(t: spectral.Trial) -> spectral.Verdict:
+        same = t.alpha == oracle.sym_direct_charpoly(t.a, t.bound)
+        witness = None if same else {"matrix": t.a.to_json_dict()}
+        return spectral.Verdict("charpoly-equiv", same, witness)
 
     if args.file is not None:
         return _print_verdicts([check(_file_trial(args))], args.json)
-    from .fuzz import generate_trials
-    verdicts = map(check, generate_trials(_generated_config(args)))
+    verdicts = map(check, fuzz.generate_trials(_generated_config(args)))
     return _print_verdicts([_summary(args.theorem, verdicts)], args.json)
 
 
 def _run_frobenius(args) -> int:
-    from .scalar import ZERO, ghost, tangible
-    from .spectral import check_frobenius
-    grid = [ZERO] + [f(v) for v in range(-3, 4) for f in (tangible, ghost)]
-    cases = (check_frobenius(a, b, n) for a in grid for b in grid for n in range(1, 5))
+    grid = [scalar.ZERO] + [f(v) for v in range(-3, 4) for f in (scalar.tangible, scalar.ghost)]
+    cases = (spectral.check_frobenius(a, b, n) for a in grid for b in grid for n in range(1, 5))
     return _print_verdicts([_summary(args.theorem, cases)], args.json)
 
 
 def _run_prop32(args) -> int:
-    from .fuzz import search_eigenpairs
-    from .spectral import Verdict, check_eigen_power
     a = _read_matrix(args.file)
-    pairs = search_eigenpairs(a, bound=args.bound, max_results=_PROP32_MAX_PAIRS)
+    pairs = fuzz.search_eigenpairs(a, bound=args.bound, max_results=_PROP32_MAX_PAIRS)
     if not pairs:
-        v = Verdict("eigen-power", None, None,
-                    ({"note": "no tangible eigenpair found on the search lattice"},))
+        v = spectral.Verdict("eigen-power", None, None,
+                             ({"note": "no tangible eigenpair found on the search lattice"},))
         return _print_verdicts([v], args.json)
-    verdicts = [check_eigen_power(a, v, x, _power(args)) for v, x in pairs]
+    verdicts = [spectral.check_eigen_power(a, v, x, _power(args)) for v, x in pairs]
     return _print_verdicts(verdicts, args.json)
 
 
 def _run_claim35(args) -> int:
-    from .oracle import census_power_tracks, sym_charpoly_coeff
     n, m = 2 if args.dim is None else args.dim, _power(args)
-    verdicts = [census_power_tracks(n, m, k) for k in range(1, n + 1)]
+    verdicts = [oracle.census_power_tracks(n, m, k) for k in range(1, n + 1)]
     if args.json:
         payload = [v.to_json_dict() for v in verdicts]
         if args.full_census:
             for k, entry in enumerate(payload, start=1):
-                entry["census"] = sym_charpoly_coeff(n, m, k).to_json_list()
+                entry["census"] = oracle.sym_charpoly_coeff(n, m, k).to_json_list()
         print(json.dumps(payload, sort_keys=True, indent=2))
         return 1 if any(v.holds is False for v in verdicts) else 0
     return _print_verdicts(verdicts, False)
@@ -256,10 +239,13 @@ def _run_claim35(args) -> int:
 # Every `check` id in `check --help` order, laws first: the flags it reads,
 # whether it draws generated trials without -f, and its runner. A check that
 # reads no -f reads no generation flag; one that reads -f but draws no trials
-# needs it. thm13 (det(AB)) reads a second matrix and no power.
+# needs it. thm13 (det(AB)) reads a second matrix and no power. The trace
+# law computes no determinant: it reads --bound only as a generation flag,
+# the cap on generated dimensions.
 _CHECK_TABLE = {
     **{
-        law: (("-f", "-g" if law == "thm13" else "-m", "--bound"), True, _run_law)
+        law: (("-f", "-g" if law == "thm13" else "-m") + (() if law == "trace" else ("--bound",)),
+              True, _run_law)
         for law in LAW_IDS
     },
     "frobenius": ((), False, _run_frobenius),
@@ -278,15 +264,16 @@ def _at_least_one(flag: str, value: int | None) -> None:
 def cmd_check(args) -> int:
     check_id = args.theorem
     reads, generated, run = _CHECK_TABLE[check_id]
-    given = {"-f": args.file, "-g": args.file_b, "-m": args.power, "-n": args.dim,
-             "--bound": args.bound}
+    given = {"-f": args.file, "-g": args.file_b, "-m": args.power, "-n": args.dim}
+    generation = {"--trials": args.trials, "--seed": args.seed,
+                  "--max-n": args.max_n, "--max-m": args.max_m}
+    # Generated trials read --bound through their `Config`, even for a law that does not.
+    (generation if generated and "--bound" not in reads else given)["--bound"] = args.bound
     for flag, value in given.items():
         if value is not None and flag not in reads:
             raise DomainError(f"{flag} is not used by {check_id}")
     if args.file_b is not None and args.file is None:
         raise DomainError(f"-g is not used by {check_id} without -f")
-    generation = {"--trials": args.trials, "--seed": args.seed,
-                  "--max-n": args.max_n, "--max-m": args.max_m}
     for flag, value in generation.items():
         if value is None:
             continue
@@ -307,9 +294,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    from .fuzz import run_campaign
     cfg = _generated_config(args)
-    result = run_campaign(cfg)
+    result = fuzz.run_campaign(cfg)
     if args.json:
         print(result.to_json())
     else:

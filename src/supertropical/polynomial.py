@@ -242,7 +242,11 @@ def coeff_strings(f: Polynomial) -> list[str]:
     return [str(c) for c in f.coeffs]
 
 
-def polynomial_from_strings(strings) -> Polynomial:
+def polynomial_from_strings(strings: Sequence[str]) -> Polynomial:
+    """The polynomial whose degree-``i`` coefficient is ``strings[i]``; a
+    degree above `MAX_PARSE_DEGREE` is refused before any `Scalar` is built."""
+    if len(strings) - 1 > MAX_PARSE_DEGREE:
+        raise BoundExceededError("polynomial degree", len(strings) - 1, MAX_PARSE_DEGREE)
     return Polynomial(tuple(parse_scalar(s) for s in strings))
 
 

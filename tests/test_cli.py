@@ -254,10 +254,12 @@ class TestCheckCommand:
             (["check", "claim35", "-n", "2", "--full-census"],
              "--full-census is not used by claim35 without --json"),
             (["check", "thm13", "-g", "/nonexistent"], "-g is not used by thm13 without -f"),
+            # The trace law has no dimension bound: --bound caps generated dimensions only.
+            (["check", "trace", "-f", "A", "--bound", "1"], "--bound is not used by trace with -f"),
         ],
         ids=["file-generation-flags", "prop32-trials", "frobenius-seed", "claim35-max-n",
              "fixed-m-max-m", "thm36-full-census", "claim35-text-full-census",
-             "thm13-g-without-f"],
+             "thm13-g-without-f", "trace-file-bound"],
     )
     def test_unread_generation_flag_exit_2(self, capsys, a_file, argv, message):
         code, out, err = run(capsys, *[a_file if arg == "A" else arg for arg in argv])
@@ -365,14 +367,26 @@ class TestErrorPaths:
         assert (code, out) == (3, "")
         assert err == "error: determinant: size 2 exceeds bound 1\n"
 
-    def test_polynomial_degree_cap_exit_3(self, capsys):
-        code, out, err = run(capsys, "roots", "x^100000000 + 1")
-        assert code == 3
-        assert out == ""
-        assert err == (
-            "error: polynomial degree: size 100000000 exceeds bound "
-            f"{MAX_PARSE_DEGREE}\n"
-        )
+    @pytest.mark.parametrize("source", ["text", "json"])
+    def test_polynomial_degree_cap_exit_3(self, capsys, tmp_path, source):
+        # Degree MAX_PARSE_DEGREE passes and one more is refused, on both routes.
+        for degree, code in ((MAX_PARSE_DEGREE, 0), (MAX_PARSE_DEGREE + 1, 3)):
+            if source == "text":
+                arg = f"x^{degree} + 0"
+            else:
+                path = tmp_path / "f.json"
+                path.write_text(json.dumps(["0"] * (degree + 1)))
+                arg = str(path)
+            got, out, err = run(capsys, "roots", arg)
+            assert got == code
+            if code == 0:
+                assert out.startswith("corner roots: 0 (mult ") and err == ""
+            else:
+                assert out == ""
+                assert err == (
+                    f"error: polynomial degree: size {degree} exceeds bound "
+                    f"{MAX_PARSE_DEGREE}\n"
+                )
 
     @pytest.mark.parametrize(
         "argv, content, code",
@@ -485,6 +499,13 @@ class TestErrorPaths:
         code, out, _ = run(capsys, "fuzz", "--max-n", "12", "--bound", "12", "--trials", "1")
         assert code == 0
         assert out.startswith("fuzz: 1 trials, seed 0, n in [2,12], ")
+        # The generated trace law reads --bound through the same cap.
+        code, out, _ = run(capsys, "check", "trace", "--max-n", "12", "--trials", "1")
+        assert (code, out) == (3, "")
+        code, out, _ = run(capsys, "check", "trace", "--bound", "12", "--max-n", "12",
+                           "--trials", "1")
+        assert code == 0
+        assert out.startswith("PASS trace\n")
 
     def test_matrix_power_at_cap(self, capsys, a_file):
         code, _, _ = run(capsys, "check", "thm36", "-f", a_file, "-m", str(MAX_POWER))

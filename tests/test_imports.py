@@ -8,6 +8,7 @@ turns into a plain module when it runs, and ``type()`` does not run it.
 
 from __future__ import annotations
 
+import ast
 import json
 import os
 import subprocess
@@ -111,8 +112,13 @@ def test_det_and_charpoly_load_matrix_only(tmp_path, command):
         (["check", "thm36", "-f", "A"], {"matrix", "spectral"}),
         (["check", "frobenius"], {"matrix", "spectral"}),
         (["check", "claim35"], {"matrix", "spectral", "oracle"}),
+        (["fuzz", "--trials", "2"], {"matrix", "spectral", "fuzz"}),
+        (["check", "thm36", "--trials", "2"], {"matrix", "spectral", "fuzz"}),
+        (["check", "charpoly-equiv", "-f", "A"], {"matrix", "spectral", "oracle"}),
+        (["check", "prop32", "-f", "A"], {"matrix", "spectral", "fuzz"}),
     ],
-    ids=["eigen", "check-law-file", "check-frobenius", "check-claim35"],
+    ids=["eigen", "check-law-file", "check-frobenius", "check-claim35", "fuzz",
+         "check-law-generated", "check-charpoly-equiv-file", "check-prop32"],
 )
 def test_checks_load_what_they_run(tmp_path, argv, heavy):
     assert cli_modules(tmp_path, *argv) & HEAVY == heavy
@@ -131,6 +137,35 @@ def test_every_export_resolves_to_its_home():
     )
     same = fresh(code, json.dumps(EXPORTED))
     assert same == {name: True for name in [*EXPORTED, *(n for v in EXPORTED.values() for n in v)]}
+
+
+def test_exports_read_through_to_their_home():
+    # The package stores no name: one first read while the home attribute is
+    # patched does not outlive the patch.
+    code = (
+        "import json, supertropical as st\n"
+        "original = st.matrix.det\n"
+        "st.matrix.det = lambda *args, **kwargs: None\n"
+        "patched = st.det is st.matrix.det\n"
+        "st.matrix.det = original\n"
+        "print(json.dumps([patched, st.det is st.matrix.det]))"
+    )
+    assert fresh(code) == [True, True]
+
+
+def test_cli_has_one_lazy_mechanism():
+    # The command line reaches the submodules through the package's lazy
+    # modules, bound at module level; no function imports on its own.
+    source = (SRC / "supertropical" / "cli.py").read_text(encoding="utf-8")
+    assert "TYPE_CHECKING" not in source
+    local_imports = [
+        (fn.name, node.lineno)
+        for fn in ast.walk(ast.parse(source))
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    ]
+    assert local_imports == []
 
 
 def test_all_and_dir_list_every_export():
