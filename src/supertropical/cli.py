@@ -340,7 +340,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_charpoly)
 
     p = sub.add_parser("roots", help="root report for a polynomial")
-    p.add_argument("poly", help="polynomial string or file")
+    p.add_argument(
+        "poly",
+        help="polynomial string or file; one that starts with '-' and has no "
+        "space goes after --, as in: roots -- -2g",
+    )
     add_common(p, with_bound=False)
     p.set_defaults(func=cmd_roots)
 

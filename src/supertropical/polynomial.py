@@ -11,22 +11,14 @@ get a corner root whose multiplicity is the degree gap. Where a ghost
 essential monomial attains the maximum, evaluation is ghost over a whole
 interval of magnitudes.
 
-The envelope is computed on plain ints. A polynomial keeps its
-coefficients as keys too: a scale and a key per degree, in the format that
-``scalar.py`` describes and the matrix kernels use. Scaling every
-magnitude by one constant leaves the hull unchanged, and only the crossings
-that survive become exact `Fraction` values, once, at the end. Each
-`Polynomial` caches its envelope, so `roots`, `essential` and `breakpoints`
-on the same polynomial share one computation; they, `is_zero` and `degree`
-read the keys and their ghost bits.
-
-`parse_polynomial`, `essential` and the characteristic polynomial fill the
-keys directly, and ``coeffs`` are decoded into `Scalar` values on their
-first read; printing decodes only the nonzero keys. A polynomial built from
-`Scalar` values derives its keys once, on its first envelope. Either way
-``coeffs``, equality, hash, repr and pickles are those of the `Scalar`
-form. A scale of more than ``2 * MAX_LITERAL_DIGITS`` digits is refused
-with `BoundExceededError` while it is being built.
+A `Polynomial` is its keys: a scale and a key per degree, in the format
+that ``scalar.py`` describes and the matrix kernels use. Scaling every
+magnitude by one constant leaves the hull unchanged, so the envelope runs
+on the keys as plain ints; only the crossings that survive become exact
+`Fraction` values. ``coeffs`` are decoded on their first read, unless
+``Polynomial(coeffs)`` was given them. A scale of more than
+``2 * MAX_LITERAL_DIGITS`` digits is refused with `BoundExceededError`
+while it is being built.
 """
 
 from __future__ import annotations
@@ -39,28 +31,23 @@ from typing import Sequence
 
 from .errors import BoundExceededError, DomainError, ParseError
 from .scalar import DIGITS, RATIONAL, check_digits, literal_ratio
-from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar, tangible
+from .scalar import Kind, ONE, Scalar, ZERO, scalar_parts, tangible
 from .scalar import _decode, _encode_keys, _key_scale
 
 
-@dataclass(frozen=True)
 class Polynomial:
-    """Coefficients by ascending degree; normalized so the top one is nonzero.
-
-    The zero polynomial is stored as the single coefficient ``-inf``. A
-    polynomial built by `_from_keys` holds only its keys until ``coeffs``
-    is first read (see the module docstring).
+    """Coefficients by ascending degree, kept as keys; normalized so the top
+    one is nonzero, and the zero polynomial is the single key ``None``.
+    Equality, hash and pickles are those of ``coeffs``.
     """
 
-    coeffs: tuple[Scalar, ...]
-
-    def __post_init__(self):
-        cs = tuple(self.coeffs)
-        if not cs:
-            cs = (ZERO,)
+    def __init__(self, coeffs: Sequence[Scalar]):
+        cs = list(coeffs) or [ZERO]
         while len(cs) > 1 and cs[-1].is_zero:
-            cs = cs[:-1]
-        object.__setattr__(self, "coeffs", cs)
+            cs.pop()
+        scale = _key_scale((c.value.denominator for c in cs if not c.is_zero), "polynomial")
+        self._keys = (scale, tuple(_encode_keys(cs, scale)))
+        self.coeffs = tuple(cs)
 
     @classmethod
     def _from_keys(cls, scale: int, keys: Sequence[int | None]) -> Polynomial:
@@ -70,48 +57,38 @@ class Polynomial:
         while len(keys) > 1 and keys[-1] is None:
             keys.pop()
         f = object.__new__(cls)
-        f.__dict__["_keys"] = (scale, tuple(keys) or (None,))
+        f._keys = (scale, tuple(keys) or (None,))
         return f
 
-    def __getattr__(self, name: str):
-        # Reached only for a missing attribute: ``coeffs`` of a key-built
-        # polynomial is decoded here on its first read, then stored.
-        given = self.__dict__.get("_keys")
-        if name != "coeffs" or given is None:
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        scale, keys = given
-        coeffs = tuple([_decode(k, scale) for k in keys])
-        object.__setattr__(self, "coeffs", coeffs)
-        return coeffs
-
     @cached_property
-    def _keys(self) -> tuple[int, tuple[int | None, ...]]:
-        """The scale and the coefficients as keys, derived once from
-        ``coeffs`` unless `_from_keys` gave them."""
-        scale = _key_scale(
-            (c.value.denominator for c in self.coeffs if not c.is_zero), "polynomial"
-        )
-        return scale, tuple(_encode_keys(self.coeffs, scale))
+    def coeffs(self) -> tuple[Scalar, ...]:
+        """The coefficients as `Scalar` values, decoded on their first read."""
+        scale, keys = self._keys
+        return tuple([_decode(k, scale) for k in keys])
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
 
     def __getstate__(self) -> dict:
-        """A pickle holds ``coeffs`` only, not the cached keys and envelope."""
+        """A pickle holds ``coeffs`` only, not the keys and the envelope."""
         return {"coeffs": self.coeffs}
 
     def __setstate__(self, state: dict) -> None:
-        object.__setattr__(self, "coeffs", state["coeffs"])
+        self.__init__(state["coeffs"])
 
     @property
     def is_zero(self) -> bool:
-        given = self.__dict__.get("_keys")
-        if given is not None:
-            return given[1] == (None,)
-        return len(self.coeffs) == 1 and self.coeffs[0].is_zero
+        return self._keys[1] == (None,)
 
     @property
     def degree(self) -> int:
         """Degree of the leading stored coefficient (0 for the zero polynomial)."""
-        given = self.__dict__.get("_keys")
-        return len(self.coeffs if given is None else given[1]) - 1
+        return len(self._keys[1]) - 1
 
     @cached_property
     def _hull(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
@@ -164,11 +141,8 @@ class Polynomial:
     def __str__(self) -> str:
         if self.is_zero:
             return "-inf"
-        if "coeffs" in self.__dict__:
-            terms = [(d, c) for d, c in enumerate(self.coeffs) if not c.is_zero]
-        else:
-            scale, keys = self._keys
-            terms = [(d, _decode(k, scale)) for d, k in enumerate(keys) if k is not None]
+        scale, keys = self._keys
+        terms = [(d, _decode(k, scale)) for d, k in enumerate(keys) if k is not None]
         return " + ".join(_format_term(c, d) for d, c in reversed(terms))
 
     def __repr__(self) -> str:
@@ -202,7 +176,6 @@ def parse_polynomial(text: str) -> Polynomial:
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty polynomial")
-    # (degree, numerator or None for "-inf", denominator, ghost bit) per term.
     terms: list[tuple[int, int | None, int, bool]] = []
     for raw in stripped.split("+"):
         term = raw.strip()
@@ -219,7 +192,13 @@ def parse_polynomial(text: str) -> Polynomial:
         else:
             p, q = literal_ratio(num, den, coeff_text)
             terms.append((degree, p, q, ghost_mark is not None))
-    top = max(t[0] for t in terms)
+    return _from_terms(terms)
+
+
+def _from_terms(terms: Sequence[tuple[int, int | None, int, bool]]) -> Polynomial:
+    """The sum of ``(degree, numerator or None for -inf, denominator as
+    written, ghost bit)`` terms; no terms make the zero polynomial."""
+    top = max((t[0] for t in terms), default=0)
     if top > MAX_PARSE_DEGREE:
         raise BoundExceededError("polynomial degree", top, MAX_PARSE_DEGREE)
     scale = _key_scale((q for _, p, q, _ in terms if p is not None), "polynomial")
@@ -243,11 +222,10 @@ def coeff_strings(f: Polynomial) -> list[str]:
 
 
 def polynomial_from_strings(strings: Sequence[str]) -> Polynomial:
-    """The polynomial whose degree-``i`` coefficient is ``strings[i]``; a
-    degree above `MAX_PARSE_DEGREE` is refused before any `Scalar` is built."""
-    if len(strings) - 1 > MAX_PARSE_DEGREE:
-        raise BoundExceededError("polynomial degree", len(strings) - 1, MAX_PARSE_DEGREE)
-    return Polynomial(tuple(parse_scalar(s) for s in strings))
+    """The polynomial whose degree-``i`` coefficient is ``strings[i]``, in
+    the grammar of `parse_scalar`; each string is read straight into a
+    term, so no `Scalar` is built."""
+    return _from_terms([(d, *scalar_parts(s)) for d, s in enumerate(strings)])
 
 
 # ---------------------------------------------------------------------------

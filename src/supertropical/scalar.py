@@ -168,10 +168,21 @@ def literal_ratio(num: str, den: str | None, text: str) -> tuple[int, int]:
     raise ParseError(f"zero denominator in {text!r}")
 
 
-def literal_scalar(num: str, den: str | None, ghost_mark: str | None, text: str) -> Scalar:
-    """The scalar of a matched rational literal; ``text`` is quoted in errors."""
-    kind = Kind.GHOST if ghost_mark else Kind.TANGIBLE
-    return Scalar(kind, Fraction(*literal_ratio(num, den, text)))
+def scalar_parts(text: str) -> tuple[int | None, int, bool]:
+    """Numerator and denominator as written, and the ghost bit, of a string
+    in the grammar of `parse_scalar`, with its errors; ``(None, 1, False)``
+    for ``-inf``."""
+    if not isinstance(text, str):
+        raise ParseError(f"expected a scalar string, got {type(text).__name__}")
+    stripped = text.strip()
+    if stripped == "-inf":
+        return None, 1, False
+    match = _SCALAR_RE.match(stripped)
+    if match is None:
+        check_digits(stripped)
+        raise ParseError(f"not a scalar: {text!r}")
+    num, den, ghost_mark = match.groups()
+    return (*literal_ratio(num, den, text), ghost_mark is not None)
 
 
 def parse_scalar(text: str) -> Scalar:
@@ -179,16 +190,10 @@ def parse_scalar(text: str) -> Scalar:
 
     A number of over `MAX_LITERAL_DIGITS` digits raises `BoundExceededError`.
     """
-    if not isinstance(text, str):
-        raise ParseError(f"expected a scalar string, got {type(text).__name__}")
-    stripped = text.strip()
-    if stripped == "-inf":
+    p, q, ghost_bit = scalar_parts(text)
+    if p is None:
         return ZERO
-    match = _SCALAR_RE.match(stripped)
-    if match is None:
-        check_digits(stripped)
-        raise ParseError(f"not a scalar: {text!r}")
-    return literal_scalar(*match.groups(), text)
+    return Scalar(Kind.GHOST if ghost_bit else Kind.TANGIBLE, Fraction(p, q))
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,20 @@ class TestComputeCommands:
         assert code == 0
         assert "corner roots: 0 (mult 1), 2 (mult 1)" in out
 
+    @pytest.mark.parametrize(
+        "argv, expected",
+        [
+            (["roots", "--", "-inf"], "identically a root"),
+            (["roots", "--json", "--", "-2g"], '"is_identically_root": true'),
+        ],
+        ids=["text", "json"],
+    )
+    def test_roots_dash_led_after_separator(self, capsys, argv, expected):
+        # Without "--", argparse reads a dash-led word with no space as an option.
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        assert expected in out
+
     def test_eigen(self, capsys, a2_file):
         code, out, _ = run(capsys, "eigen", a2_file)
         assert code == 0

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import pickle
 import random
@@ -18,6 +17,7 @@ from supertropical import (
     ONE,
     ParseError,
     Polynomial,
+    Scalar,
     ZERO,
     breakpoints,
     char_poly,
@@ -299,6 +299,22 @@ def _term_text(coeff: str, degree: int, rng: random.Random) -> str:
     return f"{coeff}{space}x" if degree == 1 else f"{coeff}{space}x^{degree}"
 
 
+def _key_parse_cases():
+    """1,500 seeded polynomial texts, each with its ``(degree, coefficient
+    text)`` terms."""
+    rng = random.Random("key-parse")
+    for _ in range(1500):
+        top = rng.randint(0, 12)
+        # Degrees from a narrow range, so repeats (and ties) are common.
+        terms = [(d, _coeff_text(rng, d)) for d in
+                 [top, *(rng.randint(0, top) for _ in range(rng.randint(0, 2 * top + 2)))]]
+        rng.shuffle(terms)
+        text = (" + " if rng.random() < 0.5 else "+").join(
+            _term_text(c, d, rng) for d, c in terms
+        )
+        yield text, terms
+
+
 def _roots_json(f: Polynomial) -> str:
     return json.dumps(roots(f).to_json_dict(), sort_keys=True)
 
@@ -314,16 +330,7 @@ class TestKeyForm:
     nothing else tells the two forms apart."""
 
     def test_key_parse_matches_literal_scalars(self):
-        rng = random.Random("key-parse")
-        for _ in range(1500):
-            top = rng.randint(0, 12)
-            # Degrees from a narrow range, so repeats (and ties) are common.
-            terms = [(d, _coeff_text(rng, d)) for d in
-                     [top, *(rng.randint(0, top) for _ in range(rng.randint(0, 2 * top + 2)))]]
-            rng.shuffle(terms)
-            text = (" + " if rng.random() < 0.5 else "+").join(
-                _term_text(c, d, rng) for d, c in terms
-            )
+        for text, terms in _key_parse_cases():
             f, ref = parse_polynomial(text), literal_sum_polynomial(terms)
             # The key paths first, before anything has read f.coeffs.
             assert (str(f), f.degree, f.is_zero) == (str(ref), ref.degree, ref.is_zero), text
@@ -381,7 +388,7 @@ class TestKeyForm:
         copy = pickle.loads(fresh)
         assert copy == f and hash(copy) == hash(f) and repr(copy) == repr(f)
         assert roots(copy) == roots(f) and essential(copy) == ess
-        assert [field.name for field in dataclasses.fields(f)] == ["coeffs"]
+        assert list(f.__getstate__()) == ["coeffs"]
 
     def test_scale_cap(self):
         # Each literal is within its digit cap. Two 1,000-digit denominators
@@ -395,14 +402,63 @@ class TestKeyForm:
         message = r"^digits of the polynomial scale: size 2001 exceeds bound 2000$"
         with pytest.raises(BoundExceededError, match=message):
             parse_polynomial(f"1/{q1}x^3 + 1/{q2}x^2 + 1/7x + 1/{q3}")
-        # From scalars, the keys are derived on the first envelope: by
+        # From scalars, the keys are encoded when the polynomial is built: by
         # ascending degree, q3, 7 and q2 reach 2,001 digits.
-        over = Polynomial(tuple(tangible(Fraction(1, q)) for q in (q3, 7, q2, q1)))
-        assert str(over).startswith(f"1/{q1}x^3 + ")
-        for route in (roots, essential, breakpoints):
-            with pytest.raises(BoundExceededError, match=message):
-                route(over)
+        with pytest.raises(BoundExceededError, match=message):
+            Polynomial(tuple(tangible(Fraction(1, q)) for q in (q3, 7, q2, q1)))
 
+    def test_json_route_reads_terms_like_the_parser(self, monkeypatch):
+        parsed = [parse_polynomial(text) for text, _ in _key_parse_cases()]
+        strings = [coeff_strings(f) for f in parsed]
+        with monkeypatch.context() as patch:
+            patch.setattr(Scalar, "__init__", _no_scalar)
+            built = [polynomial_from_strings(s) for s in strings]
+        for f, g in zip(parsed, built):
+            # The strings are written reduced, so g's scale is that of f's
+            # coefficients, not of f's denominators as written.
+            assert g._keys == Polynomial(f.coeffs)._keys, f
+            assert (str(g), _roots_json(g)) == (str(f), _roots_json(f))
+            assert g == f
+
+    def test_pickles_load_and_dump_as_before(self):
+        """The bytes a parsed polynomial and one built from scalars pickled
+        to (protocol 4) when `Polynomial` was a dataclass."""
+        parsed = parse_polynomial(PICKLE_TEXT)
+        built = Polynomial((ghost(Fraction(-3, 2)), ZERO, tangible(Fraction(5, 6)), ZERO))
+        for f, data in ((parsed, PARSED_PICKLE), (built, SCALAR_PICKLE)):
+            copy = pickle.loads(data)
+            assert copy == f and str(copy) == str(f) and roots(copy) == roots(f)
+            assert pickle.dumps(f, protocol=4) == data
+            assert pickle.dumps(copy, protocol=4) == data
+
+
+def _no_scalar(self, *args, **kwargs):
+    raise AssertionError("a Scalar was built")
+
+
+PICKLE_TEXT = "1/2gx^5 + 3x^4 + 0/7x^3 + 2/4x^2 + -inf x + x^4 + -0g"
+PARSED_PICKLE = (
+    b"\x80\x04\x95\x1f\x01\x00\x00\x00\x00\x00\x00\x8c\x18supertropical.polyno"
+    b"mial\x94\x8c\nPolynomial\x94\x93\x94)\x81\x94}\x94\x8c\x06coeffs\x94("
+    b"\x8c\x14supertropical.scalar\x94\x8c\x06Scalar\x94\x93\x94)\x81\x94]\x94"
+    b"(h\x06\x8c\x04Kind\x94\x93\x94\x8c\x05ghost\x94\x85\x94R\x94\x8c\tfracti"
+    b"ons\x94\x8c\x08Fraction\x94\x93\x94K\x00K\x01\x86\x94R\x94ebh\x08)\x81"
+    b"\x94]\x94(h\x0c\x8c\x04zero\x94\x85\x94R\x94Nebh\x08)\x81\x94]\x94(h\x0c"
+    b"\x8c\x08tangible\x94\x85\x94R\x94h\x12K\x01K\x02\x86\x94R\x94ebh\x08)"
+    b"\x81\x94]\x94(h\x1eh\x12K\x00K\x01\x86\x94R\x94ebh\x08)\x81\x94]\x94(h"
+    b"\x1eh\x12K\x03K\x01\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x0fh\x12K\x01K"
+    b"\x02\x86\x94R\x94ebt\x94sb."
+)
+SCALAR_PICKLE = (
+    b"\x80\x04\x95\xdf\x00\x00\x00\x00\x00\x00\x00\x8c\x18supertropical.polyno"
+    b"mial\x94\x8c\nPolynomial\x94\x93\x94)\x81\x94}\x94\x8c\x06coeffs\x94\x8c"
+    b"\x14supertropical.scalar\x94\x8c\x06Scalar\x94\x93\x94)\x81\x94]\x94(h"
+    b"\x06\x8c\x04Kind\x94\x93\x94\x8c\x05ghost\x94\x85\x94R\x94\x8c\tfraction"
+    b"s\x94\x8c\x08Fraction\x94\x93\x94J\xfd\xff\xff\xffK\x02\x86\x94R\x94ebh"
+    b"\x08)\x81\x94]\x94(h\x0c\x8c\x04zero\x94\x85\x94R\x94Nebh\x08)\x81\x94]"
+    b"\x94(h\x0c\x8c\x08tangible\x94\x85\x94R\x94h\x12K\x05K\x06\x86\x94R\x94e"
+    b"b\x87\x94sb."
+)
 
 class TestMultiplicityRecovery:
     @pytest.mark.parametrize("seed", range(25))
