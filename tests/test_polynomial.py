@@ -325,9 +325,9 @@ def _scalar_form(f: Polynomial) -> Polynomial:
 
 
 class TestKeyForm:
-    """The parser, `essential` and the characteristic polynomial build
-    polynomials from keys; ``coeffs`` are decoded on their first read, and
-    nothing else tells the two forms apart."""
+    """The parser, the JSON route, `essential` and the characteristic
+    polynomial build polynomials from keys; ``coeffs`` are decoded on their
+    first read, and nothing else tells them from one built from scalars."""
 
     def test_key_parse_matches_literal_scalars(self):
         for text, terms in _key_parse_cases():
