@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from dataclasses import fields
+from itertools import islice
 from typing import Iterable
 
 from . import fuzz, matrix, oracle, scalar, spectral
@@ -77,9 +78,15 @@ def _emit(data: dict, as_json: bool, text: str) -> None:
 
 def cmd_det(args) -> int:
     report = matrix.det(_read_matrix(args.path), bound=args.bound)
-    names = ", ".join(t.name for t in report.dominant_tracks) or "none"
-    text = f"{report.value} ({report.classification.value}), dominant: {names}"
-    _emit(report.to_json_dict(), args.json, text)
+    # Each form lists the tracks anew, so only the one printed is built.
+    if args.json:
+        _emit(report.to_json_dict(), True, "")
+        return 0
+    tracks = report.dominant_tracks
+    names = ", ".join(t.name for t in islice(tracks, matrix.MAX_LISTED_TRACKS)) or "none"
+    if len(tracks) > matrix.MAX_LISTED_TRACKS:
+        names += f" (first {matrix.MAX_LISTED_TRACKS} of {len(tracks)} listed)"
+    print(f"{report.value} ({report.classification.value}), dominant: {names}")
     return 0
 
 

@@ -7,10 +7,14 @@ included, is computed exactly by a row-by-column-subset dynamic program in
 ``O(n * 2^n)`` semiring operations (Held and Karp, 1962) rather than by
 enumerating all ``n!`` tracks. The same kernel, run over polynomial entries
 of ``A + xI``, yields every coefficient of the characteristic polynomial in
-one pass. The dominant tracks are listed by a depth-first search that only
-follows prefixes the table shows can still reach the maximum. Both
-computations are guarded by an explicit dimension bound (default 9, set
-per call with ``bound=``, or with ``--bound`` on the command line).
+one pass. The dominant tracks are counted from the same table: the count
+through a column subset is the sum of the counts through the subsets that
+its dominant steps leave, and the classification reads the count. The
+tracks are listed, by a depth-first search over those steps, only when a
+report's ``dominant_tracks`` is iterated or indexed; a report's JSON and
+the command line's text list at most ``MAX_LISTED_TRACKS`` (8!) of them.
+Both computations are guarded by an explicit dimension bound (default 9,
+set per call with ``bound=``, or with ``--bound`` on the command line).
 
 The kernels (the permanent table and the matrix product) run on plain
 integers: the entries are encoded once as keys at one scale for all the
@@ -33,10 +37,12 @@ power above ``MAX_POWER`` are refused with ``BoundExceededError``.
 
 from __future__ import annotations
 
+import operator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Sequence
+from itertools import islice
 
 from .defaults import DEFAULT_DET_BOUND
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
@@ -45,6 +51,10 @@ from .scalar import Kind, ONE, Scalar, ZERO, _decode, _encode_keys, _key_scale, 
 
 # The largest matrix power computed: its magnitudes grow m-fold.
 MAX_POWER = 10**6
+
+# The most dominant tracks that a report's text or JSON lists: 8!, so every
+# report up to 8x8 is listed in full.
+MAX_LISTED_TRACKS = 40320
 
 # A matrix's entries as kernel keys, row by row (see the module docstring).
 _Keys = Sequence[Sequence[int | None]]
@@ -259,22 +269,29 @@ class DetClass(Enum):
 
 @dataclass(frozen=True)
 class DetReport:
-    """Determinant value, every dominant track, and how the value arose.
+    """Determinant value, its dominant tracks, and how the value arose.
 
-    ``dominant_tracks`` is empty when the value is zero (no track has a
-    finite product).
+    ``dominant_tracks`` is a `DominantTracks` sequence whose length the
+    subset table counted and whose tracks are built only when read; it is
+    ``()`` when the value is zero (no track has a finite product).
+    `to_json_dict` lists at most ``MAX_LISTED_TRACKS`` of them.
     """
 
     value: Scalar
-    dominant_tracks: tuple[PermutationTrack, ...]
+    dominant_tracks: Sequence[PermutationTrack]
     classification: DetClass
 
     def to_json_dict(self) -> dict:
-        return {
+        tracks = self.dominant_tracks
+        data = {
             "value": str(self.value),
             "classification": self.classification.value,
-            "dominant": [t.to_json_dict() for t in self.dominant_tracks],
+            "dominant": [t.to_json_dict() for t in islice(tracks, MAX_LISTED_TRACKS)],
         }
+        if len(tracks) > MAX_LISTED_TRACKS:
+            data["track_count"] = len(tracks)
+            data["truncated"] = True
+        return data
 
 
 def _permanent_table(
@@ -344,59 +361,132 @@ def _char_poly_from_keys(keys: _Keys, scale: int) -> Polynomial:
     return Polynomial._from_keys(scale, _permanent_table(entries, len(keys))[-1])
 
 
-def det(a: Matrix, bound: int | None = None) -> DetReport:
-    """Permanent by the subset table, with every dominant track listed.
+class DominantTracks(Sequence[PermutationTrack]):
+    """The dominant tracks of a nonzero permanent, in the lexicographic
+    order of their permutations, counted by the subset table and built only
+    when read.
 
-    Tracks come out in the lexicographic order of their permutations: the
-    search tries columns in ascending order and extends a prefix by column
-    ``j`` only when the entry plus the best completion of the remaining
-    columns still reaches the table's value.
+    ``steps[S]`` holds the (column, entry's ghost bit) choices for the row
+    of S whose entry plus the best completion of S - {column} attains
+    table[S], and ``ways[S]`` counts the dominant completions of S: the sum
+    of ``ways[S - {column}]`` over those steps. Both are filled in, once
+    each, for the subsets that some dominant track passes through, so `len`
+    builds no track. Iterating walks the steps depth first in ascending
+    column order and builds each track as it is reached; indexing goes
+    straight to the track of that rank by the counts. The sequence equals a
+    tuple of the same tracks.
+    """
+
+    __slots__ = ("_steps", "_ways", "_products", "_full")
+
+    def __init__(self, keys: _Keys, table: list[list[int | None] | None], value: Scalar):
+        n = len(keys)
+        steps: dict[int, list[tuple[int, int]]] = {0: []}
+        ways = {0: 1}
+
+        def count(subset: int) -> int:
+            if subset not in ways:
+                target = table[subset][0] >> 1
+                steps[subset] = [
+                    (j, k & 1)
+                    for j, k in enumerate(keys[n - subset.bit_count()])
+                    if subset & (1 << j)
+                    and k is not None
+                    and table[subset ^ (1 << j)] is not None
+                    and (k >> 1) + (table[subset ^ (1 << j)][0] >> 1) == target
+                ]
+                ways[subset] = sum(count(subset ^ (1 << j)) for j, _ in steps[subset])
+            return ways[subset]
+
+        self._full = (1 << n) - 1
+        count(self._full)
+        self._steps = steps
+        self._ways = ways
+        # A dominant track's product has the determinant's magnitude; it is
+        # ghost exactly when one of its entries is.
+        self._products = (Scalar(Kind.TANGIBLE, value.value), value.as_ghost())
+
+    def __len__(self) -> int:
+        return self._ways[self._full]
+
+    def __iter__(self) -> Iterator[PermutationTrack]:
+        steps, products = self._steps, self._products
+        # One frame per row of the current prefix: the subset left to the
+        # rows below it, the prefix's ghost bit and the choices not yet tried.
+        perm: list[int] = []
+        frames = [(self._full, 0, iter(steps[self._full]))]
+        while frames:
+            subset, ghosted, choices = frames[-1]
+            for j, ghost_bit in choices:
+                rest = subset ^ (1 << j)
+                perm.append(j)
+                if rest:
+                    frames.append((rest, ghosted | ghost_bit, iter(steps[rest])))
+                    break
+                yield PermutationTrack(tuple(perm), products[ghosted | ghost_bit])
+                perm.pop()
+            else:
+                frames.pop()
+                if perm:
+                    perm.pop()
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return tuple(self[i] for i in range(*index.indices(len(self))))
+        rank = operator.index(index)
+        if rank < 0:
+            rank += len(self)
+        if not 0 <= rank < len(self):
+            raise IndexError("dominant track index out of range")
+        perm = []
+        ghosted = 0
+        subset = self._full
+        while subset:
+            for j, ghost_bit in self._steps[subset]:
+                rest = subset ^ (1 << j)
+                if rank < self._ways[rest]:
+                    break
+                rank -= self._ways[rest]
+            perm.append(j)
+            ghosted |= ghost_bit
+            subset = rest
+        return PermutationTrack(tuple(perm), self._products[ghosted])
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, (tuple, DominantTracks)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"<{len(self)} dominant tracks>"
+
+
+def det(a: Matrix, bound: int | None = None) -> DetReport:
+    """Permanent by the subset table, with its dominant tracks counted.
+
+    The count comes from the same table (see `DominantTracks`), and the
+    classification reads it: more than one dominant track is a tie, and a
+    single one is ghost exactly when the value is. The tracks themselves
+    are listed, in the lexicographic order of their permutations, only when
+    the report's ``dominant_tracks`` is iterated or indexed.
     """
     check_dim_bound("determinant", a, bound)
-    n = a.n
     scale, keys = a._keys
-    table = _permanent_table(_scalar_entries(keys), n)
-    full = (1 << n) - 1
-    if table[full] is None:
+    table = _permanent_table(_scalar_entries(keys), a.n)
+    if table[-1] is None:
         return DetReport(ZERO, (), DetClass.ZERO)
-    value = _decode(table[full][0], scale)
-    # A dominant track's product has the determinant's magnitude; it is
-    # ghost exactly when one of its entries is.
-    products = (Scalar(Kind.TANGIBLE, value.value), value.as_ghost())
-    # steps[S]: the (column, entry's ghost bit) choices for the row of S
-    # whose entry plus the best completion of S - {column} attains table[S].
-    steps: list[list[tuple[int, int]] | None] = [None] * (full + 1)
-    tracks: list[PermutationTrack] = []
-    perm: list[int] = []
-
-    def extend(subset: int, ghosted: int) -> None:
-        if not subset:
-            tracks.append(PermutationTrack(tuple(perm), products[ghosted]))
-            return
-        choices = steps[subset]
-        if choices is None:
-            target = table[subset][0] >> 1
-            choices = steps[subset] = [
-                (j, k & 1)
-                for j, k in enumerate(keys[n - subset.bit_count()])
-                if subset & (1 << j)
-                and k is not None
-                and table[subset ^ (1 << j)] is not None
-                and (k >> 1) + (table[subset ^ (1 << j)][0] >> 1) == target
-            ]
-        for j, ghost_bit in choices:
-            perm.append(j)
-            extend(subset ^ (1 << j), ghosted | ghost_bit)
-            perm.pop()
-
-    extend(full, 0)
+    value = _decode(table[-1][0], scale)
+    tracks = DominantTracks(keys, table, value)
     if len(tracks) > 1:
         cls = DetClass.GHOST_BY_TIE
-    elif tracks[0].product.is_ghost:
+    elif value.is_ghost:
         cls = DetClass.GHOST_BY_GHOST_TRACK
     else:
         cls = DetClass.TANGIBLE
-    return DetReport(value, tuple(tracks), cls)
+    return DetReport(value, tracks, cls)
 
 
 def char_poly(a: Matrix, bound: int | None = None) -> Polynomial:

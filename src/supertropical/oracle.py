@@ -278,23 +278,31 @@ def census_power_tracks(n: int, m: int, k: int) -> Verdict:
 def sym_direct_charpoly(a: Matrix, bound: int | None = None) -> Polynomial:
     """Characteristic polynomial by the direct route: the permanent of the
     matrix with x joined onto the diagonal, expanded over the polynomial
-    semiring by permutation enumeration."""
+    semiring by permutation enumeration.
+
+    The track products are coefficient lists in `Scalar` arithmetic, and
+    one `Polynomial` is built from their sum at the end, so no step shares
+    the kernel's key arithmetic.
+    """
     check_dim_bound("direct characteristic polynomial", a, bound, ORACLE_DIM_BOUND)
     n = a.n
-    x_plus = [
-        [
-            Polynomial((a.rows[i][j], ONE)) if i == j else Polynomial((a.rows[i][j],))
-            for j in range(n)
-        ]
-        for i in range(n)
-    ]
-    total = Polynomial((ZERO,))
+    total = [ZERO] * (n + 1)
     for perm in permutations(range(n)):
-        prod = Polynomial((ONE,))
+        prod = [ONE]
         for i, j in enumerate(perm):
-            prod = prod * x_plus[i][j]
-        total = total + prod
-    return total
+            entry = a.rows[i][j]
+            if i == j:
+                # Times (entry + x): degree d becomes entry times the
+                # coefficient of degree d, plus that of degree d - 1.
+                prod = [c * entry + below for c, below in zip(prod + [ZERO], [ZERO] + prod)]
+            elif entry.is_zero:
+                break
+            else:
+                prod = [c * entry for c in prod]
+        else:
+            for d, c in enumerate(prod):
+                total[d] = total[d] + c
+    return Polynomial(total)
 
 
 def sampled_equiv(

@@ -62,6 +62,21 @@ class TestComputeCommands:
         assert data["value"] == "2"
         assert data["dominant"][0]["name"] == "Id"
 
+    def test_det_lists_at_most_8_factorial_tracks(self, capsys, tmp_path):
+        path = tmp_path / "Z9.txt"
+        path.write_text("0 0 0 0 0 0 0 0 0\n" * 9, encoding="utf-8")
+        code, out, _ = run(capsys, "det", str(path), "--json")
+        assert code == 0
+        assert len(out.encode()) < 10 * 10**6
+        data = json.loads(out)
+        assert (data["track_count"], data["truncated"], len(data["dominant"])) == (362880, True, 40320)
+        assert data["dominant"][-1]["name"] == "(1 9 8 7 6 5 4 3 2)"
+        code, out, _ = run(capsys, "det", str(path))
+        assert code == 0
+        assert out.startswith("0g (ghost-by-tie), dominant: Id, (1 2 3 4 5 6 7 9 8), ")
+        assert out.endswith(", (1 9 8 7 6 5 4 3 2) (first 40320 of 362880 listed)\n")
+        assert len(out.split("dominant: ")[1].split(", ")) == 40320
+
     def test_charpoly(self, capsys, a2_file):
         code, out, _ = run(capsys, "charpoly", a2_file)
         assert code == 0

@@ -139,6 +139,94 @@ class TestDet:
             assert det(permuted).value == det(a).value
 
 
+def _count_matrices():
+    """Matrices for n = 1..7 on the lattice -2..2: all tied, all ghost and
+    tied, a single ghost dominant track, then seeded draws, every third
+    one mostly -inf."""
+    rng = random.Random("dominant-count")
+    for n in range(1, 8):
+        yield Matrix(((tangible(1),) * n,) * n)
+        yield Matrix(((ghost(-1),) * n,) * n)
+        yield Matrix(tuple(
+            tuple((ghost(2) if i == 0 else tangible(2)) if i == j else tangible(0)
+                  for j in range(n))
+            for i in range(n)
+        ))
+        for trial in range(30 if n < 6 else 4):
+            zero_p = 0.6 if trial % 3 == 0 else 0.1
+            yield Matrix(tuple(
+                tuple(ZERO if rng.random() < zero_p else
+                      (ghost if rng.random() < 0.2 else tangible)(rng.randint(-2, 2))
+                      for _ in range(n))
+                for _ in range(n)
+            ))
+
+
+def test_dominant_count_matches_enumeration():
+    seen = set()
+    for a in _count_matrices():
+        report, expected = det(a), enum_det(a)
+        tracks = report.dominant_tracks
+        assert len(tracks) == len(expected.dominant_tracks), a
+        assert report.classification is expected.classification, a
+        assert report == expected and expected == report and hash(report) == hash(expected), a
+        assert [tracks[i] for i in range(len(tracks))] == list(tracks), a
+        seen.add(report.classification)
+    assert seen == set(DetClass)
+
+
+class TestLazyListing:
+    """A report counts its dominant tracks and builds them only when read."""
+
+    Z5 = Matrix(((tangible(0),) * 5,) * 5)
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        """The permutations of every track that `det`'s report builds."""
+        made = []
+        track = matrix_module.PermutationTrack
+
+        def counting(perm, product):
+            made.append(perm)
+            return track(perm, product)
+
+        monkeypatch.setattr(matrix_module, "PermutationTrack", counting)
+        return made
+
+    def test_count_builds_no_track(self, built):
+        report = det(self.Z5)
+        assert len(report.dominant_tracks) == 120
+        assert report.classification is DetClass.GHOST_BY_TIE
+        assert report.value == ghost(0)
+        assert built == []
+        data = report.to_json_dict()
+        assert [tuple(j - 1 for j in t["perm"]) for t in data["dominant"]] == built
+        assert built == list(itertools.permutations(range(5)))
+        assert "track_count" not in data and "truncated" not in data
+
+    def test_nine_by_nine_count(self, built):
+        report = det(Matrix(((tangible(0),) * 9,) * 9))
+        assert len(report.dominant_tracks) == 362880
+        assert built == []
+
+    def test_reader_that_stops_early(self, built):
+        tracks = det(self.Z5).dominant_tracks
+        assert next(iter(tracks)).name == "Id"
+        assert tracks[-1].name == "-Id"
+        assert [t.perm for t in tracks[2:4]] == [(0, 1, 3, 2, 4), (0, 1, 3, 4, 2)]
+        assert len(built) == 4
+        with pytest.raises(IndexError):
+            tracks[120]
+
+    def test_json_past_the_cap(self, built, monkeypatch):
+        monkeypatch.setattr(matrix_module, "MAX_LISTED_TRACKS", 7)
+        report = det(self.Z5)
+        data = report.to_json_dict()
+        assert len(built) == 7
+        assert (data["track_count"], data["truncated"]) == (120, True)
+        assert data["dominant"] == [t.to_json_dict() for t in report.dominant_tracks[:7]]
+
+
 class TestMinorsAndTrace:
     def test_minor_picks_rows_and_columns(self):
         m = parse_matrix("1 2 3\n4 5 6\n7 8 9")

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -149,6 +151,17 @@ class TestOracleBound:
         assert oracle.ORACLE_DIM_BOUND == 9
         with pytest.raises(BoundExceededError, match="size 10 exceeds bound 9"):
             enum_det(Matrix.identity(10))
+
+
+def test_oracle_uses_no_kernel_arithmetic():
+    """The reference computes in `Scalar`s: it imports none of the key codec
+    or the permanent kernel that it is there to check."""
+    kernel = {"_encode", "_encode_keys", "_key_scale", "_decode", "_permanent_table"}
+    tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
+    used = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & kernel
 
 
 class TestSampledEquiv:
