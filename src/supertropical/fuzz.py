@@ -12,7 +12,6 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 from functools import lru_cache
 from itertools import product
 from typing import Iterator
@@ -27,7 +26,7 @@ from .defaults import (
 from .errors import BoundExceededError, DomainError
 from .matrix import Matrix
 from .polynomial import Polynomial
-from .scalar import Kind, Scalar, ZERO, tangible
+from .scalar import Scalar, _decode, tangible
 from .spectral import CHECKS, Trial, check_eigenpair, eigenvalues
 
 # The default checks, in the order a campaign reports them; they run in
@@ -78,17 +77,27 @@ def trial_seed(seed: int, trial: int) -> str:
     return f"{seed}:{trial}"
 
 
+def _random_key(rng: random.Random, cfg: Config, allow_zero: bool = True) -> int | None:
+    """One lattice entry as a key at scale 1 (see ``scalar.py``): ``None``
+    for ``-inf``, else ``value << 1 | is_ghost``."""
+    if allow_zero and rng.random() < cfg.zero_prob:
+        return None
+    return rng.randint(cfg.value_min, cfg.value_max) << 1 | (rng.random() < cfg.ghost_prob)
+
+
 @lru_cache(maxsize=1024)
-def _lattice_scalar(value: int, is_ghost: bool) -> Scalar:
-    """One shared immutable scalar per lattice point and kind."""
-    return Scalar(Kind.GHOST if is_ghost else Kind.TANGIBLE, Fraction(value))
+def _lattice_scalar(key: int | None) -> Scalar:
+    """One shared immutable scalar per lattice key."""
+    return _decode(key, 1)
 
 
 def random_scalar(rng: random.Random, cfg: Config, allow_zero: bool = True) -> Scalar:
-    if allow_zero and rng.random() < cfg.zero_prob:
-        return ZERO
-    value = rng.randint(cfg.value_min, cfg.value_max)
-    return _lattice_scalar(value, rng.random() < cfg.ghost_prob)
+    return _lattice_scalar(_random_key(rng, cfg, allow_zero))
+
+
+def _random_keys(rng: random.Random, n: int, cfg: Config) -> list[list[int | None]]:
+    """The keys at scale 1 of the matrix `random_matrix` draws from the same generator."""
+    return [[_random_key(rng, cfg) for _ in range(n)] for _ in range(n)]
 
 
 def random_matrix(rng: random.Random, n: int, cfg: Config) -> Matrix:
@@ -148,12 +157,15 @@ class CampaignResult:
 
 def generate_trials(cfg: Config) -> Iterator[Trial]:
     """The campaign's inputs in trial order; trial ``i`` draws n, m, A and B
-    from its own generator seeded by ``trial_seed(cfg.seed, i)``."""
+    from its own generator seeded by ``trial_seed(cfg.seed, i)``. The
+    entries are drawn straight as keys, with the same draws as
+    `random_matrix`, so a trial's matrices are built only if read."""
     for trial in range(cfg.trials):
         rng = random.Random(trial_seed(cfg.seed, trial))
         n = rng.randint(cfg.min_n, cfg.max_n)
         m = rng.randint(cfg.min_m, cfg.max_m)
-        yield Trial(random_matrix(rng, n, cfg), random_matrix(rng, n, cfg), m, cfg.det_bound)
+        a, b = _random_keys(rng, n, cfg), _random_keys(rng, n, cfg)
+        yield Trial.from_keys(1, a, b, m, cfg.det_bound)
 
 
 def run_campaign(cfg: Config, checks: tuple[str, ...] = CAMPAIGN_CHECKS) -> CampaignResult:

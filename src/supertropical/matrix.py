@@ -24,8 +24,9 @@ magnitudes: a matrix result is decoded as it is returned, and the
 characteristic polynomial keeps its keys and decodes its coefficients on
 their first read.
 The public functions are thin wrappers over private key-space helpers
-(``_encode``, ``_key_power``, ``_char_poly_from_keys``, ``_det_value``),
-which ``spectral.Trial`` calls directly to keep a trial's matrices as keys.
+(``_encode``, ``_decode_matrix``, ``_key_product``, ``_key_power``,
+``_char_poly_from_keys``, ``_det_key``), which ``spectral.Trial`` calls
+directly to keep a trial's matrices as keys.
 A matrix encodes itself once and computes its characteristic polynomial
 once: ``Matrix._keys`` and ``Matrix._char_poly`` are cached on the object,
 so ``det``, ``char_poly``, ``mat_pow`` and ``eigenvalues`` on one matrix
@@ -61,13 +62,13 @@ _Keys = Sequence[Sequence[int | None]]
 
 
 def check_dim_bound(
-    what: str, a: Matrix, bound: int | None, default: int = DEFAULT_DET_BOUND
+    what: str, n: int, bound: int | None, default: int = DEFAULT_DET_BOUND
 ) -> int:
-    """Refuse ``what`` for a matrix above ``bound`` (``default`` when None);
-    return the bound."""
+    """Refuse ``what`` for an n-by-n matrix above ``bound`` (``default``
+    when None); return the bound."""
     limit = default if bound is None else bound
-    if a.n > limit:
-        raise BoundExceededError(what, a.n, limit)
+    if n > limit:
+        raise BoundExceededError(what, n, limit)
     return limit
 
 
@@ -183,13 +184,14 @@ def _key_power(keys: _Keys, m: int) -> _Keys:
         square = _key_product(square, square)
 
 
-def _check_product_shape(a: Matrix, b: Matrix) -> None:
-    if a.n != b.n:
-        raise ShapeError(f"cannot multiply {a.n}x{a.n} by {b.n}x{b.n}")
+def _check_product_shape(n: int, k: int) -> None:
+    """Refuse the product of an n-by-n and a k-by-k matrix unless n = k."""
+    if n != k:
+        raise ShapeError(f"cannot multiply {n}x{n} by {k}x{k}")
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    _check_product_shape(a, b)
+    _check_product_shape(a.n, b.n)
     scale, (x, y) = _encode(a, b)
     return _decode_matrix(_key_product(x, y), scale)
 
@@ -346,10 +348,10 @@ def _scalar_entries(keys: _Keys) -> list[list[list[int] | None]]:
     return [[None if k is None else [k] for k in row] for row in keys]
 
 
-def _det_value(keys: _Keys, scale: int) -> Scalar:
-    """The permanent's value alone, with no dominant-track listing."""
+def _det_key(keys: _Keys) -> int | None:
+    """The key of the permanent's value alone, with no dominant-track listing."""
     top = _permanent_table(_scalar_entries(keys), len(keys))[-1]
-    return _decode(None if top is None else top[0], scale)
+    return None if top is None else top[0]
 
 
 def _char_poly_from_keys(keys: _Keys, scale: int) -> Polynomial:
@@ -473,7 +475,7 @@ def det(a: Matrix, bound: int | None = None) -> DetReport:
     are listed, in the lexicographic order of their permutations, only when
     the report's ``dominant_tracks`` is iterated or indexed.
     """
-    check_dim_bound("determinant", a, bound)
+    check_dim_bound("determinant", a.n, bound)
     scale, keys = a._keys
     table = _permanent_table(_scalar_entries(keys), a.n)
     if table[-1] is None:
@@ -503,7 +505,7 @@ def char_poly(a: Matrix, bound: int | None = None) -> Polynomial:
     `eigenvalues`, read the cached result, and `det` and `mat_pow` share its
     encoding.
     """
-    check_dim_bound("characteristic polynomial", a, bound)
+    check_dim_bound("characteristic polynomial", a.n, bound)
     return a._char_poly
 
 

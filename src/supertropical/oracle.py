@@ -42,7 +42,7 @@ ORACLE_DIM_BOUND = 9
 
 def enum_det(a: Matrix, bound: int | None = None) -> DetReport:
     """Permanent by full permutation enumeration, with dominant-track report."""
-    check_dim_bound("determinant", a, bound, ORACLE_DIM_BOUND)
+    check_dim_bound("determinant", a.n, bound, ORACLE_DIM_BOUND)
     rows = a.rows
     value = ZERO
     tracks: list[PermutationTrack] = []
@@ -77,7 +77,7 @@ def minor_sum_charpoly(a: Matrix, bound: int | None = None) -> Polynomial:
     enumerated determinant of the corresponding principal minor; the top
     coefficient is the unit.
     """
-    limit = check_dim_bound("characteristic polynomial", a, bound, ORACLE_DIM_BOUND)
+    limit = check_dim_bound("characteristic polynomial", a.n, bound, ORACLE_DIM_BOUND)
     n = a.n
     coeffs = [ZERO] * (n + 1)
     coeffs[n] = ONE
@@ -284,7 +284,7 @@ def sym_direct_charpoly(a: Matrix, bound: int | None = None) -> Polynomial:
     one `Polynomial` is built from their sum at the end, so no step shares
     the kernel's key arithmetic.
     """
-    check_dim_bound("direct characteristic polynomial", a, bound, ORACLE_DIM_BOUND)
+    check_dim_bound("direct characteristic polynomial", a.n, bound, ORACLE_DIM_BOUND)
     n = a.n
     total = [ZERO] * (n + 1)
     for perm in permutations(range(n)):

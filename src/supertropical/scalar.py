@@ -205,7 +205,9 @@ def parse_scalar(text: str) -> Scalar:
 # ``-inf``, with ``scale`` a common multiple of the denominators at hand
 # (`_key_scale`). In key space a product is ``x + y - (x & y & 1)``, and a sum
 # takes the key with the larger ``k >> 1``, or on a tie the ghost key
-# ``k | 1``. `_encode_keys` and `_decode` convert between keys and scalars.
+# ``k | 1``. `_encode_keys` and `_decode` convert between keys and scalars;
+# `_key_pow`, `_key_sum` and `_key_surpasses` are `Scalar`'s power, sum and
+# ghost-surpass on keys at one scale.
 
 # A scale has at most the digits of two literal denominators, so every
 # magnitude computed from it stays within the interpreter's ``str()`` limit;
@@ -244,3 +246,31 @@ def _decode(k: int | None, scale: int) -> Scalar:
     if k is None:
         return ZERO
     return Scalar(Kind.GHOST if k & 1 else Kind.TANGIBLE, Fraction(k >> 1, scale))
+
+
+def _key_pow(k: int | None, m: int) -> int | None:
+    """The key of the m-th power of key ``k``'s scalar: the magnitude m-fold
+    and the ghost bit kept, or the unit key 0 for m = 0, as `Scalar.__pow__`."""
+    if m == 0:
+        return 0
+    return None if k is None else ((k >> 1) * m) << 1 | (k & 1)
+
+
+def _key_sum(keys: Iterable[int | None]) -> int | None:
+    """The key of the sum of the keys' scalars: the largest magnitude, ghost on a tie."""
+    acc = None
+    for k in keys:
+        if k is None:
+            continue
+        if acc is None or k > acc | 1:
+            acc = k
+        elif k >> 1 == acc >> 1:
+            acc |= 1
+    return acc
+
+
+def _key_surpasses(x: int | None, y: int | None) -> bool:
+    """`Scalar.surpasses` on two keys at one scale."""
+    if x == y:
+        return True
+    return x is not None and x & 1 == 1 and (y is None or x >> 1 >= y >> 1)

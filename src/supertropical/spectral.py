@@ -6,16 +6,19 @@ reproduces the computation. A conditional law whose hypothesis does not
 hold reports ``holds=None`` (not applicable) rather than pass or fail.
 The matrix-power laws are functions of one cached ``Trial``, listed by
 check id in ``CHECKS``; the public ``check_*`` functions wrap them. A trial
-works in the matrix kernel's key space from end to end: it encodes A and B
-once, keeps A^m as keys, and decodes only the characteristic polynomials,
-the determinant values and the diagonal of A^m that the laws compare.
+works in the matrix kernel's key space from end to end: it holds A and B as
+keys (encoded once, or drawn as keys by ``fuzz``), keeps A^m and both
+characteristic polynomials as keys, and the laws compare keys at the
+trial's scale. A law's verdict builds its detail records when they are
+first read, and its witness only on failure, so a passing law decodes
+nothing and builds no string.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .defaults import LAW_IDS
 from .errors import DomainError
@@ -24,7 +27,8 @@ from .matrix import (
     _Keys,
     _char_poly_from_keys,
     _check_product_shape,
-    _det_value,
+    _decode_matrix,
+    _det_key,
     _encode,
     _key_power,
     _key_product,
@@ -32,24 +36,62 @@ from .matrix import (
     check_dim_bound,
     mat_pow,
     mat_vec,
-    trace,
 )
 from .polynomial import Interval, Polynomial, roots
-from .scalar import Scalar, ZERO, _decode
+from .scalar import Scalar, _decode, _key_pow, _key_sum, _key_surpasses
 
 
-@dataclass(frozen=True)
 class Verdict:
-    """Outcome of one law check; ``holds=None`` means not applicable."""
+    """Outcome of one law check; ``holds=None`` means not applicable.
 
-    check: str
-    holds: bool | None
-    witness: dict | None = None
-    detail: tuple[dict, ...] = ()
+    ``detail`` is given as a tuple of records, or as a function that returns
+    them: the laws give a function, so that the records and their strings are
+    built only when ``detail`` is first read, which a passing campaign never
+    does. Equality compares all four fields.
+    """
+
+    __slots__ = ("check", "holds", "witness", "_detail")
+
+    def __init__(
+        self,
+        check: str,
+        holds: bool | None,
+        witness: dict | None = None,
+        detail: tuple[dict, ...] | Callable[[], Iterable[dict]] = (),
+    ):
+        self.check = check
+        self.holds = holds
+        self.witness = witness
+        self._detail = detail
+
+    @property
+    def detail(self) -> tuple[dict, ...]:
+        if callable(self._detail):
+            self._detail = tuple(self._detail())
+        return self._detail
 
     @property
     def applicable(self) -> bool:
         return self.holds is not None
+
+    def _fields(self) -> tuple:
+        return self.check, self.holds, self.witness, self.detail
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __reduce__(self):
+        return Verdict, self._fields()
+
+    def __repr__(self) -> str:
+        return "Verdict(check={!r}, holds={!r}, witness={!r}, detail={!r})".format(
+            *self._fields()
+        )
 
     def to_json_dict(self) -> dict:
         out: dict = {"theorem": self.check}
@@ -126,26 +168,52 @@ def check_eigen_power(a: Matrix, v: Sequence[Scalar], x: Scalar, m: int) -> Verd
     return Verdict("eigen-power", inner.holds, witness, inner.detail)
 
 
-@dataclass(frozen=True)
+def _text(k: int | None, scale: int) -> str:
+    return str(_decode(k, scale))
+
+
 class Trial:
     """One input to the matrix-power laws: matrices ``a`` and ``b``, the
     power ``m`` and the det/charpoly dimension ``bound``. Only the
     determinant product rule reads ``b``, and it alone ignores ``m``.
 
-    Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m), the
-    trace law reads A^m too, and the determinant rule reads det(A) as
-    coefficient 0 of charpoly(A). So the trial computes each of these once,
-    on first use, in the matrix kernel's key space: running every law on one
-    trial costs one joint encode of A and B, one key-space power A^m, two
-    characteristic-polynomial tables (``alpha`` = charpoly(A), ``beta`` =
-    charpoly(A^m)) and two value-only determinants (det(AB), det(B)), with
-    no decode of A^m or AB.
+    A trial works in the matrix kernel's key space. ``Trial(a, b, m)``
+    encodes A and B jointly on first use; `Trial.from_keys` is given their
+    keys, and builds ``a`` and ``b`` as matrices only if they are read (by a
+    witness, say). Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with
+    charpoly(A^m), the trace law reads A^m too, and the determinant rule
+    reads det(A) as coefficient 0 of charpoly(A). So the trial computes
+    each of these once, on first use, as keys: running every law on one
+    trial costs one key-space power A^m, two characteristic-polynomial
+    tables (``alpha`` = charpoly(A), ``beta`` = charpoly(A^m)) and two
+    value-only determinants (det(AB), det(B)). The laws compare keys at the
+    trial's scale and decode nothing unless a verdict's detail or witness
+    is read.
     """
 
-    a: Matrix
-    b: Matrix
-    m: int
-    bound: int | None = None
+    def __init__(self, a: Matrix, b: Matrix, m: int, bound: int | None = None):
+        self.a, self.b, self.m, self.bound = a, b, m, bound
+        self._dims = (a.n, b.n)
+
+    @classmethod
+    def from_keys(
+        cls, scale: int, x: _Keys, y: _Keys, m: int, bound: int | None = None
+    ) -> Trial:
+        """The trial of the square matrices whose keys at ``scale`` are
+        ``x`` (A) and ``y`` (B)."""
+        t = cls.__new__(cls)
+        t._keys = (scale, x, y)
+        t.m, t.bound = m, bound
+        t._dims = (len(x), len(y))
+        return t
+
+    @cached_property
+    def a(self) -> Matrix:
+        return _decode_matrix(self._keys[1], self._keys[0])
+
+    @cached_property
+    def b(self) -> Matrix:
+        return _decode_matrix(self._keys[2], self._keys[0])
 
     @cached_property
     def _keys(self) -> tuple[int, _Keys, _Keys]:
@@ -159,7 +227,7 @@ class Trial:
 
     @cached_property
     def alpha(self) -> Polynomial:
-        check_dim_bound("characteristic polynomial", self.a, self.bound)
+        check_dim_bound("characteristic polynomial", self._dims[0], self.bound)
         scale, x, _ = self._keys
         return _char_poly_from_keys(x, scale)
 
@@ -167,51 +235,63 @@ class Trial:
     def beta(self) -> Polynomial:
         # The power first: a negative or oversize m is refused before the dimension.
         power = self._power_keys
-        check_dim_bound("characteristic polynomial", self.a, self.bound)
+        check_dim_bound("characteristic polynomial", self._dims[0], self.bound)
         return _char_poly_from_keys(power, self._keys[0])
 
     @cached_property
-    def coeff_pairs(self) -> tuple[tuple[Scalar, Scalar], ...]:
-        """``(beta.coeff(i), alpha.coeff(i) ** m)`` for i = 0..n, compared by thm36 and cor37."""
+    def _coeff_keys(self) -> tuple[tuple[int | None, int | None], ...]:
+        """The keys of ``(beta.coeff(i), alpha.coeff(i) ** m)`` for i = 0..n,
+        compared by thm36 and cor37."""
         # Both characteristic polynomials have degree n: n + 1 coefficients each.
-        return tuple(zip(self.beta.coeffs, [c ** self.m for c in self.alpha.coeffs]))
+        beta = self.beta._keys[1]
+        return tuple(zip(beta, [_key_pow(k, self.m) for k in self.alpha._keys[1]]))
 
     def witness(self, **extra) -> dict:
         return {"matrix": self.a.to_json_dict(), "m": self.m, **extra}
 
 
 def _charpoly_power(t: Trial) -> Verdict:
-    detail = []
+    pairs = t._coeff_keys
     bad = None
-    for i, (b, ap) in enumerate(t.coeff_pairs):
-        if b == ap:
-            relation = "equal"
-        elif b.surpasses(ap):
-            relation = "ghost-surpass"
-        else:
-            relation = "violation"
+    for i, (b, ap) in enumerate(pairs):
+        if not _key_surpasses(b, ap):
             bad = i
-        detail.append({"i": i, "coeff": str(b), "power": str(ap), "relation": relation})
+    scale = t._keys[0]
+
+    def detail():
+        for i, (b, ap) in enumerate(pairs):
+            if b == ap:
+                relation = "equal"
+            elif _key_surpasses(b, ap):
+                relation = "ghost-surpass"
+            else:
+                relation = "violation"
+            yield {"i": i, "coeff": _text(b, scale), "power": _text(ap, scale),
+                   "relation": relation}
+
     witness = None if bad is None else t.witness(i=bad)
-    return Verdict("charpoly-power", bad is None, witness, tuple(detail))
+    return Verdict("charpoly-power", bad is None, witness, detail)
 
 
 def _det_rule(t: Trial) -> Verdict:
     # det(A) is coefficient 0 of the cached charpoly(A); the dimension is
     # checked first, so that an oversize matrix is refused as a determinant.
-    _check_product_shape(t.a, t.b)
-    check_dim_bound("determinant", t.a, t.bound)
+    _check_product_shape(*t._dims)
+    check_dim_bound("determinant", t._dims[0], t.bound)
     scale, x, y = t._keys
-    lhs = _det_value(_key_product(x, y), scale)
-    rhs = t.alpha.coeff(0) * _det_value(y, scale)
-    holds = lhs.surpasses(rhs)
-    detail = (
-        {
-            "lhs": str(lhs),
-            "rhs": str(rhs),
-            "tangible_equality": (lhs == rhs) if lhs.is_tangible else None,
-        },
-    )
+    lhs = _det_key(_key_product(x, y))
+    # rhs = det(A) * det(B), the key-space product.
+    p, q = t.alpha._keys[1][0], _det_key(y)
+    rhs = None if p is None or q is None else p + q - (p & q & 1)
+    holds = _key_surpasses(lhs, rhs)
+
+    def detail():
+        yield {
+            "lhs": _text(lhs, scale),
+            "rhs": _text(rhs, scale),
+            "tangible_equality": lhs == rhs if lhs is not None and not lhs & 1 else None,
+        }
+
     witness = None
     if not holds:
         witness = {"a": t.a.to_json_dict(), "b": t.b.to_json_dict()}
@@ -219,42 +299,54 @@ def _det_rule(t: Trial) -> Verdict:
 
 
 def _tangible_equality(t: Trial) -> Verdict:
-    if any(c.is_ghost for c in t.beta.coeffs):
+    if any(k is not None and k & 1 for k in t.beta._keys[1]):
         return Verdict("tangible-equality", None)
-    detail = []
+    pairs = t._coeff_keys
     bad = None
-    for i, (b, ap) in enumerate(t.coeff_pairs):
-        ok = b == ap
-        if not ok:
+    for i, (b, ap) in enumerate(pairs):
+        if b != ap:
             bad = i
-        detail.append({"i": i, "coeff": str(b), "power": str(ap), "equal": ok})
+    scale = t._keys[0]
+
+    def detail():
+        for i, (b, ap) in enumerate(pairs):
+            yield {"i": i, "coeff": _text(b, scale), "power": _text(ap, scale),
+                   "equal": b == ap}
+
     witness = None if bad is None else t.witness(i=bad)
-    return Verdict("tangible-equality", bad is None, witness, tuple(detail))
+    return Verdict("tangible-equality", bad is None, witness, detail)
 
 
 def _corner_root_power(t: Trial) -> Verdict:
+    # Corner roots are tangible, so lam ** m == mu compares magnitudes alone.
     base_roots = roots(t.alpha).corner_roots
-    power_roots = roots(t.beta).corner_roots
-    detail = []
+    matches = []
     bad = None
-    for mu, _mult in power_roots:
-        match = next((lam for lam, _ in base_roots if lam**t.m == mu), None)
+    for mu, _mult in roots(t.beta).corner_roots:
+        match = next((lam for lam, _ in base_roots if lam.value * t.m == mu.value), None)
         if match is None:
             bad = mu
-        detail.append(
-            {"corner_root": str(mu), "base_root": None if match is None else str(match)}
-        )
+        matches.append((mu, match))
+
+    def detail():
+        for mu, match in matches:
+            yield {"corner_root": str(mu), "base_root": None if match is None else str(match)}
+
     witness = None if bad is None else t.witness(corner_root=str(bad))
-    return Verdict("corner-root-power", bad is None, witness, tuple(detail))
+    return Verdict("corner-root-power", bad is None, witness, detail)
 
 
 def _trace_power(t: Trial) -> Verdict:
-    scale = t._keys[0]
-    lhs = sum((_decode(row[i], scale) for i, row in enumerate(t._power_keys)), ZERO)
-    rhs = trace(t.a) ** t.m
-    holds = lhs.surpasses(rhs)
+    lhs = _key_sum(row[i] for i, row in enumerate(t._power_keys))
+    scale, x, _ = t._keys
+    rhs = _key_pow(_key_sum(row[i] for i, row in enumerate(x)), t.m)
+    holds = _key_surpasses(lhs, rhs)
+
+    def detail():
+        yield {"lhs": _text(lhs, scale), "rhs": _text(rhs, scale)}
+
     witness = None if holds else t.witness()
-    return Verdict("trace-power", holds, witness, ({"lhs": str(lhs), "rhs": str(rhs)},))
+    return Verdict("trace-power", holds, witness, detail)
 
 
 CHECKS: dict[str, Callable[[Trial], Verdict]] = dict(zip(

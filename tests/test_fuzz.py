@@ -7,20 +7,27 @@ from collections import Counter
 
 import pytest
 
-from supertropical import matrix, spectral
+from supertropical import fuzz, matrix, polynomial, scalar, spectral
 from supertropical.defaults import DEFAULT_DET_BOUND
 from supertropical.fuzz import MAX_TRIALS, generate_trials
 from supertropical import (
     BoundExceededError,
     Config,
     DomainError,
+    Scalar,
+    char_poly,
+    det,
+    mat_mul,
+    mat_pow,
     check_eigenpair,
     parse_matrix,
     random_matrix,
     random_polynomial,
+    roots,
     run_campaign,
     search_eigenpairs,
     tangible,
+    trace,
     trial_seed,
 )
 
@@ -93,9 +100,10 @@ class TestCampaign:
         assert result.ok
 
     def test_power_and_charpolys_computed_once_per_trial(self, monkeypatch):
-        # Count the kernel work wherever it is called from: one joint encode,
-        # two charpoly tables and two value-only determinant tables per trial;
-        # the key products are those of A^m's repeated squaring plus one for AB.
+        # Count the kernel work wherever it is called from: no encode (a
+        # generated trial is drawn as keys), two charpoly tables and two
+        # value-only determinant tables per trial; the key products are those
+        # of A^m's repeated squaring plus one for AB.
         calls = Counter()
         for name in ("_encode", "_permanent_table", "_key_product"):
 
@@ -111,15 +119,78 @@ class TestCampaign:
         power_products = sum(
             t.m.bit_length() + t.m.bit_count() - 2 for t in generate_trials(cfg)
         )
-        assert calls == {
-            "_encode": 10,
+        assert calls == Counter({
+            "_encode": 0,
             "_permanent_table": 40,
             "_key_product": power_products + 10,
-        }
+        })
+
+    def test_passing_campaign_builds_no_strings(self, monkeypatch):
+        # The laws compare keys, so a passing campaign decodes no key and
+        # formats no scalar; a verdict's detail is built when it is read,
+        # and reads as the public Scalar route writes it.
+        calls = Counter()
+
+        def counted(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+            return wrapper
+
+        for module in (scalar, polynomial, matrix, spectral, fuzz):
+            monkeypatch.setattr(module, "_decode", counted("_decode", module._decode))
+        monkeypatch.setattr(Scalar, "__str__", counted("__str__", Scalar.__str__))
+        seen = []
+        for check_id, law in spectral.CHECKS.items():
+
+            def recorded(t, _check_id=check_id, _law=law):
+                seen.append((_check_id, t, _law(t)))
+                return seen[-1][2]
+
+            monkeypatch.setitem(spectral.CHECKS, check_id, recorded)
+        assert run_campaign(Config(trials=50, seed=17)).ok
+        assert len(seen) == 250
+        assert calls == Counter()
+        for check_id, t, verdict in seen:
+            assert list(verdict.detail) == _scalar_route_detail(check_id, t), (check_id, t.a)
+        assert calls["_decode"] > 0 and calls["__str__"] > 0
 
     def test_unknown_check_id_rejected(self):
         with pytest.raises(DomainError, match="thm99"):
             run_campaign(Config(trials=3), ("thm99", "thm36"))
+
+
+def _scalar_route_detail(check_id: str, t) -> list[dict]:
+    """The detail records of law ``check_id`` on trial ``t``, computed with
+    the public API's `Scalar` arithmetic."""
+    a, m = t.a, t.m
+    alpha, power = char_poly(a), char_poly(mat_pow(a, m))
+    pairs = [(c, d**m) for c, d in zip(power.coeffs, alpha.coeffs)]
+    if check_id == "thm13":
+        lhs = det(mat_mul(a, t.b)).value
+        rhs = det(a).value * det(t.b).value
+        equal = lhs == rhs if lhs.is_tangible else None
+        return [{"lhs": str(lhs), "rhs": str(rhs), "tangible_equality": equal}]
+    if check_id == "thm36":
+        return [
+            {"i": i, "coeff": str(c), "power": str(p),
+             "relation": "equal" if c == p else "ghost-surpass" if c.surpasses(p) else "violation"}
+            for i, (c, p) in enumerate(pairs)
+        ]
+    if check_id == "cor37":
+        if any(c.is_ghost for c in power.coeffs):
+            return []
+        return [{"i": i, "coeff": str(c), "power": str(p), "equal": c == p}
+                for i, (c, p) in enumerate(pairs)]
+    if check_id == "cor38":
+        base = [lam for lam, _ in roots(alpha).corner_roots]
+        return [
+            {"corner_root": str(mu),
+             "base_root": next((str(lam) for lam in base if lam**m == mu), None)}
+            for mu, _ in roots(power).corner_roots
+        ]
+    lhs, rhs = trace(mat_pow(a, m)), trace(a) ** m
+    return [{"lhs": str(lhs), "rhs": str(rhs)}]
 
 
 class TestEigenpairSearch:

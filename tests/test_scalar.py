@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from supertropical import DomainError, ONE, ParseError, ZERO, ghost, parse_scalar, tangible
+from supertropical.scalar import _decode, _encode_keys, _key_pow, _key_sum, _key_surpasses
 from conftest import scalars, tangibles
 
 
@@ -202,6 +203,26 @@ def test_ghost_map_multiplicative(a, b):
 @given(scalars)
 def test_ghost_map_surpasses_argument(a):
     assert a.as_ghost().surpasses(a)
+
+
+# --- key arithmetic ---------------------------------------------------------
+
+
+def test_key_arithmetic_matches_scalars():
+    # Exhaustive over a grid where ties are common: power, sum and
+    # ghost-surpass on keys agree with the `Scalar` operations.
+    grid = [ZERO] + [f(Fraction(v)) for v in ("-1", "-1/2", "0", "1/3", "1")
+                     for f in (tangible, ghost)]
+    scale = 6
+    keys = dict(zip(grid, _encode_keys(grid, scale)))
+    assert _decode(_key_sum([]), scale) == ZERO
+    for a in grid:
+        for m in range(4):
+            assert _decode(_key_pow(keys[a], m), scale) == a**m, (a, m)
+        for b in grid:
+            assert _key_surpasses(keys[a], keys[b]) is a.surpasses(b), (a, b)
+            for c in grid:
+                assert _decode(_key_sum([keys[a], keys[b], keys[c]]), scale) == a + b + c
 
 
 # --- text form ------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -38,6 +39,9 @@ from supertropical import (
     tangible,
     trace,
 )
+from supertropical import Config, Verdict, random_matrix
+from supertropical.fuzz import _random_keys
+from supertropical.matrix import _char_poly_from_keys, _encode, _key_power
 from supertropical.oracle import enum_det, sym_direct_charpoly
 from supertropical.spectral import CHECKS, Trial
 from conftest import matrices, sample_matrix, scalars
@@ -242,6 +246,23 @@ class TestVerdictJson:
         assert data["not_applicable"] is True
         assert "holds" not in data
 
+    def test_lazy_detail_reads_as_given(self):
+        records = ({"lhs": "1", "rhs": "0"},)
+        built = []
+
+        def detail():
+            built.append(1)
+            yield from records
+
+        lazy, plain = Verdict("x", True, None, detail), Verdict("x", True, None, records)
+        assert not built
+        assert lazy == plain and repr(lazy) == repr(plain)
+        assert pickle.loads(pickle.dumps(lazy)) == plain
+        assert lazy.detail is lazy.detail and built == [1]
+        assert repr(plain) == (
+            "Verdict(check='x', holds=True, witness=None, detail=({'lhs': '1', 'rhs': '0'},))"
+        )
+
     def test_failure_carries_witness(self):
         verdict = check_eigenpair(A, (tangible(0), tangible(0)), tangible(0))
         data = verdict.to_json_dict()
@@ -305,6 +326,72 @@ class TestTrialKeySpace:
                 CHECKS[check_id](Trial(a3, a3, 2, bound=2))
         # The trace law computes no determinant, so no dimension bound applies.
         assert CHECKS["trace"](Trial(a3, a3, 2, bound=2)).holds
+
+
+def _law_json(t: Trial) -> dict:
+    return {check_id: law(t).to_json_dict() for check_id, law in CHECKS.items()}
+
+
+def _same_matrices_two_ways(rng: random.Random, k: int) -> tuple[Trial, Trial, Matrix, Matrix]:
+    """A trial built from keys and one built from the same matrices: drawn
+    as keys and as matrices by `fuzz` (scale 1), or palette rationals
+    encoded jointly (a larger scale). n runs 1..5 and m 0..4."""
+    n, m = k % 5 + 1, k // 5 % 5
+    if k % 2:
+        cfg = Config(value_min=-2, value_max=2, ghost_prob=0.3, zero_prob=0.15)
+        seed = rng.random()
+        draw = random.Random(seed)
+        a, b = random_matrix(draw, n, cfg), random_matrix(draw, n, cfg)
+        draw = random.Random(seed)
+        keyed = Trial.from_keys(1, _random_keys(draw, n, cfg), _random_keys(draw, n, cfg), m)
+    else:
+        a, b = _palette_matrix(rng, n), _palette_matrix(rng, n)
+        scale, (x, y) = _encode(a, b)
+        keyed = Trial.from_keys(scale, x, y, m)
+    return keyed, Trial(a, b, m), a, b
+
+
+class TestKeyBuiltTrial:
+    """`Trial.from_keys` builds ``a`` and ``b`` only when read; every law
+    must give the same verdict, detail and witness included, as on the
+    trial of the same matrices."""
+
+    def test_laws_agree(self):
+        rng = random.Random("key-built-trials")
+        outcomes = set()
+        for k in range(250):
+            keyed, built, a, b = _same_matrices_two_ways(rng, k)
+            got = _law_json(keyed)
+            assert got == _law_json(built), (a, b, keyed.m)
+            assert (keyed.a, keyed.b) == (a, b)
+            outcomes.update((c, v.get("holds")) for c, v in got.items())
+        # Every law passed, and cor37 was also not applicable.
+        assert {(c, True) for c in CHECKS} | {("cor37", None)} <= outcomes
+
+    def test_failures_agree(self):
+        # A wrong cached value, the same on both trials, makes the laws fail,
+        # so the witnesses read the key-built trial's lazy matrices.
+        rng = random.Random("key-built-failures")
+        failed = set()
+        for k in range(150):
+            keyed, built, a, b = _same_matrices_two_ways(rng, k)
+            scale, x, _ = built._keys
+            wrong_power = _key_power(x, keyed.m + 1)
+            wrong = _char_poly_from_keys(wrong_power, scale)
+            for cached, value, check_ids in (
+                ("beta", wrong, ("thm36", "cor37", "cor38")),
+                ("alpha", wrong, ("thm13",)),
+                ("_power_keys", wrong_power, ("trace",)),
+            ):
+                for t in (keyed, built):
+                    t.__dict__.pop("_coeff_keys", None)
+                    t.__dict__[cached] = value
+                for check_id in check_ids:
+                    got = CHECKS[check_id](keyed).to_json_dict()
+                    assert got == CHECKS[check_id](built).to_json_dict(), (a, b, check_id)
+                    if got.get("holds") is False:
+                        failed.add(check_id)
+        assert failed == set(CHECKS)
 
 
 def _tied_lattice_matrix(rng: random.Random, trial: int) -> Matrix:
