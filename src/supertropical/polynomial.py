@@ -14,8 +14,11 @@ interval of magnitudes.
 A `Polynomial` is its keys: a scale and a key per degree, in the format
 that ``scalar.py`` describes and the matrix kernels use. Scaling every
 magnitude by one constant leaves the hull unchanged, so the envelope runs
-on the keys as plain ints; only the crossings that survive become exact
-`Fraction` values. ``coeffs`` are decoded on their first read, unless
+on the keys as plain ints and keeps each crossing as an int pair. A
+crossing becomes an exact `Fraction` only where a caller reports it: a
+corner root or a ghost interval's end in `roots`, a distinct cut in
+`breakpoints`. The corner-root law compares corner roots as the int pairs
+themselves. ``coeffs`` are decoded on their first read, unless
 ``Polynomial(coeffs)`` was given them. A scale of more than
 ``2 * MAX_LITERAL_DIGITS`` digits is refused with `BoundExceededError`
 while it is being built.
@@ -91,9 +94,9 @@ class Polynomial:
         return len(self._keys[1]) - 1
 
     @cached_property
-    def _hull(self) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
-        """The envelope, computed once and shared by `roots`, `essential`
-        and `breakpoints`."""
+    def _hull(self) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
+        """The envelope as `_envelope` gives it, computed once and shared by
+        `roots`, `essential`, `breakpoints` and the corner-root law."""
         return _envelope(self)
 
     def coeff(self, d: int) -> Scalar:
@@ -231,7 +234,7 @@ def polynomial_from_strings(strings: Sequence[str]) -> Polynomial:
 # ---------------------------------------------------------------------------
 # Envelope geometry.
 
-def _envelope(f: Polynomial) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
+def _envelope(f: Polynomial) -> tuple[tuple[int, ...], tuple[tuple[int, int], ...]]:
     """The degrees of the upper hull of the support, with the crossing of
     each consecutive pair.
 
@@ -249,10 +252,12 @@ def _envelope(f: Polynomial) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     is, so the walk runs on ``f``'s keys without their ghost bits: the
     magnitudes times ``f``'s scale, which are plain ints. A crossing is kept
     as the int pair ``(key difference, degree gap)``, whose second entry is
-    positive, and compared with the last cut by cross-multiplying. Only the
-    cuts that survive become `Fraction` values, once, at the end.
+    positive: its magnitude is ``num / (den * scale)`` (`_cut_value`). The
+    pairs are not reduced, so two cuts are equal when `_same_cut` says so,
+    not when the tuples are: ``x^3 + 2gx + 3`` has the cuts ``(1, 1)`` and
+    ``(2, 2)``.
     """
-    scale, keys = f._keys
+    keys = f._keys[1]
     hull: list[tuple[int, int]] = []
     cuts: list[tuple[int, int]] = []
     for d, k in enumerate(keys):
@@ -272,10 +277,40 @@ def _envelope(f: Polynomial) -> tuple[tuple[int, ...], tuple[Fraction, ...]]:
     # From a generator, CPython allocates a guessed size and resizes, and the
     # freed tuple then fills the free list of a size it was not taken from,
     # which only a full garbage collection empties.
-    return (
-        tuple([d for d, _ in hull]),
-        tuple([Fraction(num, den * scale) for num, den in cuts]),
-    )
+    return tuple([d for d, _ in hull]), tuple(cuts)
+
+
+def _same_cut(p: tuple[int, int], q: tuple[int, int]) -> bool:
+    """Whether two cuts of one envelope have the same magnitude."""
+    return p[0] * q[1] == q[0] * p[1]
+
+
+def _cut_value(cut: tuple[int, int], scale: int) -> Fraction:
+    """The magnitude of a cut of an envelope at ``scale``."""
+    return Fraction(cut[0], cut[1] * scale)
+
+
+def _corners(f: Polynomial) -> list[tuple[tuple[int, int], int]]:
+    """The corner roots of ``f`` as ``(cut, multiplicity)``, ascending.
+
+    Each time the cut changes, the edge between the last two strict
+    vertices is complete; when both of its end coefficients are tangible it
+    gives a corner root at its cut, with the degree gap as multiplicity. A
+    coefficient's kind is its key's ghost bit.
+    """
+    hull, cuts = f._hull
+    keys = f._keys[1]
+    corners = []
+    start = 0
+    for k, cut in enumerate(cuts):
+        # Cut k joins hull points k and k + 1; the edge ends at k + 1 unless
+        # the next cut is the same.
+        if k + 1 == len(cuts) or not _same_cut(cut, cuts[k + 1]):
+            lo, hi = hull[start], hull[k + 1]
+            if not (keys[lo] | keys[hi]) & 1:
+                corners.append((cut, hi - lo))
+            start = k + 1
+    return corners
 
 
 def essential(f: Polynomial) -> Polynomial:
@@ -297,8 +332,13 @@ def breakpoints(f: Polynomial) -> list[Fraction]:
     """Magnitudes where the dominant monomial changes, ascending."""
     if f.is_zero:
         return []
+    scale = f._keys[0]
     cuts = f._hull[1]
-    return [x for k, x in enumerate(cuts) if k == 0 or x != cuts[k - 1]]
+    return [
+        _cut_value(cut, scale)
+        for k, cut in enumerate(cuts)
+        if k == 0 or not _same_cut(cut, cuts[k - 1])
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -362,40 +402,39 @@ class RootReport:
 
 
 def roots(f: Polynomial) -> RootReport:
-    """Classify the root set of ``f`` in one walk over its envelope.
+    """Classify the root set of ``f`` from its envelope.
 
-    Hull point ``k`` attains the maximum on ``[cuts[k-1], cuts[k]]``, with
-    ``None`` for the open side at either end; for an on-edge point both
-    cuts are equal and the span is a single magnitude. Each ghost hull
-    point contributes its span as a ghost interval. The spans arrive in
-    ascending order and can only touch end to start, so touching ones are
-    merged as they come. Each time the cut changes, the edge between the
-    last two strict vertices is complete; when both of its end
-    coefficients are tangible it gives a corner root at its cut, with the
-    degree gap as multiplicity. A coefficient's kind is its key's ghost bit.
+    The corner roots are `_corners`. Hull point ``k`` attains the maximum
+    on ``[cuts[k-1], cuts[k]]``, with ``None`` for the open side at either
+    end; for an on-edge point both cuts are equal and the span is a single
+    magnitude. Each ghost hull point contributes its span as a ghost
+    interval. The spans arrive in ascending order and can only touch end to
+    start, so touching ones are merged as they come. A cut becomes a
+    `Fraction` only when it is reported.
     """
     if f.is_zero:
         return RootReport((), (), True)
     hull, cuts = f._hull
-    keys = f._keys[1]
-    corner: list[tuple[Scalar, int]] = []
+    scale, keys = f._keys
     spans: list[list] = []
-    start = hull[0]
     for k, d in enumerate(hull):
-        lo = cuts[k - 1] if k > 0 else None
-        hi = cuts[k] if k < len(cuts) else None
-        if k > 0 and lo != hi:
-            if not (keys[start] | keys[d]) & 1:
-                corner.append((tangible(lo), d - start))
-            start = d
         if keys[d] & 1:
-            if spans and spans[-1][1] == lo:
+            lo = cuts[k - 1] if k > 0 else None
+            hi = cuts[k] if k < len(cuts) else None
+            # Only the first span has lo None, and only the last hi None.
+            if spans and _same_cut(spans[-1][1], lo):
                 spans[-1][1] = hi
             else:
                 spans.append([lo, hi])
+
+    def value(cut: tuple[int, int] | None) -> Fraction | None:
+        return None if cut is None else _cut_value(cut, scale)
+
     all_ghost = all(keys[d] & 1 for d in hull)
     return RootReport(
-        tuple(corner), tuple([_closed(lo, hi) for lo, hi in spans]), all_ghost
+        tuple([(tangible(value(cut)), mult) for cut, mult in _corners(f)]),
+        tuple([_closed(value(lo), value(hi)) for lo, hi in spans]),
+        all_ghost,
     )
 
 

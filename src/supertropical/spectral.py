@@ -9,9 +9,11 @@ check id in ``CHECKS``; the public ``check_*`` functions wrap them. A trial
 works in the matrix kernel's key space from end to end: it holds A and B as
 keys (encoded once, or drawn as keys by ``fuzz``), keeps A^m and both
 characteristic polynomials as keys, and the laws compare keys at the
-trial's scale. A law's verdict builds its detail records when they are
-first read, and its witness only on failure, so a passing law decodes
-nothing and builds no string.
+trial's scale; the corner-root law compares the corner roots of both
+characteristic polynomials as their envelopes' integer cuts. A law's
+verdict builds its detail records when they are first read, and its
+witness only on failure, so a passing law decodes nothing and builds no
+string and no `Fraction`.
 """
 
 from __future__ import annotations
@@ -37,8 +39,8 @@ from .matrix import (
     mat_pow,
     mat_vec,
 )
-from .polynomial import Interval, Polynomial, roots
-from .scalar import Scalar, _decode, _key_pow, _key_sum, _key_surpasses
+from .polynomial import Interval, Polynomial, _corners, _cut_value, roots
+from .scalar import Scalar, _decode, _key_pow, _key_sum, _key_surpasses, tangible
 
 
 class Verdict:
@@ -317,22 +319,34 @@ def _tangible_equality(t: Trial) -> Verdict:
     return Verdict("tangible-equality", bad is None, witness, detail)
 
 
+def _root_text(cut: tuple[int, int], scale: int) -> str:
+    return str(tangible(_cut_value(cut, scale)))
+
+
 def _corner_root_power(t: Trial) -> Verdict:
     # Corner roots are tangible, so lam ** m == mu compares magnitudes alone.
-    base_roots = roots(t.alpha).corner_roots
+    # Both characteristic polynomials are at the trial's scale, where a
+    # corner root is the envelope cut (num, den) of magnitude
+    # num / (den * scale); the scale cancels, so mu = (nb, db) is lam ** m
+    # for lam = (na, da) exactly when na * m * db == nb * da.
+    m = t.m
+    base_roots = [cut for cut, _ in _corners(t.alpha)]
     matches = []
     bad = None
-    for mu, _mult in roots(t.beta).corner_roots:
-        match = next((lam for lam, _ in base_roots if lam.value * t.m == mu.value), None)
+    for mu, _mult in _corners(t.beta):
+        nb, db = mu
+        match = next((lam for lam in base_roots if lam[0] * m * db == nb * lam[1]), None)
         if match is None:
             bad = mu
         matches.append((mu, match))
+    scale = t._keys[0]
 
     def detail():
         for mu, match in matches:
-            yield {"corner_root": str(mu), "base_root": None if match is None else str(match)}
+            yield {"corner_root": _root_text(mu, scale),
+                   "base_root": None if match is None else _root_text(match, scale)}
 
-    witness = None if bad is None else t.witness(corner_root=str(bad))
+    witness = None if bad is None else t.witness(corner_root=_root_text(bad, scale))
     return Verdict("corner-root-power", bad is None, witness, detail)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -126,19 +127,25 @@ class TestCampaign:
         })
 
     def test_passing_campaign_builds_no_strings(self, monkeypatch):
-        # The laws compare keys, so a passing campaign decodes no key and
-        # formats no scalar; a verdict's detail is built when it is read,
-        # and reads as the public Scalar route writes it.
+        # The laws compare keys, and the corner-root law the envelopes'
+        # integer cuts, so a passing campaign decodes no key, builds no
+        # root report, Fraction or Scalar and formats no scalar; a verdict's
+        # detail is built when it is read, and reads as the public Scalar
+        # route writes it.
         calls = Counter()
 
         def counted(name, original):
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls[name] += 1
-                return original(*args)
+                return original(*args, **kwargs)
             return wrapper
 
         for module in (scalar, polynomial, matrix, spectral, fuzz):
             monkeypatch.setattr(module, "_decode", counted("_decode", module._decode))
+        for module in (polynomial, spectral):
+            monkeypatch.setattr(module, "roots", counted("roots", module.roots))
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("Fraction", Fraction.__new__)))
+        monkeypatch.setattr(Scalar, "__post_init__", counted("Scalar", Scalar.__post_init__))
         monkeypatch.setattr(Scalar, "__str__", counted("__str__", Scalar.__str__))
         seen = []
         for check_id, law in spectral.CHECKS.items():
@@ -153,7 +160,7 @@ class TestCampaign:
         assert calls == Counter()
         for check_id, t, verdict in seen:
             assert list(verdict.detail) == _scalar_route_detail(check_id, t), (check_id, t.a)
-        assert calls["_decode"] > 0 and calls["__str__"] > 0
+        assert all(calls[name] > 0 for name in ("_decode", "Fraction", "Scalar", "__str__"))
 
     def test_unknown_check_id_rejected(self):
         with pytest.raises(DomainError, match="thm99"):

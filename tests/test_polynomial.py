@@ -25,6 +25,7 @@ from supertropical import (
     essential,
     ghost,
     is_root,
+    parse_matrix,
     parse_polynomial,
     parse_scalar,
     polynomial_from_strings,
@@ -33,6 +34,7 @@ from supertropical import (
     tangible,
 )
 from supertropical import polynomial
+from supertropical.spectral import CHECKS, Trial
 from conftest import (
     attained_degrees,
     brute_breakpoints,
@@ -274,6 +276,32 @@ class TestScaledEnvelope:
             essential(f)
             breakpoints(f)
         assert calls == [f]
+        # The corner-root law reads the envelopes that roots and breakpoints read.
+        calls.clear()
+        a = parse_matrix("3 0\n0 1/2")
+        t = Trial(a, a, 3)
+        for _ in range(2):
+            CHECKS["cor38"](t)
+            for g in (t.alpha, t.beta):
+                roots(g)
+                breakpoints(g)
+        assert len(calls) == 2 and calls[0] is t.alpha and calls[1] is t.beta
+
+    # Envelope cuts are unreduced int pairs, so cuts of one magnitude can be
+    # different tuples: here (1, 1) and (2, 2), or (2, 1) and (4, 2) at scale 2.
+    @pytest.mark.parametrize("text, cuts, corner_roots, ghost_intervals", [
+        ("x^3 + 2gx + 3", ((1, 1), (2, 2)), ((tangible(1), 3),), ("[1, 1]",)),
+        ("x^3 + 2x + 3g", ((1, 1), (2, 2)), (), ("(-inf, 1]",)),
+        ("1/2x^3 + 5/2gx + 7/2", ((2, 1), (4, 2)), ((tangible(1), 3),), ("[1, 1]",)),
+        ("x^3 + 2x + 3", ((1, 1), (2, 2)), ((tangible(1), 3),), ()),
+    ])
+    def test_value_equal_cuts(self, text, cuts, corner_roots, ghost_intervals):
+        f = parse_polynomial(text)
+        assert f._hull == ((0, 1, 3), cuts)
+        report = roots(f)
+        assert report.corner_roots == corner_roots
+        assert tuple(str(iv) for iv in report.ghost_intervals) == ghost_intervals
+        assert breakpoints(f) == [1]
 
 
 def _coeff_text(rng: random.Random, degree: int) -> str:

@@ -394,6 +394,41 @@ class TestKeyBuiltTrial:
         assert failed == set(CHECKS)
 
 
+def _cor38_reference(t: Trial) -> dict:
+    """The corner-root law's verdict JSON, written on the public route: the
+    corner roots that `roots` reports, compared as `Scalar` powers."""
+    base = [lam for lam, _ in roots(t.alpha).corner_roots]
+    detail, bad = [], None
+    for mu, _ in roots(t.beta).corner_roots:
+        match = next((lam for lam in base if lam**t.m == mu), None)
+        if match is None:
+            bad = mu
+        detail.append({"corner_root": str(mu), "base_root": None if match is None else str(match)})
+    witness = None if bad is None else t.witness(corner_root=str(bad))
+    return Verdict("corner-root-power", bad is None, witness, tuple(detail)).to_json_dict()
+
+
+def test_corner_root_law_matches_public_route():
+    # The law compares the envelopes' integer cuts with the trial's scale
+    # cancelled; it must agree with the public route on key-built and
+    # matrix-built trials at scale 1 and above, m = 0 included, and, with a
+    # wrong cached beta, on failures and their witnesses.
+    rng = random.Random("corner-root-reference")
+    seen = set()
+    for k in range(250):
+        keyed, built, a, b = _same_matrices_two_ways(rng, k)
+        scale, x, _ = built._keys
+        wrong = _char_poly_from_keys(_key_power(x, built.m + 1), scale)
+        for t in (keyed, built):
+            for beta in (t.beta, wrong):
+                t.__dict__["beta"] = beta
+                got = CHECKS["cor38"](t).to_json_dict()
+                assert got == _cor38_reference(t), (a, t.m, beta)
+                seen.add((got["holds"], scale > 1, t.m == 0, bool(got["detail"])))
+    for holds, m_zero in itertools.product((True, False), (True, False)):
+        assert {(holds, True, m_zero, True), (holds, False, m_zero, True)} <= seen
+
+
 def _tied_lattice_matrix(rng: random.Random, trial: int) -> Matrix:
     """n <= 6 over the integers -2..2, 20% ghosts, 10% -inf: ties are common.
     The oracles grow like n!, so every 20th matrix is 6x6 and every 5th 5x5."""
