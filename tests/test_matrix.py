@@ -356,12 +356,21 @@ class TestSharedCache:
         assert [f.name for f in dataclasses.fields(a)] == ["rows"]
 
     def test_pickle_holds_only_rows(self):
-        # The golden fixture B4.
-        a = parse_matrix("1/2g 3/2 1/2 -inf\n1/2 1g 1 -1/3\n-2/3 2 3/2 -inf\n-1/3 2 1 2\n")
+        a = parse_matrix(B4_TEXT)
         fresh = pickle.dumps(a)
         det(a), char_poly(a), eigenvalues(a)
         assert pickle.dumps(a) == fresh
         assert char_poly(pickle.loads(fresh)) == char_poly(a)
+
+    def test_pickles_load_and_dump_as_before(self):
+        """The bytes (protocol 4) that B4 and its cube pickled to when
+        `Matrix` was a dataclass."""
+        b4 = parse_matrix(B4_TEXT)
+        for a, data in ((b4, B4_PICKLE), (mat_pow(b4, 3), B4_CUBE_PICKLE)):
+            copy = pickle.loads(data)
+            assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
+            assert pickle.dumps(a, protocol=4) == data
+            assert pickle.dumps(copy, protocol=4) == data
 
     def test_cached_keys_are_immutable(self):
         scale, keys = parse_matrix(self.B3)._keys
@@ -550,3 +559,47 @@ def test_scaled_kernels_match_scalar_references():
             expected = scalar_mat_mul(expected, a)
             assert mat_pow(a, m) == expected, (a, m)
     assert ties > 20
+
+
+# The golden fixture B4 and the bytes of its pickles, pinned above.
+B4_TEXT = "1/2g 3/2 1/2 -inf\n1/2 1g 1 -1/3\n-2/3 2 3/2 -inf\n-1/3 2 1 2\n"
+B4_PICKLE = (
+    b"\x80\x04\x95\xf2\x01\x00\x00\x00\x00\x00\x00\x8c\x14supertropical.matri"
+    b"x\x94\x8c\x06Matrix\x94\x93\x94)\x81\x94}\x94\x8c\x04rows\x94((\x8c\x14"
+    b"supertropical.scalar\x94\x8c\x06Scalar\x94\x93\x94)\x81\x94]\x94(h\x06"
+    b"\x8c\x04Kind\x94\x93\x94\x8c\x05ghost\x94\x85\x94R\x94\x8c\tfractions"
+    b"\x94\x8c\x08Fraction\x94\x93\x94K\x01K\x02\x86\x94R\x94ebh\x08)\x81\x94"
+    b"]\x94(h\x0c\x8c\x08tangible\x94\x85\x94R\x94h\x12K\x03K\x02\x86\x94R"
+    b"\x94ebh\x08)\x81\x94]\x94(h\x19h\x12K\x01K\x02\x86\x94R\x94ebh\x08)\x81"
+    b"\x94]\x94(h\x0c\x8c\x04zero\x94\x85\x94R\x94Nebt\x94(h\x08)\x81\x94]"
+    b"\x94(h\x19h\x12K\x01K\x02\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x0fh\x12K"
+    b"\x01K\x01\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x19h\x12K\x01K\x01\x86"
+    b"\x94R\x94ebh\x08)\x81\x94]\x94(h\x19h\x12J\xff\xff\xff\xffK\x03\x86\x94"
+    b"R\x94ebt\x94(h\x08)\x81\x94]\x94(h\x19h\x12J\xfe\xff\xff\xffK\x03\x86"
+    b"\x94R\x94ebh\x08)\x81\x94]\x94(h\x19h\x12K\x02K\x01\x86\x94R\x94ebh\x08"
+    b")\x81\x94]\x94(h\x19h\x12K\x03K\x02\x86\x94R\x94ebh t\x94(h\x08)\x81"
+    b"\x94]\x94(h\x19h\x12J\xff\xff\xff\xffK\x03\x86\x94R\x94ebh\x08)\x81\x94"
+    b"]\x94(h\x19h\x12K\x02K\x01\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x19h\x12"
+    b"K\x01K\x01\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x19h\x12K\x02K\x01\x86"
+    b"\x94R\x94ebt\x94t\x94sb."
+)
+B4_CUBE_PICKLE = (
+    b"\x80\x04\x95\xfb\x01\x00\x00\x00\x00\x00\x00\x8c\x14supertropical.matri"
+    b"x\x94\x8c\x06Matrix\x94\x93\x94)\x81\x94}\x94\x8c\x04rows\x94((\x8c\x14"
+    b"supertropical.scalar\x94\x8c\x06Scalar\x94\x93\x94)\x81\x94]\x94(h\x06"
+    b"\x8c\x04Kind\x94\x93\x94\x8c\x05ghost\x94\x85\x94R\x94\x8c\tfractions"
+    b"\x94\x8c\x08Fraction\x94\x93\x94K\x03K\x01\x86\x94R\x94ebh\x08)\x81\x94"
+    b"]\x94(h\x0c\x8c\x08tangible\x94\x85\x94R\x94h\x12K\tK\x02\x86\x94R\x94e"
+    b"bh\x08)\x81\x94]\x94(h\x19h\x12K\x04K\x01\x86\x94R\x94ebh\x08)\x81\x94]"
+    b"\x94(h\x19h\x12K\x13K\x06\x86\x94R\x94ebt\x94(h\x08)\x81\x94]\x94(h\x19"
+    b"h\x12K\x07K\x02\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x19h\x12K\tK\x02"
+    b"\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x0fh\x12K\x04K\x01\x86\x94R\x94ebh"
+    b"\x08)\x81\x94]\x94(h\x19h\x12K\x0bK\x03\x86\x94R\x94ebt\x94(h\x08)\x81"
+    b"\x94]\x94(h\x19h\x12K\x04K\x01\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x0fh"
+    b"\x12K\x05K\x01\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x0fh\x12K\tK\x02\x86"
+    b"\x94R\x94ebh\x08)\x81\x94]\x94(h\x19h\x12K\x0bK\x03\x86\x94R\x94ebt\x94"
+    b"(h\x08)\x81\x94]\x94(h\x19h\x12K\tK\x02\x86\x94R\x94ebh\x08)\x81\x94]"
+    b"\x94(h\x19h\x12K\x06K\x01\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x0fh\x12K"
+    b"\x05K\x01\x86\x94R\x94ebh\x08)\x81\x94]\x94(h\x19h\x12K\x06K\x01\x86"
+    b"\x94R\x94ebt\x94t\x94sb."
+)
