@@ -96,14 +96,12 @@ def random_scalar(rng: random.Random, cfg: Config, allow_zero: bool = True) -> S
 
 
 def _random_keys(rng: random.Random, n: int, cfg: Config) -> list[list[int | None]]:
-    """The keys at scale 1 of the matrix `random_matrix` draws from the same generator."""
+    """The keys at scale 1 of an n-by-n lattice matrix, row by row."""
     return [[_random_key(rng, cfg) for _ in range(n)] for _ in range(n)]
 
 
 def random_matrix(rng: random.Random, n: int, cfg: Config) -> Matrix:
-    return Matrix(
-        tuple(tuple(random_scalar(rng, cfg) for _ in range(n)) for _ in range(n))
-    )
+    return Matrix._from_keys(1, _random_keys(rng, n, cfg))
 
 
 def random_polynomial(rng: random.Random, max_degree: int, cfg: Config) -> Polynomial:
@@ -157,15 +155,14 @@ class CampaignResult:
 
 def generate_trials(cfg: Config) -> Iterator[Trial]:
     """The campaign's inputs in trial order; trial ``i`` draws n, m, A and B
-    from its own generator seeded by ``trial_seed(cfg.seed, i)``. The
-    entries are drawn straight as keys, with the same draws as
-    `random_matrix`, so a trial's matrices are built only if read."""
+    from its own generator seeded by ``trial_seed(cfg.seed, i)``, as
+    `random_matrix` does, so a trial's rows are decoded only if read."""
     for trial in range(cfg.trials):
         rng = random.Random(trial_seed(cfg.seed, trial))
         n = rng.randint(cfg.min_n, cfg.max_n)
         m = rng.randint(cfg.min_m, cfg.max_m)
-        a, b = _random_keys(rng, n, cfg), _random_keys(rng, n, cfg)
-        yield Trial.from_keys(1, a, b, m, cfg.det_bound)
+        a, b = random_matrix(rng, n, cfg), random_matrix(rng, n, cfg)
+        yield Trial(a, b, m, cfg.det_bound)
 
 
 def run_campaign(cfg: Config, checks: tuple[str, ...] = CAMPAIGN_CHECKS) -> CampaignResult:

@@ -17,23 +17,24 @@ Both computations are guarded by an explicit dimension bound (default 9,
 set per call with ``bound=``, or with ``--bound`` on the command line).
 
 The kernels (the permanent table and the matrix product) run on plain
-integers: the entries are encoded once as keys at one scale for all the
-input matrices, in the key format that ``scalar.py`` describes. Each output
-entry is decoded when read, so the API still returns exact ``Fraction``
-magnitudes: a matrix result is decoded as it is returned, and the
-characteristic polynomial keeps its keys and decodes its coefficients on
-their first read.
-The public functions are thin wrappers over private key-space helpers
-(``_encode``, ``_decode_matrix``, ``_key_product``, ``_key_power``,
-``_char_poly_from_keys``, ``_det_key``), which ``spectral.Trial`` calls
-directly to keep a trial's matrices as keys.
-A matrix encodes itself once and computes its characteristic polynomial
-once: ``Matrix._keys`` and ``Matrix._char_poly`` are cached on the object,
-so ``det``, ``char_poly``, ``mat_pow`` and ``eigenvalues`` on one matrix
-share one encoding, and the charpoly table is built once however often it
-is asked for. Nothing is cached across matrix objects, and a pickle holds
-only the rows. A scale of more than ``2 * MAX_LITERAL_DIGITS`` digits and a
-power above ``MAX_POWER`` are refused with ``BoundExceededError``.
+integers, the keys that ``scalar.py`` describes. A `Matrix` holds either
+form: ``Matrix(rows)`` encodes its rows once, at its own scale, when the
+keys are first read, and a product or a power is returned as keys
+(`Matrix._from_keys`) and decodes its rows only when they are read, so
+``char_poly(mat_pow(a, m))`` decodes nothing. Two matrices of different
+scales are multiplied at the LCM of the two (`_encode`). The public
+functions are thin wrappers over private key-space helpers (``_encode``,
+``_key_product``, ``_key_power``, ``_char_poly_from_keys``, ``_det_key``);
+``spectral`` calls ``_encode``, ``_key_product`` and ``_det_key`` for the
+determinant product rule. The characteristic polynomial keeps its keys
+and decodes its coefficients on their first read.
+A matrix computes its characteristic polynomial once: ``Matrix._keys``
+and ``Matrix._char_poly`` are cached on the object, so ``det``,
+``char_poly``, ``mat_pow`` and ``eigenvalues`` on one matrix share one
+encoding, and the charpoly table is built once however often it is asked
+for. Nothing is cached across matrix objects, and a pickle holds only the
+rows. A scale of more than ``2 * MAX_LITERAL_DIGITS`` digits and a power
+above ``MAX_POWER`` are refused with ``BoundExceededError``.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ from itertools import islice
 from .defaults import DEFAULT_DET_BOUND
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial
-from .scalar import Kind, ONE, Scalar, ZERO, _decode, _encode_keys, _key_scale, parse_scalar
+from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar
+from .scalar import _decode, _encode_keys, _key_pow, _key_scale
 
 # The largest matrix power computed: its magnitudes grow m-fold.
 MAX_POWER = 10**6
@@ -72,25 +74,51 @@ def check_dim_bound(
     return limit
 
 
-@dataclass(frozen=True)
 class Matrix:
-    """Immutable n-by-n array of scalars, indexed from 0 in the API."""
+    """An n-by-n array of scalars, indexed from 0 in the API.
 
-    rows: tuple[tuple[Scalar, ...], ...]
+    A matrix holds its ``rows``, or its keys (`Matrix._from_keys`, as the
+    kernels return them), and derives the other form on first read; neither
+    is changed once built. Equality, hash, repr and pickles are those of
+    ``rows``.
+    """
 
-    def __post_init__(self):
-        rows = tuple(tuple(r) for r in self.rows)
+    def __init__(self, rows: Sequence[Sequence[Scalar]]):
+        rows = tuple(tuple(r) for r in rows)
         if not rows or any(len(r) != len(rows) for r in rows):
             raise ShapeError("matrix must be square and nonempty")
-        object.__setattr__(self, "rows", rows)
+        self.rows = rows
+        self.n = len(rows)
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    @classmethod
+    def _from_keys(cls, scale: int, keys: _Keys) -> Matrix:
+        """The square matrix whose entries have keys ``keys`` at ``scale``;
+        nothing is decoded."""
+        a = object.__new__(cls)
+        a._keys = (scale, keys)
+        a.n = len(keys)
+        return a
+
+    @cached_property
+    def rows(self) -> tuple[tuple[Scalar, ...], ...]:
+        """The entries as `Scalar` values, decoded on their first read."""
+        scale, keys = self._keys
+        return tuple(tuple(_decode(k, scale) for k in row) for row in keys)
 
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
         return self.rows[i][j]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.rows == other.rows
+
+    def __hash__(self) -> int:
+        return hash((self.rows,))
+
+    def __repr__(self) -> str:
+        return f"Matrix(rows={self.rows!r})"
 
     @staticmethod
     def identity(n: int) -> Matrix:
@@ -107,18 +135,21 @@ class Matrix:
         return {"n": self.n, "rows": [[str(e) for e in row] for row in self.rows]}
 
     def __getstate__(self) -> dict:
-        """A pickle holds ``rows`` only, not the cached keys and characteristic polynomial."""
+        """A pickle holds ``rows`` only, not the keys and characteristic polynomial."""
         return {"rows": self.rows}
 
     def __setstate__(self, state: dict) -> None:
-        object.__setattr__(self, "rows", state["rows"])
+        self.__init__(state["rows"])
 
     @cached_property
-    def _keys(self) -> tuple[int, tuple[tuple[int | None, ...], ...]]:
-        """The scale and the entries as keys, encoded once and shared by
-        `det`, `char_poly` and `mat_pow`; tuples, so no reader can change them."""
-        scale, (keys,) = _encode(self)
-        return scale, tuple(map(tuple, keys))
+    def _keys(self) -> tuple[int, _Keys]:
+        """The scale (see `scalar._key_scale`) and the entries as keys,
+        encoded once from the rows and shared by `det`, `char_poly` and
+        `mat_pow`; tuples, so no reader can change them."""
+        scale = _key_scale(
+            (e.value.denominator for row in self.rows for e in row if not e.is_zero), "matrix"
+        )
+        return scale, tuple(tuple(_encode_keys(row, scale)) for row in self.rows)
 
     @cached_property
     def _char_poly(self) -> Polynomial:
@@ -128,18 +159,15 @@ class Matrix:
         return _char_poly_from_keys(keys, scale)
 
 
-def _encode(*mats: Matrix) -> tuple[int, list[list[list[int | None]]]]:
-    """The joint scale of the matrices (see `scalar._key_scale`) and each
-    one's entries as keys at that scale."""
-    scale = _key_scale(
-        (e.value.denominator for a in mats for row in a.rows for e in row if not e.is_zero),
-        "matrix",
-    )
-    return scale, [[_encode_keys(row, scale) for row in a.rows] for a in mats]
-
-
-def _decode_matrix(keys: _Keys, scale: int) -> Matrix:
-    return Matrix(tuple(tuple(_decode(k, scale) for k in row) for row in keys))
+def _encode(a: Matrix, b: Matrix) -> tuple[int, _Keys, _Keys]:
+    """The joint scale of A and B, the LCM of their own, and each one's keys
+    at it: a key is rescaled by multiplying its magnitude, ghost bit kept."""
+    (s, x), (t, y) = a._keys, b._keys
+    if s == t:
+        return s, x, y
+    scale = _key_scale((s, t), "matrix")
+    f, g = scale // s, scale // t
+    return scale, [[_key_pow(k, f) for k in r] for r in x], [[_key_pow(k, g) for k in r] for r in y]
 
 
 def _key_product(x: _Keys, y: _Keys) -> _Keys:
@@ -192,13 +220,13 @@ def _check_product_shape(n: int, k: int) -> None:
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     _check_product_shape(a.n, b.n)
-    scale, (x, y) = _encode(a, b)
-    return _decode_matrix(_key_product(x, y), scale)
+    scale, x, y = _encode(a, b)
+    return Matrix._from_keys(scale, _key_product(x, y))
 
 
 def mat_pow(a: Matrix, m: int) -> Matrix:
     scale, keys = a._keys
-    return _decode_matrix(_key_power(keys, m), scale)
+    return Matrix._from_keys(scale, _key_power(keys, m))
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:

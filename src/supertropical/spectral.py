@@ -6,14 +6,13 @@ reproduces the computation. A conditional law whose hypothesis does not
 hold reports ``holds=None`` (not applicable) rather than pass or fail.
 The matrix-power laws are functions of one cached ``Trial``, listed by
 check id in ``CHECKS``; the public ``check_*`` functions wrap them. A trial
-works in the matrix kernel's key space from end to end: it holds A and B as
-keys (encoded once, or drawn as keys by ``fuzz``), keeps A^m and both
-characteristic polynomials as keys, and the laws compare keys at the
-trial's scale; the corner-root law compares the corner roots of both
-characteristic polynomials as their envelopes' integer cuts. A law's
-verdict builds its detail records when they are first read, and its
-witness only on failure, so a passing law decodes nothing and builds no
-string and no `Fraction`.
+is two matrices, and it works in their key space from end to end: A^m and
+both characteristic polynomials come from `mat_pow` and `char_poly` as
+keys, and the laws compare keys; the corner-root law compares the corner
+roots of both characteristic polynomials as their envelopes' integer cuts.
+A law's verdict builds its detail records when they are first read, and
+its witness only on failure, so a passing law decodes nothing and builds
+no string and no `Fraction`.
 """
 
 from __future__ import annotations
@@ -26,13 +25,9 @@ from .defaults import LAW_IDS
 from .errors import DomainError
 from .matrix import (
     Matrix,
-    _Keys,
-    _char_poly_from_keys,
     _check_product_shape,
-    _decode_matrix,
     _det_key,
     _encode,
-    _key_power,
     _key_product,
     char_poly,
     check_dim_bound,
@@ -179,66 +174,32 @@ class Trial:
     power ``m`` and the det/charpoly dimension ``bound``. Only the
     determinant product rule reads ``b``, and it alone ignores ``m``.
 
-    A trial works in the matrix kernel's key space. ``Trial(a, b, m)``
-    encodes A and B jointly on first use; `Trial.from_keys` is given their
-    keys, and builds ``a`` and ``b`` as matrices only if they are read (by a
-    witness, say). Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with
-    charpoly(A^m), the trace law reads A^m too, and the determinant rule
-    reads det(A) as coefficient 0 of charpoly(A). So the trial computes
-    each of these once, on first use, as keys: running every law on one
-    trial costs one key-space power A^m, two characteristic-polynomial
-    tables (``alpha`` = charpoly(A), ``beta`` = charpoly(A^m)) and two
-    value-only determinants (det(AB), det(B)). The laws compare keys at the
-    trial's scale and decode nothing unless a verdict's detail or witness
-    is read.
+    Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m),
+    the trace law reads A^m too, and the determinant rule reads det(A) as
+    coefficient 0 of charpoly(A). So the trial computes each of these once,
+    on first use: ``power`` = A^m, ``alpha`` = charpoly(A) and ``beta`` =
+    charpoly(A^m), which the matrices keep as keys; running every law costs
+    one key-space power, at most two characteristic-polynomial tables (a
+    matrix keeps its own) and two value-only determinants (det(AB),
+    det(B)). The laws compare keys at A's scale, or at the joint scale of A
+    and B, and decode nothing unless a verdict's detail or witness is read.
     """
 
     def __init__(self, a: Matrix, b: Matrix, m: int, bound: int | None = None):
         self.a, self.b, self.m, self.bound = a, b, m, bound
-        self._dims = (a.n, b.n)
-
-    @classmethod
-    def from_keys(
-        cls, scale: int, x: _Keys, y: _Keys, m: int, bound: int | None = None
-    ) -> Trial:
-        """The trial of the square matrices whose keys at ``scale`` are
-        ``x`` (A) and ``y`` (B)."""
-        t = cls.__new__(cls)
-        t._keys = (scale, x, y)
-        t.m, t.bound = m, bound
-        t._dims = (len(x), len(y))
-        return t
 
     @cached_property
-    def a(self) -> Matrix:
-        return _decode_matrix(self._keys[1], self._keys[0])
-
-    @cached_property
-    def b(self) -> Matrix:
-        return _decode_matrix(self._keys[2], self._keys[0])
-
-    @cached_property
-    def _keys(self) -> tuple[int, _Keys, _Keys]:
-        """The joint scale and the keys of ``a`` and ``b``, encoded once."""
-        scale, (x, y) = _encode(self.a, self.b)
-        return scale, x, y
-
-    @cached_property
-    def _power_keys(self) -> _Keys:
-        return _key_power(self._keys[1], self.m)
+    def power(self) -> Matrix:
+        return mat_pow(self.a, self.m)
 
     @cached_property
     def alpha(self) -> Polynomial:
-        check_dim_bound("characteristic polynomial", self._dims[0], self.bound)
-        scale, x, _ = self._keys
-        return _char_poly_from_keys(x, scale)
+        return char_poly(self.a, self.bound)
 
     @cached_property
     def beta(self) -> Polynomial:
         # The power first: a negative or oversize m is refused before the dimension.
-        power = self._power_keys
-        check_dim_bound("characteristic polynomial", self._dims[0], self.bound)
-        return _char_poly_from_keys(power, self._keys[0])
+        return char_poly(self.power, self.bound)
 
     @cached_property
     def _coeff_keys(self) -> tuple[tuple[int | None, int | None], ...]:
@@ -258,7 +219,7 @@ def _charpoly_power(t: Trial) -> Verdict:
     for i, (b, ap) in enumerate(pairs):
         if not _key_surpasses(b, ap):
             bad = i
-    scale = t._keys[0]
+    scale = t.a._keys[0]
 
     def detail():
         for i, (b, ap) in enumerate(pairs):
@@ -278,12 +239,13 @@ def _charpoly_power(t: Trial) -> Verdict:
 def _det_rule(t: Trial) -> Verdict:
     # det(A) is coefficient 0 of the cached charpoly(A); the dimension is
     # checked first, so that an oversize matrix is refused as a determinant.
-    _check_product_shape(*t._dims)
-    check_dim_bound("determinant", t._dims[0], t.bound)
-    scale, x, y = t._keys
+    _check_product_shape(t.a.n, t.b.n)
+    check_dim_bound("determinant", t.a.n, t.bound)
+    scale, x, y = _encode(t.a, t.b)
     lhs = _det_key(_key_product(x, y))
-    # rhs = det(A) * det(B), the key-space product.
-    p, q = t.alpha._keys[1][0], _det_key(y)
+    # rhs = det(A) * det(B), the key-space product, with det(A) rescaled
+    # from A's scale to the joint one.
+    p, q = _key_pow(t.alpha._keys[1][0], scale // t.alpha._keys[0]), _det_key(y)
     rhs = None if p is None or q is None else p + q - (p & q & 1)
     holds = _key_surpasses(lhs, rhs)
 
@@ -308,7 +270,7 @@ def _tangible_equality(t: Trial) -> Verdict:
     for i, (b, ap) in enumerate(pairs):
         if b != ap:
             bad = i
-    scale = t._keys[0]
+    scale = t.a._keys[0]
 
     def detail():
         for i, (b, ap) in enumerate(pairs):
@@ -339,7 +301,7 @@ def _corner_root_power(t: Trial) -> Verdict:
         if match is None:
             bad = mu
         matches.append((mu, match))
-    scale = t._keys[0]
+    scale = t.a._keys[0]
 
     def detail():
         for mu, match in matches:
@@ -351,8 +313,8 @@ def _corner_root_power(t: Trial) -> Verdict:
 
 
 def _trace_power(t: Trial) -> Verdict:
-    lhs = _key_sum(row[i] for i, row in enumerate(t._power_keys))
-    scale, x, _ = t._keys
+    lhs = _key_sum(row[i] for i, row in enumerate(t.power._keys[1]))
+    scale, x = t.a._keys
     rhs = _key_pow(_key_sum(row[i] for i, row in enumerate(x)), t.m)
     holds = _key_surpasses(lhs, rhs)
 

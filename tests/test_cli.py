@@ -462,6 +462,21 @@ class TestErrorPaths:
             f"error: digits of the matrix scale: size 2998 exceeds bound {2 * MAX_LITERAL_DIGITS}\n"
         )
 
+    def test_joint_matrix_scale_cap_exit_3(self, capsys, tmp_path):
+        # Two diagonal matrices of pairwise coprime 1,000-digit denominators:
+        # each one's scale has 1,999 digits and passes, but the determinant
+        # rule multiplies them at the LCM of the two, which is refused.
+        paths = []
+        for k in (0, 2):
+            path = tmp_path / f"diag{k}.txt"
+            path.write_text(f"1/{10**999 + 2 * k + 1} 0\n0 1/{10**999 + 2 * k + 3}\n")
+            paths.append(str(path))
+        for path in paths:
+            assert run(capsys, "det", path)[0] == 0
+        code, out, err = run(capsys, "check", "thm13", "-f", paths[0], "-g", paths[1])
+        assert (code, out) == (3, "")
+        assert err.startswith("error: digits of the matrix scale: size ")
+
     @pytest.mark.parametrize("source", ["text", "json"])
     def test_polynomial_scale_cap_exit_3(self, capsys, tmp_path, source):
         # Each literal is within its cap; the LCM of the first two

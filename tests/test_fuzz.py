@@ -102,11 +102,11 @@ class TestCampaign:
 
     def test_power_and_charpolys_computed_once_per_trial(self, monkeypatch):
         # Count the kernel work wherever it is called from: no encode (a
-        # generated trial is drawn as keys), two charpoly tables and two
+        # generated matrix is drawn as keys), two charpoly tables and two
         # value-only determinant tables per trial; the key products are those
         # of A^m's repeated squaring plus one for AB.
         calls = Counter()
-        for name in ("_encode", "_permanent_table", "_key_product"):
+        for name in ("_encode_keys", "_permanent_table", "_key_product"):
 
             def counted(*args, _name=name, _original=getattr(matrix, name)):
                 calls[_name] += 1
@@ -121,7 +121,7 @@ class TestCampaign:
             t.m.bit_length() + t.m.bit_count() - 2 for t in generate_trials(cfg)
         )
         assert calls == Counter({
-            "_encode": 0,
+            "_encode_keys": 0,
             "_permanent_table": 40,
             "_key_product": power_products + 10,
         })

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 import pickle
@@ -353,7 +352,7 @@ class TestSharedCache:
         for copy in (pickle.loads(before[3]), pickle.loads(pickle.dumps(a))):
             assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
             assert char_poly(copy) == char_poly(fresh)
-        assert [f.name for f in dataclasses.fields(a)] == ["rows"]
+        assert list(a.__getstate__()) == ["rows"]
 
     def test_pickle_holds_only_rows(self):
         a = parse_matrix(B4_TEXT)
@@ -379,9 +378,9 @@ class TestSharedCache:
 
     @pytest.mark.parametrize("order", list(itertools.permutations(range(3))))
     def test_one_encode_two_tables(self, monkeypatch, order):
-        """det + char_poly + eigenvalues on one matrix: one encode, the
-        determinant's table and one charpoly table."""
-        calls = {"_encode": 0, "_permanent_table": 0}
+        """det + char_poly + eigenvalues on one matrix: one encode (one
+        scale), the determinant's table and one charpoly table."""
+        calls = {"_key_scale": 0, "_permanent_table": 0}
 
         def counting(name):
             original = getattr(matrix_module, name)
@@ -398,7 +397,47 @@ class TestSharedCache:
         routes = (det, char_poly, eigenvalues)
         for k in order:
             routes[k](a)
-        assert calls == {"_encode": 1, "_permanent_table": 2}
+        assert calls == {"_key_scale": 1, "_permanent_table": 2}
+
+
+class TestKeyForm:
+    """A matrix built from keys (`Matrix._from_keys`, as products and powers
+    are returned) decodes its rows only when read, and is otherwise the
+    matrix of those rows."""
+
+    def test_agrees_with_row_built_twin(self):
+        # Keys at the matrix's own scale, and at a joint scale 5 times larger.
+        b3, fifths = parse_matrix(TestSharedCache.B3), parse_matrix("1/5 0\n2g -inf")
+        scale, x, _ = matrix_module._encode(b3, fifths)
+        assert scale == 30
+        cases = (
+            (Matrix._from_keys(*parse_matrix(B4_TEXT)._keys), B4_TEXT),
+            (Matrix._from_keys(scale, x), TestSharedCache.B3),
+        )
+        for keyed, text in cases:
+            assert "rows" not in vars(keyed)
+            twin = parse_matrix(text)
+            assert keyed == twin and twin == keyed and hash(keyed) == hash(twin)
+            assert (repr(keyed), str(keyed)) == (repr(twin), str(twin))
+            assert keyed.to_json_dict() == twin.to_json_dict()
+            assert pickle.dumps(keyed) == pickle.dumps(twin)
+            assert char_poly(keyed) == char_poly(twin)
+
+    def test_power_decodes_only_when_read(self, monkeypatch):
+        calls = []
+        decode = matrix_module._decode
+
+        def counting(*args):
+            calls.append(1)
+            return decode(*args)
+
+        monkeypatch.setattr(matrix_module, "_decode", counting)
+        a = parse_matrix(B4_TEXT)
+        cube = mat_pow(a, 3)
+        char_poly(cube), char_poly(mat_mul(a, cube))
+        assert calls == []
+        assert cube == mat_mul(a, mat_mul(a, a))
+        assert len(calls) == 2 * 16
 
 
 class TestSurpassesMatrix:

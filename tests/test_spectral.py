@@ -39,9 +39,10 @@ from supertropical import (
     tangible,
     trace,
 )
-from supertropical import Config, Verdict, random_matrix
+from supertropical import Config, Verdict, random_scalar
 from supertropical.fuzz import _random_keys
-from supertropical.matrix import _char_poly_from_keys, _encode, _key_power
+import supertropical.matrix as matrix_module
+from supertropical.matrix import _encode
 from supertropical.oracle import enum_det, sym_direct_charpoly
 from supertropical.spectral import CHECKS, Trial
 from conftest import matrices, sample_matrix, scalars
@@ -328,33 +329,60 @@ class TestTrialKeySpace:
         assert CHECKS["trace"](Trial(a3, a3, 2, bound=2)).holds
 
 
+def test_trial_reads_the_matrix_cache(monkeypatch):
+    # A trial's charpoly(A) is the matrix's own: after char_poly(a), the
+    # charpoly-power law builds one more table, for A^m.
+    calls = []
+    table = matrix_module._permanent_table
+
+    def counting(*args):
+        calls.append(1)
+        return table(*args)
+
+    monkeypatch.setattr(matrix_module, "_permanent_table", counting)
+    a = parse_matrix("1/2g 0 -inf\n2 -1/3 1\n0g 1 1/2")
+    char_poly(a)
+    assert CHECKS["thm36"](Trial(a, a, 2)).holds
+    assert len(calls) == 2
+
+
 def _law_json(t: Trial) -> dict:
     return {check_id: law(t).to_json_dict() for check_id, law in CHECKS.items()}
 
 
 def _same_matrices_two_ways(rng: random.Random, k: int) -> tuple[Trial, Trial, Matrix, Matrix]:
-    """A trial built from keys and one built from the same matrices: drawn
-    as keys and as matrices by `fuzz` (scale 1), or palette rationals
-    encoded jointly (a larger scale). n runs 1..5 and m 0..4."""
+    """A trial of key-built matrices (`Matrix._from_keys`) and one of the
+    same matrices built from rows: drawn by `fuzz` as keys and as scalars
+    (scale 1), or palette rationals encoded jointly (a larger scale). n runs
+    1..5 and m 0..4."""
     n, m = k % 5 + 1, k // 5 % 5
     if k % 2:
         cfg = Config(value_min=-2, value_max=2, ghost_prob=0.3, zero_prob=0.15)
         seed = rng.random()
         draw = random.Random(seed)
-        a, b = random_matrix(draw, n, cfg), random_matrix(draw, n, cfg)
+        a, b = (Matrix(tuple(tuple(random_scalar(draw, cfg) for _ in range(n)) for _ in range(n)))
+                for _ in range(2))
         draw = random.Random(seed)
-        keyed = Trial.from_keys(1, _random_keys(draw, n, cfg), _random_keys(draw, n, cfg), m)
+        scale, x, y = 1, _random_keys(draw, n, cfg), _random_keys(draw, n, cfg)
     else:
         a, b = _palette_matrix(rng, n), _palette_matrix(rng, n)
-        scale, (x, y) = _encode(a, b)
-        keyed = Trial.from_keys(scale, x, y, m)
+        scale, x, y = _encode(a, b)
+    keyed = Trial(Matrix._from_keys(scale, x), Matrix._from_keys(scale, y), m)
     return keyed, Trial(a, b, m), a, b
 
 
+def _poke_wrong(t: Trial, name: str) -> None:
+    """Replace the trial's cached ``power``, ``alpha`` or ``beta`` with a
+    wrong value at A's scale: A^(m+1) or its characteristic polynomial."""
+    wrong_power = mat_pow(t.a, t.m + 1)
+    t.__dict__.pop("_coeff_keys", None)
+    t.__dict__[name] = wrong_power if name == "power" else char_poly(wrong_power)
+
+
 class TestKeyBuiltTrial:
-    """`Trial.from_keys` builds ``a`` and ``b`` only when read; every law
-    must give the same verdict, detail and witness included, as on the
-    trial of the same matrices."""
+    """A trial of key-built matrices decodes their rows only when read;
+    every law must give the same verdict, detail and witness included, as
+    on the trial of the same matrices built from rows."""
 
     def test_laws_agree(self):
         rng = random.Random("key-built-trials")
@@ -370,22 +398,18 @@ class TestKeyBuiltTrial:
 
     def test_failures_agree(self):
         # A wrong cached value, the same on both trials, makes the laws fail,
-        # so the witnesses read the key-built trial's lazy matrices.
+        # so the witnesses read the key-built trial's lazy rows.
         rng = random.Random("key-built-failures")
         failed = set()
         for k in range(150):
             keyed, built, a, b = _same_matrices_two_ways(rng, k)
-            scale, x, _ = built._keys
-            wrong_power = _key_power(x, keyed.m + 1)
-            wrong = _char_poly_from_keys(wrong_power, scale)
-            for cached, value, check_ids in (
-                ("beta", wrong, ("thm36", "cor37", "cor38")),
-                ("alpha", wrong, ("thm13",)),
-                ("_power_keys", wrong_power, ("trace",)),
+            for cached, check_ids in (
+                ("beta", ("thm36", "cor37", "cor38")),
+                ("alpha", ("thm13",)),
+                ("power", ("trace",)),
             ):
                 for t in (keyed, built):
-                    t.__dict__.pop("_coeff_keys", None)
-                    t.__dict__[cached] = value
+                    _poke_wrong(t, cached)
                 for check_id in check_ids:
                     got = CHECKS[check_id](keyed).to_json_dict()
                     assert got == CHECKS[check_id](built).to_json_dict(), (a, b, check_id)
@@ -409,21 +433,21 @@ def _cor38_reference(t: Trial) -> dict:
 
 
 def test_corner_root_law_matches_public_route():
-    # The law compares the envelopes' integer cuts with the trial's scale
+    # The law compares the envelopes' integer cuts with A's scale
     # cancelled; it must agree with the public route on key-built and
-    # matrix-built trials at scale 1 and above, m = 0 included, and, with a
+    # row-built trials at scale 1 and above, m = 0 included, and, with a
     # wrong cached beta, on failures and their witnesses.
     rng = random.Random("corner-root-reference")
     seen = set()
     for k in range(250):
         keyed, built, a, b = _same_matrices_two_ways(rng, k)
-        scale, x, _ = built._keys
-        wrong = _char_poly_from_keys(_key_power(x, built.m + 1), scale)
         for t in (keyed, built):
-            for beta in (t.beta, wrong):
-                t.__dict__["beta"] = beta
+            scale = t.a._keys[0]
+            for wrong in (False, True):
+                if wrong:
+                    _poke_wrong(t, "beta")
                 got = CHECKS["cor38"](t).to_json_dict()
-                assert got == _cor38_reference(t), (a, t.m, beta)
+                assert got == _cor38_reference(t), (a, t.m, t.beta)
                 seen.add((got["holds"], scale > 1, t.m == 0, bool(got["detail"])))
     for holds, m_zero in itertools.product((True, False), (True, False)):
         assert {(holds, True, m_zero, True), (holds, False, m_zero, True)} <= seen
