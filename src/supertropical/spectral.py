@@ -287,7 +287,7 @@ def _root_text(cut: tuple[int, int], scale: int) -> str:
 
 def _corner_root_power(t: Trial) -> Verdict:
     # Corner roots are tangible, so lam ** m == mu compares magnitudes alone.
-    # Both characteristic polynomials are at the trial's scale, where a
+    # Both characteristic polynomials are at A's scale, where a
     # corner root is the envelope cut (num, den) of magnitude
     # num / (den * scale); the scale cancels, so mu = (nb, db) is lam ** m
     # for lam = (na, da) exactly when na * m * db == nb * da.

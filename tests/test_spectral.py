@@ -42,7 +42,7 @@ from supertropical import (
 from supertropical import Config, Verdict, random_scalar
 from supertropical.fuzz import _random_keys
 import supertropical.matrix as matrix_module
-from supertropical.matrix import _encode
+from supertropical.matrix import MAX_POWER, _encode
 from supertropical.oracle import enum_det, sym_direct_charpoly
 from supertropical.spectral import CHECKS, Trial
 from conftest import matrices, sample_matrix, scalars
@@ -327,6 +327,13 @@ class TestTrialKeySpace:
                 CHECKS[check_id](Trial(a3, a3, 2, bound=2))
         # The trace law computes no determinant, so no dimension bound applies.
         assert CHECKS["trace"](Trial(a3, a3, 2, bound=2)).holds
+        # charpoly(A^m) computes the power first: a bad m is refused before
+        # the dimension.
+        for check_id in ("thm36", "cor37"):
+            with pytest.raises(BoundExceededError, match=r"^matrix power: "):
+                CHECKS[check_id](Trial(a3, a3, MAX_POWER + 1, bound=2))
+            with pytest.raises(DomainError, match=r"^negative matrix powers"):
+                CHECKS[check_id](Trial(a3, a3, -1, bound=2))
 
 
 def test_trial_reads_the_matrix_cache(monkeypatch):
