@@ -12,19 +12,17 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Iterator
 
 from .defaults import (
-    DEFAULT_DET_BOUND,
     DEFAULT_MAX_M,
     DEFAULT_MAX_N,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
 )
 from .errors import BoundExceededError, DomainError
-from .matrix import Matrix
+from .matrix import Matrix, check_dim_bound
 from .polynomial import Polynomial
 from .scalar import Scalar, _decode, tangible
 from .spectral import CHECKS, Trial, check_eigenpair, eigenvalues
@@ -62,9 +60,7 @@ class Config:
             raise DomainError("need 1 <= min_n <= max_n")
         # Refused before any trial is drawn: an n-by-n draw and its key power
         # cost time in n before the first dimension check reads n.
-        limit = DEFAULT_DET_BOUND if self.det_bound is None else self.det_bound
-        if self.max_n > limit:
-            raise BoundExceededError("largest generated dimension", self.max_n, limit)
+        check_dim_bound("largest generated dimension", self.max_n, self.det_bound)
         if not 1 <= self.min_m <= self.max_m:
             raise DomainError("need 1 <= min_m <= max_m")
         if self.value_min > self.value_max:
@@ -85,23 +81,13 @@ def _random_key(rng: random.Random, cfg: Config, allow_zero: bool = True) -> int
     return rng.randint(cfg.value_min, cfg.value_max) << 1 | (rng.random() < cfg.ghost_prob)
 
 
-@lru_cache(maxsize=1024)
-def _lattice_scalar(key: int | None) -> Scalar:
-    """One shared immutable scalar per lattice key."""
-    return _decode(key, 1)
-
-
 def random_scalar(rng: random.Random, cfg: Config, allow_zero: bool = True) -> Scalar:
-    return _lattice_scalar(_random_key(rng, cfg, allow_zero))
-
-
-def _random_keys(rng: random.Random, n: int, cfg: Config) -> list[list[int | None]]:
-    """The keys at scale 1 of an n-by-n lattice matrix, row by row."""
-    return [[_random_key(rng, cfg) for _ in range(n)] for _ in range(n)]
+    return _decode(_random_key(rng, cfg, allow_zero), 1)
 
 
 def random_matrix(rng: random.Random, n: int, cfg: Config) -> Matrix:
-    return Matrix._from_keys(1, _random_keys(rng, n, cfg))
+    """An n-by-n lattice matrix drawn as keys at scale 1, decoded only when read."""
+    return Matrix._from_keys(1, [[_random_key(rng, cfg) for _ in range(n)] for _ in range(n)])
 
 
 def random_polynomial(rng: random.Random, max_degree: int, cfg: Config) -> Polynomial:

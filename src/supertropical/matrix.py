@@ -22,11 +22,10 @@ form: ``Matrix(rows)`` encodes its rows once, at its own scale, when the
 keys are first read, and a product or a power is returned as keys
 (`Matrix._from_keys`) and decodes its rows only when they are read, so
 ``char_poly(mat_pow(a, m))`` decodes nothing. Two matrices of different
-scales are multiplied at the LCM of the two (`_encode`). The public
-functions are thin wrappers over private key-space helpers (``_encode``,
-``_key_product``, ``_key_power``, ``_char_poly_from_keys``, ``_det_key``);
-``spectral`` calls ``_encode``, ``_key_product`` and ``_det_key`` for the
-determinant product rule. The characteristic polynomial keeps its keys
+scales are multiplied at the LCM of the two. `mat_mul` and `mat_pow` run
+the one key-space product, ``_key_product``; ``_det_key`` gives a
+permanent's value alone, and ``spectral`` calls it, with `mat_mul`, for
+the determinant product rule. The characteristic polynomial keeps its keys
 and decodes its coefficients on their first read.
 A matrix computes its characteristic polynomial once: ``Matrix._keys``
 and ``Matrix._char_poly`` are cached on the object, so ``det``,
@@ -153,21 +152,15 @@ class Matrix:
 
     @cached_property
     def _char_poly(self) -> Polynomial:
-        """The characteristic polynomial, computed once; `char_poly` checks
-        the dimension bound on every call before it reads this."""
+        """The characteristic polynomial, the permanent of ``A + xI`` over
+        key entries, computed once; `char_poly` checks the dimension bound
+        on every call before it reads this."""
         scale, keys = self._keys
-        return _char_poly_from_keys(keys, scale)
-
-
-def _encode(a: Matrix, b: Matrix) -> tuple[int, _Keys, _Keys]:
-    """The joint scale of A and B, the LCM of their own, and each one's keys
-    at it: a key is rescaled by multiplying its magnitude, ghost bit kept."""
-    (s, x), (t, y) = a._keys, b._keys
-    if s == t:
-        return s, x, y
-    scale = _key_scale((s, t), "matrix")
-    f, g = scale // s, scale // t
-    return scale, [[_key_pow(k, f) for k in r] for r in x], [[_key_pow(k, g) for k in r] for r in y]
+        entries = [
+            [[k, 0] if i == j else None if k is None else [k] for j, k in enumerate(row)]
+            for i, row in enumerate(keys)
+        ]
+        return Polynomial._from_keys(scale, _permanent_table(entries, self.n)[-1])
 
 
 def _key_product(x: _Keys, y: _Keys) -> _Keys:
@@ -191,27 +184,6 @@ def _key_product(x: _Keys, y: _Keys) -> _Keys:
     return out
 
 
-def _key_power(keys: _Keys, m: int) -> _Keys:
-    """The m-th power in key space, by repeated squaring: m = 2 takes one
-    product, m = 3 two. A power above `MAX_POWER` is refused."""
-    if m < 0:
-        raise DomainError("negative matrix powers are not defined")
-    if m > MAX_POWER:
-        raise BoundExceededError("matrix power", m, MAX_POWER)
-    if m == 0:
-        n = len(keys)
-        return [[0 if i == j else None for j in range(n)] for i in range(n)]
-    square = keys
-    result = None
-    while True:
-        if m & 1:
-            result = square if result is None else _key_product(result, square)
-        m >>= 1
-        if not m:
-            return result
-        square = _key_product(square, square)
-
-
 def _check_product_shape(n: int, k: int) -> None:
     """Refuse the product of an n-by-n and a k-by-k matrix unless n = k."""
     if n != k:
@@ -219,14 +191,38 @@ def _check_product_shape(n: int, k: int) -> None:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product AB, returned as keys. A and B are multiplied at the LCM
+    of their scales: a key is rescaled by multiplying its magnitude, ghost
+    bit kept; equal scales pass through with no rescale."""
     _check_product_shape(a.n, b.n)
-    scale, x, y = _encode(a, b)
+    (s, x), (t, y) = a._keys, b._keys
+    scale = s
+    if s != t:
+        scale = _key_scale((s, t), "matrix")
+        f, g = scale // s, scale // t
+        x = [[_key_pow(k, f) for k in r] for r in x]
+        y = [[_key_pow(k, g) for k in r] for r in y]
     return Matrix._from_keys(scale, _key_product(x, y))
 
 
 def mat_pow(a: Matrix, m: int) -> Matrix:
+    """A^m at A's scale, as keys, by repeated squaring: m = 2 takes one
+    product, m = 3 two. The keys are read first, so a scale past the cap is
+    refused before a negative m or one above `MAX_POWER`."""
     scale, keys = a._keys
-    return Matrix._from_keys(scale, _key_power(keys, m))
+    if m < 0:
+        raise DomainError("negative matrix powers are not defined")
+    if m > MAX_POWER:
+        raise BoundExceededError("matrix power", m, MAX_POWER)
+    square = keys
+    result = None if m else [[0 if i == j else None for j in range(a.n)] for i in range(a.n)]
+    while m:
+        if m & 1:
+            result = square if result is None else _key_product(result, square)
+        m >>= 1
+        if m:
+            square = _key_product(square, square)
+    return Matrix._from_keys(scale, result)
 
 
 def mat_vec(a: Matrix, v: Sequence[Scalar]) -> tuple[Scalar, ...]:
@@ -380,15 +376,6 @@ def _det_key(keys: _Keys) -> int | None:
     """The key of the permanent's value alone, with no dominant-track listing."""
     top = _permanent_table(_scalar_entries(keys), len(keys))[-1]
     return None if top is None else top[0]
-
-
-def _char_poly_from_keys(keys: _Keys, scale: int) -> Polynomial:
-    """The permanent of ``A + xI`` for A given as keys at ``scale``."""
-    entries = [
-        [[k, 0] if i == j else None if k is None else [k] for j, k in enumerate(row)]
-        for i, row in enumerate(keys)
-    ]
-    return Polynomial._from_keys(scale, _permanent_table(entries, len(keys))[-1])
 
 
 class DominantTracks(Sequence[PermutationTrack]):
@@ -580,4 +567,7 @@ def matrix_from_json_dict(data: dict) -> Matrix:
         raise ParseError("matrix JSON 'rows' must be a list of lists")
     if len(rows) != n or any(len(r) != n for r in rows):
         raise ParseError(f"matrix JSON rows do not form an {n}x{n} array")
+    # Checked after the shape, so that input refused before keeps its message.
+    if isinstance(n, bool) or not isinstance(n, int):
+        raise ParseError("matrix JSON 'n' must be an integer")
     return Matrix(tuple(tuple(parse_scalar(e) for e in row) for row in rows))

@@ -6,13 +6,13 @@ reproduces the computation. A conditional law whose hypothesis does not
 hold reports ``holds=None`` (not applicable) rather than pass or fail.
 The matrix-power laws are functions of one cached ``Trial``, listed by
 check id in ``CHECKS``; the public ``check_*`` functions wrap them. A trial
-is two matrices, and it works in their key space from end to end: A^m and
-both characteristic polynomials come from `mat_pow` and `char_poly` as
-keys, and the laws compare keys; the corner-root law compares the corner
-roots of both characteristic polynomials as their envelopes' integer cuts.
-A law's verdict builds its detail records when they are first read, and
-its witness only on failure, so a passing law decodes nothing and builds
-no string and no `Fraction`.
+is two matrices, and it works in their key space from end to end: A^m, AB
+and both characteristic polynomials come from `mat_pow`, `mat_mul` and
+`char_poly` as keys, and the laws compare keys; the corner-root law
+compares the corner roots of both characteristic polynomials as their
+envelopes' integer cuts. A law's verdict builds its detail records when
+they are first read, and its witness only on failure, so a passing law
+decodes nothing and builds no string and no `Fraction`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from .matrix import (
     Matrix,
     _check_product_shape,
     _det_key,
-    _encode,
-    _key_product,
     char_poly,
     check_dim_bound,
+    mat_mul,
     mat_pow,
     mat_vec,
 )
@@ -241,11 +240,12 @@ def _det_rule(t: Trial) -> Verdict:
     # checked first, so that an oversize matrix is refused as a determinant.
     _check_product_shape(t.a.n, t.b.n)
     check_dim_bound("determinant", t.a.n, t.bound)
-    scale, x, y = _encode(t.a, t.b)
-    lhs = _det_key(_key_product(x, y))
-    # rhs = det(A) * det(B), the key-space product, with det(A) rescaled
-    # from A's scale to the joint one.
-    p, q = _key_pow(t.alpha._keys[1][0], scale // t.alpha._keys[0]), _det_key(y)
+    scale, ab = mat_mul(t.a, t.b)._keys
+    lhs = _det_key(ab)
+    # rhs = det(A) * det(B), the key-space product, with each rescaled from
+    # its own matrix's scale to AB's.
+    p = _key_pow(t.alpha._keys[1][0], scale // t.alpha._keys[0])
+    q = _key_pow(_det_key(t.b._keys[1]), scale // t.b._keys[0])
     rhs = None if p is None or q is None else p + q - (p & q & 1)
     holds = _key_surpasses(lhs, rhs)
 

@@ -339,8 +339,10 @@ class TestErrorPaths:
         [
             ("zero_den.txt", "1/00 0\n0 0"),
             ("rows_scalar.json", '{"n": 2, "rows": 5}'),
+            ("n_bool.json", '{"n": true, "rows": [["0"]]}'),
+            ("n_float.json", '{"n": 1.0, "rows": [["1"]]}'),
         ],
-        ids=["zero-denominator", "rows-not-a-list"],
+        ids=["zero-denominator", "rows-not-a-list", "n-bool", "n-float"],
     )
     def test_malformed_matrix_exit_2(self, capsys, tmp_path, name, text):
         path = tmp_path / name

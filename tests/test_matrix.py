@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import supertropical.matrix as matrix_module
 from supertropical.matrix import MAX_POWER
+from supertropical.scalar import _key_pow
 from supertropical import (
     BoundExceededError,
     DetClass,
@@ -285,7 +286,11 @@ class TestCaps:
         assert det(Matrix(((tangible(within),),))).value == tangible(within)
         over = Matrix(((tangible(Fraction(1, 10**2000)),),))
         message = r"^digits of the matrix scale: size 2001 exceeds bound 2000$"
-        for route in (det, char_poly, lambda a: mat_mul(a, a), lambda a: mat_pow(a, 2)):
+        # mat_pow reads the keys before it checks m, so the scale is refused
+        # first even for a negative or oversize power.
+        powers = (lambda a: mat_pow(a, 2), lambda a: mat_pow(a, -1),
+                  lambda a: mat_pow(a, MAX_POWER + 1))
+        for route in (det, char_poly, lambda a: mat_mul(a, a), *powers):
             with pytest.raises(BoundExceededError, match=message):
                 route(over)
 
@@ -407,9 +412,10 @@ class TestKeyForm:
 
     def test_agrees_with_row_built_twin(self):
         # Keys at the matrix's own scale, and at a joint scale 5 times larger.
-        b3, fifths = parse_matrix(TestSharedCache.B3), parse_matrix("1/5 0\n2g -inf")
-        scale, x, _ = matrix_module._encode(b3, fifths)
+        own, keys = parse_matrix(TestSharedCache.B3)._keys
+        scale = 5 * own
         assert scale == 30
+        x = [[_key_pow(k, 5) for k in row] for row in keys]
         cases = (
             (Matrix._from_keys(*parse_matrix(B4_TEXT)._keys), B4_TEXT),
             (Matrix._from_keys(scale, x), TestSharedCache.B3),
@@ -482,8 +488,11 @@ class TestTextForms:
             parse_matrix("   \n  ")
 
     def test_bad_json_shape(self):
-        with pytest.raises(ParseError):
-            matrix_from_json_dict({"n": 2, "rows": [["0"]]})
+        # A bool or a float is no dimension, even where it equals the row count.
+        for data in ({"n": 2, "rows": [["0"]]}, {"n": True, "rows": [["0"]]},
+                     {"n": 1.0, "rows": [["1"]]}):
+            with pytest.raises(ParseError):
+                matrix_from_json_dict(data)
 
     @pytest.mark.parametrize("rows", [5, "00", [5, 5], [["0", "0"], None], {"a": 1}])
     def test_json_rows_not_a_grid(self, rows):

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import itertools
 import json
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -39,10 +41,11 @@ from supertropical import (
     tangible,
     trace,
 )
-from supertropical import Config, Verdict, random_scalar
-from supertropical.fuzz import _random_keys
+from supertropical import Config, Verdict, random_matrix, random_scalar
 import supertropical.matrix as matrix_module
-from supertropical.matrix import MAX_POWER, _encode
+import supertropical.spectral as spectral_module
+from supertropical.matrix import MAX_POWER
+from supertropical.scalar import _key_pow, _key_scale
 from supertropical.oracle import enum_det, sym_direct_charpoly
 from supertropical.spectral import CHECKS, Trial
 from conftest import matrices, sample_matrix, scalars
@@ -353,6 +356,19 @@ def test_trial_reads_the_matrix_cache(monkeypatch):
     assert len(calls) == 2
 
 
+def test_det_rule_multiplies_through_mat_mul():
+    """The product rule takes AB from `mat_mul`: `spectral` imports none of
+    the key-space helpers that multiply, power or expand matrices, so it
+    keeps no copy of the product of its own."""
+    helpers = {"_encode", "_key_product", "_key_power", "_char_poly_from_keys"}
+    tree = ast.parse(Path(spectral_module.__file__).read_text(encoding="utf-8"))
+    used = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not used & helpers
+    assert "mat_mul" in used
+
+
 def _law_json(t: Trial) -> dict:
     return {check_id: law(t).to_json_dict() for check_id, law in CHECKS.items()}
 
@@ -370,10 +386,12 @@ def _same_matrices_two_ways(rng: random.Random, k: int) -> tuple[Trial, Trial, M
         a, b = (Matrix(tuple(tuple(random_scalar(draw, cfg) for _ in range(n)) for _ in range(n)))
                 for _ in range(2))
         draw = random.Random(seed)
-        scale, x, y = 1, _random_keys(draw, n, cfg), _random_keys(draw, n, cfg)
+        scale, x, y = 1, random_matrix(draw, n, cfg)._keys[1], random_matrix(draw, n, cfg)._keys[1]
     else:
         a, b = _palette_matrix(rng, n), _palette_matrix(rng, n)
-        scale, x, y = _encode(a, b)
+        scale = _key_scale((a._keys[0], b._keys[0]), "matrix")
+        x, y = ([[_key_pow(k, scale // own) for k in row] for row in keys]
+                for own, keys in (a._keys, b._keys))
     keyed = Trial(Matrix._from_keys(scale, x), Matrix._from_keys(scale, y), m)
     return keyed, Trial(a, b, m), a, b
 
