@@ -130,7 +130,7 @@ class CampaignResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": {k: v for k, v in asdict(self.config).items()},
+            "config": asdict(self.config),
             "results": self.tallies,
             "violations": self.violations,
         }

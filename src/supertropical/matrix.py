@@ -5,16 +5,18 @@ of the track product. The scalars form a commutative semiring in which a
 tie comes out ghost through addition itself, so the permanent, ghost-by-tie
 included, is computed exactly by a row-by-column-subset dynamic program in
 ``O(n * 2^n)`` semiring operations (Held and Karp, 1962) rather than by
-enumerating all ``n!`` tracks. The same kernel, run over polynomial entries
-of ``A + xI``, yields every coefficient of the characteristic polynomial in
-one pass. The dominant tracks are counted from the same table: the count
-through a column subset is the sum of the counts through the subsets that
-its dominant steps leave, and the classification reads the count. The
-tracks are listed, by a depth-first search over those steps, only when a
-report's ``dominant_tracks`` is iterated or indexed; a report's JSON and
-the command line's text list at most ``MAX_LISTED_TRACKS`` (8!) of them.
-Both computations are guarded by an explicit dimension bound (default 9,
-set per call with ``bound=``, or with ``--bound`` on the command line).
+enumerating all ``n!`` tracks. A matrix builds one such table, over the
+polynomial entries of ``A + xI``: its top entry is the characteristic
+polynomial, and the determinant is that polynomial's coefficient 0. The
+dominant tracks are counted from the degree-0 coefficients of the same
+table: the count through a column subset is the sum of the counts through
+the subsets that its dominant steps leave, and the classification reads
+the count. The tracks are listed, by a depth-first search over those steps,
+only when a report's ``dominant_tracks`` is iterated or indexed; a report's
+JSON and the command line's text list at most ``MAX_LISTED_TRACKS`` (8!) of
+them. Both computations are guarded by an explicit dimension bound
+(default 9, set per call with ``bound=``, or with ``--bound`` on the
+command line).
 
 The kernels (the permanent table and the matrix product) run on plain
 integers, the keys that ``scalar.py`` describes. A `Matrix` holds either
@@ -23,17 +25,14 @@ keys are first read, and a product or a power is returned as keys
 (`Matrix._from_keys`) and decodes its rows only when they are read, so
 ``char_poly(mat_pow(a, m))`` decodes nothing. Two matrices of different
 scales are multiplied at the LCM of the two. `mat_mul` and `mat_pow` run
-the one key-space product, ``_key_product``; ``_det_key`` gives a
-permanent's value alone, and ``spectral`` calls it, with `mat_mul`, for
-the determinant product rule. The characteristic polynomial keeps its keys
-and decodes its coefficients on their first read.
-A matrix computes its characteristic polynomial once: ``Matrix._keys``
-and ``Matrix._char_poly`` are cached on the object, so ``det``,
-``char_poly``, ``mat_pow`` and ``eigenvalues`` on one matrix share one
-encoding, and the charpoly table is built once however often it is asked
-for. Nothing is cached across matrix objects, and a pickle holds only the
-rows. A scale of more than ``2 * MAX_LITERAL_DIGITS`` digits and a power
-above ``MAX_POWER`` are refused with ``BoundExceededError``.
+the one key-space product, ``_key_product``. The characteristic polynomial
+keeps its keys and decodes its coefficients on their first read.
+``Matrix._keys``, ``Matrix._table`` and ``Matrix._char_poly`` are cached on
+the object, so ``det``, ``char_poly``, ``mat_pow`` and ``eigenvalues`` on
+one matrix share one encoding and one table, built once however often it
+is asked for. Nothing is cached across matrix objects, and a pickle holds
+only the rows. A scale of more than ``2 * MAX_LITERAL_DIGITS`` digits and a
+power above ``MAX_POWER`` are refused with ``BoundExceededError``.
 """
 
 from __future__ import annotations
@@ -151,16 +150,17 @@ class Matrix:
         return scale, tuple(tuple(_encode_keys(row, scale)) for row in self.rows)
 
     @cached_property
+    def _table(self) -> list[list[int | None] | None]:
+        """The subset table of ``A + xI`` (`_permanent_table`), built once and
+        read by `det` and `char_poly`, which check the dimension bound on
+        every call before they read it."""
+        return _permanent_table(self._keys[1])
+
+    @cached_property
     def _char_poly(self) -> Polynomial:
-        """The characteristic polynomial, the permanent of ``A + xI`` over
-        key entries, computed once; `char_poly` checks the dimension bound
-        on every call before it reads this."""
-        scale, keys = self._keys
-        entries = [
-            [[k, 0] if i == j else None if k is None else [k] for j, k in enumerate(row)]
-            for i, row in enumerate(keys)
-        ]
-        return Polynomial._from_keys(scale, _permanent_table(entries, self.n)[-1])
+        """The characteristic polynomial, the table's top entry; its
+        coefficient 0 is the determinant's value."""
+        return Polynomial._from_keys(self._keys[0], self._table[-1])
 
 
 def _key_product(x: _Keys, y: _Keys) -> _Keys:
@@ -320,62 +320,50 @@ class DetReport:
         return data
 
 
-def _permanent_table(
-    entries: Sequence[Sequence[list[int | None] | None]], n: int
-) -> list[list[int | None] | None]:
-    """Subset table of partial permanents over key coefficient lists.
+def _permanent_table(keys: _Keys) -> list[list[int | None] | None]:
+    """Subset table of partial permanents of ``A + xI``, over key coefficient
+    lists by degree in ``x``.
 
-    Each entry is a polynomial in ``x`` as a list of keys by degree, or
-    ``None`` when it is ``-inf``. ``table[S]`` is the permanent of the bottom
-    ``|S|`` rows restricted to the columns in bitmask ``S``: row
-    ``i = n - |S|`` picks a column ``j`` in ``S`` and the rows below share
-    out the rest, so ``table[S]`` is the sum over ``j`` of
-    ``entries[i][j] * table[S - {j}]``. By distributivity this is the sum of
-    the same track products that permutation enumeration adds up, and
-    ``table[2^n - 1]`` is the permanent. Zero terms are skipped, and
+    ``table[S]`` is the permanent of the bottom ``|S|`` rows restricted to
+    the columns in bitmask ``S``: row ``i = n - |S|`` picks a column ``j`` in
+    ``S`` and the rows below share out the rest, so ``table[S]`` is the sum
+    over ``j`` of ``(A + xI)[i][j] * table[S - {j}]``. By distributivity this
+    is the sum of the same track products that permutation enumeration adds
+    up: ``table[2^n - 1]`` is the characteristic polynomial, and the
+    degree-0 coefficient of ``table[S]`` is the partial permanent of ``A``
+    alone. A row's live terms are its finite keys at degree 0 and the unit
+    key 0 at degree 1 on the diagonal. Zero terms are skipped, and
     ``table[S]`` is ``None`` when every track through ``S`` is ``-inf``.
     """
-    live = [[(1 << j, e) for j, e in enumerate(row) if e is not None] for row in entries]
-    # table[S] has degree at most top * |S|; table[0] is the unit, key 0.
-    top = max((len(e) for row in entries for e in row if e is not None), default=1) - 1
+    n = len(keys)
+    live = [
+        [(1 << j, k, 0) for j, k in enumerate(row) if k is not None] + [(1 << i, 0, 1)]
+        for i, row in enumerate(keys)
+    ]
     table: list[list[int | None] | None] = [None] * (1 << n)
     table[0] = [0]
     for subset in range(1, 1 << n):
         size = subset.bit_count()
         acc = None
-        for bit, entry in live[n - size]:
+        for bit, p, degree in live[n - size]:
             if not subset & bit:
                 continue
             rest = table[subset ^ bit]
             if rest is None:
                 continue
             if acc is None:
-                acc = [None] * (1 + top * size)
-            for a, p in enumerate(entry):
-                if p is None:
+                acc = [None] * (1 + size)
+            for d, q in enumerate(rest, degree):
+                if q is None:
                     continue
-                for d, q in enumerate(rest, a):
-                    if q is None:
-                        continue
-                    term = p + q - (p & q & 1)
-                    old = acc[d]
-                    if old is None or term > old | 1:
-                        acc[d] = term
-                    elif term >> 1 == old >> 1:
-                        acc[d] = old | 1
+                term = p + q - (p & q & 1)
+                old = acc[d]
+                if old is None or term > old | 1:
+                    acc[d] = term
+                elif term >> 1 == old >> 1:
+                    acc[d] = old | 1
         table[subset] = acc
     return table
-
-
-def _scalar_entries(keys: _Keys) -> list[list[list[int] | None]]:
-    """Key entries as the constant polynomials `_permanent_table` reads."""
-    return [[None if k is None else [k] for k in row] for row in keys]
-
-
-def _det_key(keys: _Keys) -> int | None:
-    """The key of the permanent's value alone, with no dominant-track listing."""
-    top = _permanent_table(_scalar_entries(keys), len(keys))[-1]
-    return None if top is None else top[0]
 
 
 class DominantTracks(Sequence[PermutationTrack]):
@@ -385,13 +373,14 @@ class DominantTracks(Sequence[PermutationTrack]):
 
     ``steps[S]`` holds the (column, entry's ghost bit) choices for the row
     of S whose entry plus the best completion of S - {column} attains
-    table[S], and ``ways[S]`` counts the dominant completions of S: the sum
-    of ``ways[S - {column}]`` over those steps. Both are filled in, once
-    each, for the subsets that some dominant track passes through, so `len`
-    builds no track. Iterating walks the steps depth first in ascending
-    column order and builds each track as it is reached; indexing goes
-    straight to the track of that rank by the counts. The sequence equals a
-    tuple of the same tracks.
+    coefficient 0 of table[S], the partial permanent of A alone, and
+    ``ways[S]`` counts the dominant completions of S: the sum of
+    ``ways[S - {column}]`` over those steps. Both are filled in, once each,
+    for the subsets that some dominant track passes through, so `len` builds
+    no track. Iterating walks the steps depth first in ascending column
+    order and builds each track as it is reached; indexing goes straight to
+    the track of that rank by the counts. The sequence equals a tuple of
+    the same tracks.
     """
 
     __slots__ = ("_steps", "_ways", "_products", "_full")
@@ -404,13 +393,16 @@ class DominantTracks(Sequence[PermutationTrack]):
         def count(subset: int) -> int:
             if subset not in ways:
                 target = table[subset][0] >> 1
+                # A subset whose finite tracks all take x on the diagonal
+                # has an entry with no degree-0 coefficient: no step leads there.
                 steps[subset] = [
                     (j, k & 1)
                     for j, k in enumerate(keys[n - subset.bit_count()])
                     if subset & (1 << j)
                     and k is not None
-                    and table[subset ^ (1 << j)] is not None
-                    and (k >> 1) + (table[subset ^ (1 << j)][0] >> 1) == target
+                    and (rest := table[subset ^ (1 << j)]) is not None
+                    and rest[0] is not None
+                    and (k >> 1) + (rest[0] >> 1) == target
                 ]
                 ways[subset] = sum(count(subset ^ (1 << j)) for j, _ in steps[subset])
             return ways[subset]
@@ -484,16 +476,18 @@ class DominantTracks(Sequence[PermutationTrack]):
 def det(a: Matrix, bound: int | None = None) -> DetReport:
     """Permanent by the subset table, with its dominant tracks counted.
 
-    The count comes from the same table (see `DominantTracks`), and the
-    classification reads it: more than one dominant track is a tie, and a
-    single one is ghost exactly when the value is. The tracks themselves
-    are listed, in the lexicographic order of their permutations, only when
-    the report's ``dominant_tracks`` is iterated or indexed.
+    The value is coefficient 0 of the characteristic polynomial, read from
+    the matrix's one table. The count comes from the same table (see
+    `DominantTracks`), and the classification reads it: more than one
+    dominant track is a tie, and a single one is ghost exactly when the
+    value is. The tracks themselves are listed, in the lexicographic order
+    of their permutations, only when the report's ``dominant_tracks`` is
+    iterated or indexed.
     """
     check_dim_bound("determinant", a.n, bound)
     scale, keys = a._keys
-    table = _permanent_table(_scalar_entries(keys), a.n)
-    if table[-1] is None:
+    table = a._table
+    if table[-1][0] is None:
         return DetReport(ZERO, (), DetClass.ZERO)
     value = _decode(table[-1][0], scale)
     tracks = DominantTracks(keys, table, value)
@@ -517,8 +511,8 @@ def char_poly(a: Matrix, bound: int | None = None) -> Polynomial:
 
     The bound is checked on every call, but a matrix computes its
     characteristic polynomial once: later calls on the same object, and
-    `eigenvalues`, read the cached result, and `det` and `mat_pow` share its
-    encoding.
+    `eigenvalues`, read the cached result, `det` reads the same table, and
+    `mat_pow` shares its encoding.
     """
     check_dim_bound("characteristic polynomial", a.n, bound)
     return a._char_poly

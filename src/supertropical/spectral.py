@@ -26,7 +26,6 @@ from .errors import DomainError
 from .matrix import (
     Matrix,
     _check_product_shape,
-    _det_key,
     char_poly,
     check_dim_bound,
     mat_mul,
@@ -174,14 +173,15 @@ class Trial:
     determinant product rule reads ``b``, and it alone ignores ``m``.
 
     Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m),
-    the trace law reads A^m too, and the determinant rule reads det(A) as
-    coefficient 0 of charpoly(A). So the trial computes each of these once,
-    on first use: ``power`` = A^m, ``alpha`` = charpoly(A) and ``beta`` =
-    charpoly(A^m), which the matrices keep as keys; running every law costs
-    one key-space power, at most two characteristic-polynomial tables (a
-    matrix keeps its own) and two value-only determinants (det(AB),
-    det(B)). The laws compare keys at A's scale, or at the joint scale of A
-    and B, and decode nothing unless a verdict's detail or witness is read.
+    the trace law reads A^m too, and the determinant rule reads det(A),
+    det(B) and det(AB) as coefficient 0 of the characteristic polynomials of
+    A, B and AB. So the trial computes each of these once, on first use:
+    ``power`` = A^m, ``alpha`` = charpoly(A) and ``beta`` = charpoly(A^m),
+    which the matrices keep as keys; running every law costs one key-space
+    power, one product AB and at most four characteristic-polynomial tables
+    (a matrix keeps its own). The laws compare keys at A's scale, or at the
+    joint scale of A and B, and decode nothing unless a verdict's detail or
+    witness is read.
     """
 
     def __init__(self, a: Matrix, b: Matrix, m: int, bound: int | None = None):
@@ -236,16 +236,17 @@ def _charpoly_power(t: Trial) -> Verdict:
 
 
 def _det_rule(t: Trial) -> Verdict:
-    # det(A) is coefficient 0 of the cached charpoly(A); the dimension is
-    # checked first, so that an oversize matrix is refused as a determinant.
+    # A determinant is coefficient 0 of its matrix's characteristic
+    # polynomial; the dimension is checked first, so that an oversize matrix
+    # is refused as a determinant.
     _check_product_shape(t.a.n, t.b.n)
     check_dim_bound("determinant", t.a.n, t.bound)
-    scale, ab = mat_mul(t.a, t.b)._keys
-    lhs = _det_key(ab)
+    ab = mat_mul(t.a, t.b)
+    scale = ab._keys[0]
+    lhs = ab._char_poly._keys[1][0]
     # rhs = det(A) * det(B), the key-space product, with each rescaled from
     # its own matrix's scale to AB's.
-    p = _key_pow(t.alpha._keys[1][0], scale // t.alpha._keys[0])
-    q = _key_pow(_det_key(t.b._keys[1]), scale // t.b._keys[0])
+    p, q = (_key_pow(f._keys[1][0], scale // f._keys[0]) for f in (t.alpha, t.b._char_poly))
     rhs = None if p is None or q is None else p + q - (p & q & 1)
     holds = _key_surpasses(lhs, rhs)
 

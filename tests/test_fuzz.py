@@ -102,9 +102,9 @@ class TestCampaign:
 
     def test_power_and_charpolys_computed_once_per_trial(self, monkeypatch):
         # Count the kernel work wherever it is called from: no encode (a
-        # generated matrix is drawn as keys), two charpoly tables and two
-        # value-only determinant tables per trial; the key products are those
-        # of A^m's repeated squaring plus one for AB.
+        # generated matrix is drawn as keys) and four charpoly tables per
+        # trial, of A, A^m, AB and B, each determinant read as coefficient 0;
+        # the key products are those of A^m's repeated squaring plus one for AB.
         calls = Counter()
         for name in ("_encode_keys", "_permanent_table", "_key_product"):
 

@@ -48,7 +48,7 @@ from supertropical.matrix import MAX_POWER
 from supertropical.scalar import _key_pow, _key_scale
 from supertropical.oracle import enum_det, sym_direct_charpoly
 from supertropical.spectral import CHECKS, Trial
-from conftest import matrices, sample_matrix, scalars
+from conftest import matrices, sample_matrix, scalars, small_fractions
 
 A = parse_matrix("0 0\n1 2")
 
@@ -201,10 +201,17 @@ class TestDetRule:
         assert verdict.detail[0]["lhs"] == "5g"
         assert verdict.detail[0]["rhs"] == "4"
 
-    @given(matrices(max_n=4), matrices(max_n=4))
-    def test_always_holds(self, a, b):
-        if a.n != b.n:
-            return
+    @given(st.data())
+    def test_always_holds(self, data):
+        # B has A's size and one entry of denominator 5, which no entry of A
+        # has (the strategies draw denominators up to 3): AB is multiplied at
+        # a joint scale that is not A's own.
+        a = data.draw(matrices(max_n=4))
+        rows = [list(row) for row in data.draw(matrices(min_n=a.n, max_n=a.n)).rows]
+        i, j = data.draw(st.tuples(*[st.integers(0, a.n - 1)] * 2))
+        rows[i][j] = data.draw(st.builds(tangible, small_fractions.map(lambda v: v + Fraction(1, 5))))
+        b = Matrix(rows)
+        assert a._keys[0] % 5 and not b._keys[0] % 5
         verdict = check_det_rule(a, b)
         assert verdict.holds
         record = verdict.detail[0]
@@ -357,10 +364,13 @@ def test_trial_reads_the_matrix_cache(monkeypatch):
 
 
 def test_det_rule_multiplies_through_mat_mul():
-    """The product rule takes AB from `mat_mul`: `spectral` imports none of
-    the key-space helpers that multiply, power or expand matrices, so it
-    keeps no copy of the product of its own."""
-    helpers = {"_encode", "_key_product", "_key_power", "_char_poly_from_keys"}
+    """The product rule takes AB from `mat_mul` and each determinant from a
+    matrix's characteristic polynomial: `spectral` imports none of the
+    key-space helpers that multiply, power or expand matrices or build a
+    subset table, so it keeps no copy of the product of its own and reaches
+    a table only through a matrix."""
+    helpers = {"_encode", "_key_product", "_key_power", "_char_poly_from_keys",
+               "_det_key", "_permanent_table"}
     tree = ast.parse(Path(spectral_module.__file__).read_text(encoding="utf-8"))
     used = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
