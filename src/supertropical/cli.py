@@ -45,7 +45,8 @@ _PROP32_MAX_PAIRS = 100
 
 def _read_file(path: str, json_opener: str, from_json, from_text):
     """Parse a file by ``from_json`` if it opens with ``json_opener``, else by ``from_text``."""
-    with open(path, "r", encoding="utf-8") as fh:
+    # "utf-8-sig" drops a leading byte-order mark, which editors may save.
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             text = fh.read()
         except UnicodeDecodeError as exc:

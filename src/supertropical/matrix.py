@@ -377,10 +377,10 @@ class DominantTracks(Sequence[PermutationTrack]):
     ``ways[S]`` counts the dominant completions of S: the sum of
     ``ways[S - {column}]`` over those steps. Both are filled in, once each,
     for the subsets that some dominant track passes through, so `len` builds
-    no track. Iterating walks the steps depth first in ascending column
-    order and builds each track as it is reached; indexing goes straight to
-    the track of that rank by the counts. The sequence equals a tuple of
-    the same tracks.
+    no track. Iterating pops (subset left, ghost bit, prefix) states off
+    one stack, depth first in ascending column order, and builds each track
+    as it is reached; indexing goes straight to the track of that rank by
+    the counts. The sequence equals a tuple of the same tracks.
     """
 
     __slots__ = ("_steps", "_ways", "_products", "_full")
@@ -419,25 +419,15 @@ class DominantTracks(Sequence[PermutationTrack]):
         return self._ways[self._full]
 
     def __iter__(self) -> Iterator[PermutationTrack]:
-        steps, products = self._steps, self._products
-        # One frame per row of the current prefix: the subset left to the
-        # rows below it, the prefix's ghost bit and the choices not yet tried.
-        perm: list[int] = []
-        frames = [(self._full, 0, iter(steps[self._full]))]
-        while frames:
-            subset, ghosted, choices = frames[-1]
-            for j, ghost_bit in choices:
-                rest = subset ^ (1 << j)
-                perm.append(j)
-                if rest:
-                    frames.append((rest, ghosted | ghost_bit, iter(steps[rest])))
-                    break
-                yield PermutationTrack(tuple(perm), products[ghosted | ghost_bit])
-                perm.pop()
-            else:
-                frames.pop()
-                if perm:
-                    perm.pop()
+        # A row's steps are pushed in reverse, so the lowest column comes off first.
+        stack = [(self._full, 0, ())]
+        while stack:
+            subset, ghosted, perm = stack.pop()
+            if not subset:
+                yield PermutationTrack(perm, self._products[ghosted])
+                continue
+            for j, ghost_bit in reversed(self._steps[subset]):
+                stack.append((subset ^ (1 << j), ghosted | ghost_bit, perm + (j,)))
 
     def __getitem__(self, index):
         if isinstance(index, slice):

@@ -30,7 +30,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import BoundExceededError, DomainError, ParseError
 from .scalar import DIGITS, RATIONAL, check_digits, literal_ratio
@@ -290,27 +290,31 @@ def _cut_value(cut: tuple[int, int], scale: int) -> Fraction:
     return Fraction(cut[0], cut[1] * scale)
 
 
-def _corners(f: Polynomial) -> list[tuple[tuple[int, int], int]]:
-    """The corner roots of ``f`` as ``(cut, multiplicity)``, ascending.
-
-    Each time the cut changes, the edge between the last two strict
-    vertices is complete; when both of its end coefficients are tangible it
-    gives a corner root at its cut, with the degree gap as multiplicity. A
-    coefficient's kind is its key's ghost bit.
+def _edges(f: Polynomial) -> Iterator[tuple[int, int, tuple[int, int]]]:
+    """The edges of ``f``'s envelope as ``(low degree, high degree, cut)``,
+    ascending: one per run of equal cuts, whose hull points all lie on one
+    segment. The cut given is the run's last; every cut of a run has the
+    same magnitude.
     """
     hull, cuts = f._hull
-    keys = f._keys[1]
-    corners = []
     start = 0
     for k, cut in enumerate(cuts):
         # Cut k joins hull points k and k + 1; the edge ends at k + 1 unless
         # the next cut is the same.
         if k + 1 == len(cuts) or not _same_cut(cut, cuts[k + 1]):
-            lo, hi = hull[start], hull[k + 1]
-            if not (keys[lo] | keys[hi]) & 1:
-                corners.append((cut, hi - lo))
+            yield hull[start], hull[k + 1], cut
             start = k + 1
-    return corners
+
+
+def _corners(f: Polynomial) -> list[tuple[tuple[int, int], int]]:
+    """The corner roots of ``f`` as ``(cut, multiplicity)``, ascending.
+
+    Each envelope edge (`_edges`) whose two end coefficients are tangible
+    gives a corner root at its cut, with the degree gap as multiplicity. A
+    coefficient's kind is its key's ghost bit.
+    """
+    keys = f._keys[1]
+    return [(cut, hi - lo) for lo, hi, cut in _edges(f) if not (keys[lo] | keys[hi]) & 1]
 
 
 def essential(f: Polynomial) -> Polynomial:
@@ -329,16 +333,10 @@ def essential(f: Polynomial) -> Polynomial:
 
 
 def breakpoints(f: Polynomial) -> list[Fraction]:
-    """Magnitudes where the dominant monomial changes, ascending."""
-    if f.is_zero:
-        return []
+    """Magnitudes where the dominant monomial changes, ascending: the cut
+    of each envelope edge (`_edges`); the zero polynomial has none."""
     scale = f._keys[0]
-    cuts = f._hull[1]
-    return [
-        _cut_value(cut, scale)
-        for k, cut in enumerate(cuts)
-        if k == 0 or not _same_cut(cut, cuts[k - 1])
-    ]
+    return [_cut_value(cut, scale) for _, _, cut in _edges(f)]
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ decodes nothing and builds no string and no `Fraction`.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -212,7 +213,16 @@ class Trial:
         return {"matrix": self.a.to_json_dict(), "m": self.m, **extra}
 
 
-def _charpoly_power(t: Trial) -> Verdict:
+def _relation(b: int | None, ap: int | None) -> str:
+    if b == ap:
+        return "equal"
+    return "ghost-surpass" if _key_surpasses(b, ap) else "violation"
+
+
+def _coeff_law(t: Trial, check: str, field: str, judge: Callable) -> Verdict:
+    """Each coefficient of charpoly(A^m) ghost-surpasses the m-th power of the
+    matching one of charpoly(A). A detail record gives ``judge(coeff, power)``
+    as ``field``; the witness names the last index that fails."""
     pairs = t._coeff_keys
     bad = None
     for i, (b, ap) in enumerate(pairs):
@@ -222,17 +232,15 @@ def _charpoly_power(t: Trial) -> Verdict:
 
     def detail():
         for i, (b, ap) in enumerate(pairs):
-            if b == ap:
-                relation = "equal"
-            elif _key_surpasses(b, ap):
-                relation = "ghost-surpass"
-            else:
-                relation = "violation"
             yield {"i": i, "coeff": _text(b, scale), "power": _text(ap, scale),
-                   "relation": relation}
+                   field: judge(b, ap)}
 
     witness = None if bad is None else t.witness(i=bad)
-    return Verdict("charpoly-power", bad is None, witness, detail)
+    return Verdict(check, bad is None, witness, detail)
+
+
+def _charpoly_power(t: Trial) -> Verdict:
+    return _coeff_law(t, "charpoly-power", "relation", _relation)
 
 
 def _det_rule(t: Trial) -> Verdict:
@@ -266,20 +274,9 @@ def _det_rule(t: Trial) -> Verdict:
 def _tangible_equality(t: Trial) -> Verdict:
     if any(k is not None and k & 1 for k in t.beta._keys[1]):
         return Verdict("tangible-equality", None)
-    pairs = t._coeff_keys
-    bad = None
-    for i, (b, ap) in enumerate(pairs):
-        if b != ap:
-            bad = i
-    scale = t.a._keys[0]
-
-    def detail():
-        for i, (b, ap) in enumerate(pairs):
-            yield {"i": i, "coeff": _text(b, scale), "power": _text(ap, scale),
-                   "equal": b == ap}
-
-    witness = None if bad is None else t.witness(i=bad)
-    return Verdict("tangible-equality", bad is None, witness, detail)
+    # Every coefficient is now tangible or -inf, and such a key ghost-surpasses
+    # only itself: the law is equality.
+    return _coeff_law(t, "tangible-equality", "equal", operator.eq)
 
 
 def _root_text(cut: tuple[int, int], scale: int) -> str:

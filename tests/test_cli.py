@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supertropical import Verdict, cli
+from supertropical import Polynomial, Verdict, ZERO, cli, oracle
 from supertropical.fuzz import MAX_TRIALS, CampaignResult
 from supertropical.matrix import MAX_POWER
 from supertropical.polynomial import MAX_PARSE_DEGREE
@@ -115,6 +115,25 @@ class TestComputeCommands:
         code, out, _ = run(capsys, "roots", str(path))
         assert code == 0
         assert "corner roots: 0 (mult 1), 2 (mult 1)" in out
+
+    @pytest.mark.parametrize(
+        "command, content",
+        [
+            ("det", A_TEXT),
+            ("det", json.dumps({"n": 2, "rows": [["0", "0"], ["1", "2"]]})),
+            ("roots", "x^2 + 2x + 2"),
+            ("roots", json.dumps(["2", "2", "0"])),
+        ],
+        ids=["matrix-text", "matrix-json", "polynomial-text", "polynomial-json"],
+    )
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path, command, content):
+        plain, marked = tmp_path / "plain", tmp_path / "marked"
+        plain.write_text(content, encoding="utf-8")
+        marked.write_text(content, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        code, out, err = run(capsys, command, str(marked))
+        assert (code, err) == (0, "")
+        assert out == run(capsys, command, str(plain))[1]
 
     @pytest.mark.parametrize(
         "argv, expected",
@@ -325,6 +344,21 @@ class TestCheckCommand:
         assert [v["check"] for v in violations] == ["thm36"] * 5
         assert [v["seed"] for v in violations] == [f"9:{i}" for i in range(5)]
 
+        code, out, _ = run(capsys, "fuzz", "--trials", "5", "--seed", "9")
+        assert code == 1
+        listed = out.splitlines()
+        start = listed.index("violations:")
+        assert [json.loads(line) for line in listed[start + 1:]] == violations
+
+    def test_charpoly_equiv_failure(self, capsys, monkeypatch):
+        # The kernel and the oracle disagreeing on every generated trial.
+        monkeypatch.setattr(oracle, "sym_direct_charpoly",
+                            lambda a, bound=None: Polynomial((ZERO,)))
+        code, out, _ = run(capsys, "check", "charpoly-equiv", "--trials", "3")
+        assert code == 1
+        assert out.startswith("FAIL charpoly-equiv\n")
+        assert "failures=3" in out
+
 
 class TestErrorPaths:
     def test_parse_error_exit_2(self, capsys, tmp_path):
@@ -351,6 +385,13 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    def test_empty_json_matrix_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "empty.json"
+        path.write_text('{"n": 0, "rows": []}')
+        code, out, err = run(capsys, "det", str(path))
+        assert (code, out) == (2, "")
+        assert err == "error: matrix must be square and nonempty\n"
 
     def test_zero_denominator_polynomial_exit_2(self, capsys):
         code, _, err = run(capsys, "roots", "x + 1/00")

@@ -75,13 +75,22 @@ def test_output_matches_golden(name, tmp_path, capsys):
     assert out == expected
 
 
+HELP_COMMANDS = ("det", "check")
+
+
 # The help texts show the defaults of --bound and of the generation flags,
 # which the parser reads from `supertropical.defaults`; recorded with Python
 # 3.11's argparse at 80 columns.
-@pytest.mark.parametrize("command", ["det", "check"])
+@pytest.mark.parametrize("command", HELP_COMMANDS)
 def test_help_matches_golden(command, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     with pytest.raises(SystemExit) as exc:
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text(encoding="utf-8")
+
+
+def test_every_golden_file_is_read():
+    # A golden file that no case reads pins nothing.
+    read = set(CASES) | {f"help_{command}.txt" for command in HELP_COMMANDS}
+    assert {path.name for path in GOLDEN.iterdir()} == read

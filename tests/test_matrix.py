@@ -61,6 +61,11 @@ class TestProduct:
         with pytest.raises(ShapeError):
             mat_mul(A, Matrix.identity(3))
 
+    @pytest.mark.parametrize("rows", [(), ((ZERO, ZERO), (ZERO,))], ids=["empty", "ragged"])
+    def test_refuses_a_non_square_shape(self, rows):
+        with pytest.raises(ShapeError, match=r"^matrix must be square and nonempty$"):
+            Matrix(rows)
+
     @given(matrices(max_n=3), matrices(max_n=3), matrices(max_n=3))
     def test_associative(self, x, y, z):
         if x.n == y.n == z.n:

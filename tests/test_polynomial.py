@@ -2,10 +2,12 @@
 
 from __future__ import annotations
 
+import ast
 import json
 import pickle
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -302,6 +304,20 @@ class TestScaledEnvelope:
         assert report.corner_roots == corner_roots
         assert tuple(str(iv) for iv in report.ghost_intervals) == ghost_intervals
         assert breakpoints(f) == [1]
+
+    def test_only_the_edge_walk_and_roots_compare_cuts(self):
+        """`_edges` alone groups equal cuts into envelope edges, for
+        `_corners` and `breakpoints`; `roots` compares cuts only to merge
+        touching ghost spans. No other function calls `_same_cut`."""
+        callers = set()
+        for path in Path(polynomial.__file__).parent.glob("*.py"):
+            tree = ast.parse(path.read_text(encoding="utf-8"))
+            for fn in ast.walk(tree):
+                if isinstance(fn, ast.FunctionDef):
+                    callers |= {fn.name for node in ast.walk(fn) if isinstance(node, ast.Call)
+                                and "_same_cut" in (getattr(node.func, "id", None),
+                                                    getattr(node.func, "attr", None))}
+        assert callers == {"_edges", "roots"}
 
 
 def _coeff_text(rng: random.Random, degree: int) -> str:

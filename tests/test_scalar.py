@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -223,6 +224,41 @@ def test_key_arithmetic_matches_scalars():
             assert _key_surpasses(keys[a], keys[b]) is a.surpasses(b), (a, b)
             for c in grid:
                 assert _decode(_key_sum([keys[a], keys[b], keys[c]]), scale) == a + b + c
+
+
+# --- pickles ----------------------------------------------------------------
+
+# The bytes (protocol 4) that these scalars pickled to while `Scalar` was a
+# slotted dataclass.
+SCALAR_PICKLES = (
+    (ZERO,
+     b"\x80\x04\x95B\x00\x00\x00\x00\x00\x00\x00\x8c\x14supertropical.scalar\x94"
+     b"\x8c\x06Scalar\x94\x93\x94)\x81\x94]\x94(h\x00\x8c\x04Kind\x94\x93\x94"
+     b"\x8c\x04zero\x94\x85\x94R\x94Neb."),
+    (ONE,
+     b"\x80\x04\x95f\x00\x00\x00\x00\x00\x00\x00\x8c\x14supertropical.scalar\x94"
+     b"\x8c\x06Scalar\x94\x93\x94)\x81\x94]\x94(h\x00\x8c\x04Kind\x94\x93\x94"
+     b"\x8c\x08tangible\x94\x85\x94R\x94\x8c\tfractions\x94\x8c\x08Fraction\x94"
+     b"\x93\x94K\x00K\x01\x86\x94R\x94eb."),
+    (tangible(Fraction(-1, 2)),
+     b"\x80\x04\x95i\x00\x00\x00\x00\x00\x00\x00\x8c\x14supertropical.scalar\x94"
+     b"\x8c\x06Scalar\x94\x93\x94)\x81\x94]\x94(h\x00\x8c\x04Kind\x94\x93\x94"
+     b"\x8c\x08tangible\x94\x85\x94R\x94\x8c\tfractions\x94\x8c\x08Fraction\x94"
+     b"\x93\x94J\xff\xff\xff\xffK\x02\x86\x94R\x94eb."),
+    (ghost(3),
+     b"\x80\x04\x95c\x00\x00\x00\x00\x00\x00\x00\x8c\x14supertropical.scalar\x94"
+     b"\x8c\x06Scalar\x94\x93\x94)\x81\x94]\x94(h\x00\x8c\x04Kind\x94\x93\x94"
+     b"\x8c\x05ghost\x94\x85\x94R\x94\x8c\tfractions\x94\x8c\x08Fraction\x94"
+     b"\x93\x94K\x03K\x01\x86\x94R\x94eb."),
+)
+
+
+@pytest.mark.parametrize("a, data", SCALAR_PICKLES, ids=["zero", "one", "-1/2", "3g"])
+def test_pickles_load_and_dump_as_before(a, data):
+    copy = pickle.loads(data)
+    assert copy == a and hash(copy) == hash(a) and repr(copy) == repr(a)
+    assert pickle.dumps(a, protocol=4) == data
+    assert pickle.dumps(copy, protocol=4) == data
 
 
 # --- text form ------------------------------------------------------------

@@ -18,6 +18,7 @@ from supertropical import (
     BoundExceededError,
     DomainError,
     Matrix,
+    Polynomial,
     ShapeError,
     ZERO,
     char_poly,
@@ -154,6 +155,18 @@ class TestCharpolyPower:
         verdict = check_charpoly_power(A, 1)
         assert verdict.holds
         assert all(rec["relation"] == "equal" for rec in verdict.detail)
+
+    @pytest.mark.parametrize("middle, relation", [(ghost(3), "violation"),
+                                                  (ghost(4), "ghost-surpass")])
+    def test_ghost_coefficient_needs_the_magnitude(self, middle, relation):
+        # charpoly(A) = x^2 + 2x + 2, so alpha^2 is (4, 4, 0) by degree. A
+        # ghost below 4 does not ghost-surpass it; a ghost at 4 does.
+        t = Trial(A, A, 2)
+        t.__dict__["beta"] = Polynomial((tangible(4), middle, tangible(0)))
+        verdict = CHECKS["thm36"](t)
+        assert verdict.holds is (relation != "violation")
+        assert verdict.witness == (None if verdict.holds else t.witness(i=1))
+        assert [rec["relation"] for rec in verdict.detail] == ["equal", relation, "equal"]
 
     @given(matrices(max_n=3), st.integers(min_value=1, max_value=4))
     def test_always_holds(self, a, m):
