@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
 from itertools import islice
 from typing import Iterable
 
@@ -153,8 +152,7 @@ def _generated_config(args) -> fuzz.Config:
     Each flag named after a `Config` field sets that field, flags left out
     take `Config`'s defaults, and `check`'s -m fixes the power.
     """
-    names = {f.name for f in fields(fuzz.Config)}
-    given = {k: v for k, v in vars(args).items() if k in names and v is not None}
+    given = {k: v for k, v in vars(args).items() if k in fuzz.Config._fields and v is not None}
     if getattr(args, "power", None) is not None:
         given["min_m"] = given["max_m"] = args.power
     return fuzz.Config(**given, det_bound=args.bound)

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import random
-from dataclasses import asdict, dataclass
 from itertools import product
 from typing import Iterator
 
@@ -24,7 +23,7 @@ from .defaults import (
 from .errors import BoundExceededError, DomainError
 from .matrix import Matrix, check_dim_bound
 from .polynomial import Polynomial
-from .scalar import Scalar, _decode, tangible
+from .scalar import Scalar, _Record, _decode, tangible
 from .spectral import CHECKS, Trial, check_eigenpair, eigenvalues
 
 # The default checks, in the order a campaign reports them; they run in
@@ -35,23 +34,43 @@ CAMPAIGN_CHECKS = ("thm13", "thm36", "cor37", "cor38", "trace")
 MAX_TRIALS = 10**6
 
 
-@dataclass(frozen=True)
-class Config:
-    """Campaign shape; the seed fully determines every generated input."""
+class Config(_Record):
+    """Campaign shape; the seed fully determines every generated input.
 
-    trials: int = DEFAULT_TRIALS
-    seed: int = DEFAULT_SEED
-    min_n: int = 2
-    max_n: int = DEFAULT_MAX_N
-    min_m: int = 2
-    max_m: int = DEFAULT_MAX_M
-    value_min: int = -5
-    value_max: int = 5
-    ghost_prob: float = 0.2
-    zero_prob: float = 0.05
-    det_bound: int | None = None
+    ``Config._fields`` names the fields in order, which is the order of the
+    positional arguments. The command line reads it to find the flags that
+    set a field (``cli._generated_config``), and `CampaignResult.to_json_dict`
+    to write the shape.
+    """
 
-    def __post_init__(self):
+    _fields = ("trials", "seed", "min_n", "max_n", "min_m", "max_m", "value_min", "value_max",
+               "ghost_prob", "zero_prob", "det_bound")
+
+    def __init__(
+        self,
+        trials: int = DEFAULT_TRIALS,
+        seed: int = DEFAULT_SEED,
+        min_n: int = 2,
+        max_n: int = DEFAULT_MAX_N,
+        min_m: int = 2,
+        max_m: int = DEFAULT_MAX_M,
+        value_min: int = -5,
+        value_max: int = 5,
+        ghost_prob: float = 0.2,
+        zero_prob: float = 0.05,
+        det_bound: int | None = None,
+    ):
+        self.trials = trials
+        self.seed = seed
+        self.min_n = min_n
+        self.max_n = max_n
+        self.min_m = min_m
+        self.max_m = max_m
+        self.value_min = value_min
+        self.value_max = value_max
+        self.ghost_prob = ghost_prob
+        self.zero_prob = zero_prob
+        self.det_bound = det_bound
         if self.trials < 1:
             raise DomainError("trials must be at least 1")
         if self.trials > MAX_TRIALS:
@@ -118,11 +137,17 @@ def search_eigenpairs(
     return found
 
 
-@dataclass
-class CampaignResult:
-    config: Config
-    tallies: dict[str, dict[str, int]]
-    violations: list[dict]
+class CampaignResult(_Record):
+    """A campaign's shape, pass/fail/N/A counts by check and violations;
+    unhashable, as its counts are."""
+
+    _fields = ("config", "tallies", "violations")
+    __hash__ = None
+
+    def __init__(self, config: Config, tallies: dict[str, dict[str, int]], violations: list[dict]):
+        self.config = config
+        self.tallies = tallies
+        self.violations = violations
 
     @property
     def ok(self) -> bool:
@@ -130,7 +155,7 @@ class CampaignResult:
 
     def to_json_dict(self) -> dict:
         return {
-            "config": asdict(self.config),
+            "config": {name: getattr(self.config, name) for name in Config._fields},
             "results": self.tallies,
             "violations": self.violations,
         }

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Iterable, Iterator, Sequence
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from itertools import islice
@@ -48,7 +47,7 @@ from .defaults import DEFAULT_DET_BOUND
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial
 from .scalar import Kind, ONE, Scalar, ZERO, parse_scalar
-from .scalar import _decode, _encode_keys, _key_pow, _key_scale
+from .scalar import _Record, _decode, _encode_keys, _key_pow, _key_scale
 
 # The largest matrix power computed: its magnitudes grow m-fold.
 MAX_POWER = 10**6
@@ -72,7 +71,7 @@ def check_dim_bound(
     return limit
 
 
-class Matrix:
+class Matrix(_Record):
     """An n-by-n array of scalars, indexed from 0 in the API.
 
     A matrix holds its ``rows``, or its keys (`Matrix._from_keys`, as the
@@ -80,6 +79,8 @@ class Matrix:
     is changed once built. Equality, hash, repr and pickles are those of
     ``rows``.
     """
+
+    _fields = ("rows",)
 
     def __init__(self, rows: Sequence[Sequence[Scalar]]):
         rows = tuple(tuple(r) for r in rows)
@@ -106,17 +107,6 @@ class Matrix:
     def __getitem__(self, ij: tuple[int, int]) -> Scalar:
         i, j = ij
         return self.rows[i][j]
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash((self.rows,))
-
-    def __repr__(self) -> str:
-        return f"Matrix(rows={self.rows!r})"
 
     @staticmethod
     def identity(n: int) -> Matrix:
@@ -262,12 +252,21 @@ def mat_surpasses(a: Matrix, b: Matrix) -> bool:
     )
 
 
-@dataclass(frozen=True, slots=True)
-class PermutationTrack:
-    """The entries a permutation selects, one per row, and their product."""
+class PermutationTrack(_Record):
+    """The entries a permutation selects, one per row, and their product.
+    A pickle holds the list ``[perm, product]``."""
 
-    perm: tuple[int, ...]
-    product: Scalar
+    __slots__ = _fields = ("perm", "product")
+
+    def __init__(self, perm: tuple[int, ...], product: Scalar):
+        self.perm = perm
+        self.product = product
+
+    def __getstate__(self) -> list:
+        return [self.perm, self.product]
+
+    def __setstate__(self, state: list) -> None:
+        self.perm, self.product = state
 
     @property
     def name(self) -> str:
@@ -293,8 +292,7 @@ class DetClass(Enum):
     ZERO = "zero"
 
 
-@dataclass(frozen=True)
-class DetReport:
+class DetReport(_Record):
     """Determinant value, its dominant tracks, and how the value arose.
 
     ``dominant_tracks`` is a `DominantTracks` sequence whose length the
@@ -303,9 +301,17 @@ class DetReport:
     `to_json_dict` lists at most ``MAX_LISTED_TRACKS`` of them.
     """
 
-    value: Scalar
-    dominant_tracks: Sequence[PermutationTrack]
-    classification: DetClass
+    _fields = ("value", "dominant_tracks", "classification")
+
+    def __init__(
+        self,
+        value: Scalar,
+        dominant_tracks: Sequence[PermutationTrack],
+        classification: DetClass,
+    ):
+        self.value = value
+        self.dominant_tracks = dominant_tracks
+        self.classification = classification
 
     def to_json_dict(self) -> dict:
         tracks = self.dominant_tracks

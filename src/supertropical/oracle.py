@@ -15,7 +15,6 @@ dense sampling.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -29,7 +28,7 @@ from .matrix import (
     principal_minor,
 )
 from .polynomial import Polynomial, breakpoints
-from .scalar import ONE, Scalar, ZERO, ghost, tangible
+from .scalar import ONE, Scalar, ZERO, _Record, ghost, tangible
 from .spectral import Verdict
 
 Var = tuple[int, int]  # 0-based (row, column) entry variable
@@ -89,12 +88,14 @@ def minor_sum_charpoly(a: Matrix, bound: int | None = None) -> Polynomial:
     return Polynomial(tuple(coeffs))
 
 
-@dataclass(frozen=True)
-class SymMonomial:
+class SymMonomial(_Record):
     """Product of entry variables with positive integer exponents,
     canonically sorted so equality and hashing are structural."""
 
-    exps: tuple[tuple[Var, int], ...]
+    _fields = ("exps",)
+
+    def __init__(self, exps: tuple[tuple[Var, int], ...]):
+        self.exps = exps
 
     @staticmethod
     def of(pairs) -> SymMonomial:

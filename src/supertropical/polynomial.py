@@ -27,7 +27,6 @@ while it is being built.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterator, Sequence
@@ -35,14 +34,16 @@ from typing import Iterator, Sequence
 from .errors import BoundExceededError, DomainError, ParseError
 from .scalar import DIGITS, RATIONAL, check_digits, literal_ratio
 from .scalar import Kind, ONE, Scalar, ZERO, scalar_parts, tangible
-from .scalar import _decode, _encode_keys, _key_scale
+from .scalar import _Record, _decode, _encode_keys, _key_scale
 
 
-class Polynomial:
+class Polynomial(_Record):
     """Coefficients by ascending degree, kept as keys; normalized so the top
     one is nonzero, and the zero polynomial is the single key ``None``.
     Equality, hash and pickles are those of ``coeffs``.
     """
+
+    _fields = ("coeffs",)
 
     def __init__(self, coeffs: Sequence[Scalar]):
         cs = list(coeffs) or [ZERO]
@@ -68,14 +69,6 @@ class Polynomial:
         """The coefficients as `Scalar` values, decoded on their first read."""
         scale, keys = self._keys
         return tuple([_decode(k, scale) for k in keys])
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.coeffs,))
 
     def __getstate__(self) -> dict:
         """A pickle holds ``coeffs`` only, not the keys and the envelope."""
@@ -343,14 +336,16 @@ def breakpoints(f: Polynomial) -> list[Fraction]:
 # Roots.
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(_Record):
     """Interval of magnitudes; a ``None`` endpoint marks the infinite side."""
 
-    lo: Fraction | None
-    hi: Fraction | None
-    lo_closed: bool
-    hi_closed: bool
+    _fields = ("lo", "hi", "lo_closed", "hi_closed")
+
+    def __init__(self, lo: Fraction | None, hi: Fraction | None, lo_closed: bool, hi_closed: bool):
+        self.lo = lo
+        self.hi = hi
+        self.lo_closed = lo_closed
+        self.hi_closed = hi_closed
 
     def contains(self, x: Fraction) -> bool:
         if self.lo is not None and (x < self.lo or (x == self.lo and not self.lo_closed)):
@@ -377,17 +372,24 @@ def _closed(lo: Fraction | None, hi: Fraction | None) -> Interval:
     return Interval(lo, hi, lo is not None, hi is not None)
 
 
-@dataclass(frozen=True)
-class RootReport:
+class RootReport(_Record):
     """Corner roots with multiplicities, plus the ghost-dominated intervals.
 
     A magnitude can be both a corner root and inside a ghost interval when a
     tangible tie and a ghost leader coincide; both are reported.
     """
 
-    corner_roots: tuple[tuple[Scalar, int], ...]
-    ghost_intervals: tuple[Interval, ...]
-    is_identically_root: bool
+    _fields = ("corner_roots", "ghost_intervals", "is_identically_root")
+
+    def __init__(
+        self,
+        corner_roots: tuple[tuple[Scalar, int], ...],
+        ghost_intervals: tuple[Interval, ...],
+        is_identically_root: bool,
+    ):
+        self.corner_roots = corner_roots
+        self.ghost_intervals = ghost_intervals
+        self.is_identically_root = is_identically_root
 
     def to_json_dict(self) -> dict:
         return {

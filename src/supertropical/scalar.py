@@ -12,10 +12,10 @@ adds magnitudes and is ghost as soon as one factor is.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import BoundExceededError, DomainError, ParseError, _digit_count
@@ -27,24 +27,71 @@ class Kind(Enum):
     GHOST = "ghost"
 
 
-@dataclass(frozen=True, slots=True)
+class _Record:
+    """Equality, hash and repr over the attributes that ``_fields`` names, as
+    a dataclass derives them: an instance equals only an instance of the same
+    class with equal fields, hashes as the tuple of its fields and shows as
+    ``Name(field=value, ...)``. A subclass without ``__slots__`` whose
+    ``__init__`` sets the fields in ``_fields`` order pickles as a dataclass
+    with the same fields did."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        # The tuple of fields, read by one `attrgetter` built per class.
+        get = attrgetter(*cls._fields)
+        if len(cls._fields) == 1:
+            cls._values = lambda self: (get(self),)
+        else:
+            cls._values = lambda self: get(self)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+
 class Scalar:
-    """An immutable max-plus number: ``-inf``, tangible, or ghost.
+    """A max-plus number, never changed once built: ``-inf``, tangible, or ghost.
 
     Equality is structural (same kind, same magnitude). The magnitude is
     ``None`` exactly for the zero element; everywhere it participates in an
-    order comparison it reads as minus infinity.
+    order comparison it reads as minus infinity. A pickle holds the list
+    ``[kind, value]``.
     """
 
-    kind: Kind
-    value: Fraction | None = None
+    __slots__ = ("kind", "value")
 
-    def __post_init__(self):
-        if self.kind is Kind.ZERO:
-            if self.value is not None:
+    def __init__(self, kind: Kind, value: Fraction | None = None):
+        if kind is Kind.ZERO:
+            if value is not None:
                 raise DomainError("the zero element carries no magnitude")
-        elif not isinstance(self.value, Fraction):
-            raise DomainError(f"{self.kind.value} scalar needs an exact magnitude")
+        elif not isinstance(value, Fraction):
+            raise DomainError(f"{kind.value} scalar needs an exact magnitude")
+        self.kind = kind
+        self.value = value
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.kind is other.kind and self.value == other.value
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.value))
+
+    def __getstate__(self) -> list:
+        return [self.kind, self.value]
+
+    def __setstate__(self, state: list) -> None:
+        self.kind, self.value = state
 
     @property
     def is_zero(self) -> bool:

@@ -18,7 +18,6 @@ decodes nothing and builds no string and no `Fraction`.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
@@ -34,10 +33,10 @@ from .matrix import (
     mat_vec,
 )
 from .polynomial import Interval, Polynomial, _corners, _cut_value, roots
-from .scalar import Scalar, _decode, _key_pow, _key_sum, _key_surpasses, tangible
+from .scalar import Scalar, _Record, _decode, _key_pow, _key_sum, _key_surpasses, tangible
 
 
-class Verdict:
+class Verdict(_Record):
     """Outcome of one law check; ``holds=None`` means not applicable.
 
     ``detail`` is given as a tuple of records, or as a function that returns
@@ -47,6 +46,7 @@ class Verdict:
     """
 
     __slots__ = ("check", "holds", "witness", "_detail")
+    _fields = ("check", "holds", "witness", "detail")
 
     def __init__(
         self,
@@ -70,24 +70,8 @@ class Verdict:
     def applicable(self) -> bool:
         return self.holds is not None
 
-    def _fields(self) -> tuple:
-        return self.check, self.holds, self.witness, self.detail
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self) -> int:
-        return hash(self._fields())
-
     def __reduce__(self):
-        return Verdict, self._fields()
-
-    def __repr__(self) -> str:
-        return "Verdict(check={!r}, holds={!r}, witness={!r}, detail={!r})".format(
-            *self._fields()
-        )
+        return Verdict, self._values()
 
     def to_json_dict(self) -> dict:
         out: dict = {"theorem": self.check}
@@ -101,13 +85,17 @@ class Verdict:
         return out
 
 
-@dataclass(frozen=True)
-class EigenReport:
+class EigenReport(_Record):
     """Tangible corner roots of the characteristic polynomial, with the
     ghost-dominated root region kept alongside for diagnostics."""
 
-    eigenvalues: tuple[tuple[Scalar, int], ...]
-    ghost_region: tuple[Interval, ...] = field(default=())
+    _fields = ("eigenvalues", "ghost_region")
+
+    def __init__(
+        self, eigenvalues: tuple[tuple[Scalar, int], ...], ghost_region: tuple[Interval, ...] = ()
+    ):
+        self.eigenvalues = eigenvalues
+        self.ghost_region = ghost_region
 
     def to_json_dict(self) -> dict:
         return {

@@ -9,7 +9,13 @@ from fractions import Fraction
 import pytest
 
 from supertropical import fuzz, matrix, polynomial, scalar, spectral
-from supertropical.defaults import DEFAULT_DET_BOUND
+from supertropical.defaults import (
+    DEFAULT_DET_BOUND,
+    DEFAULT_MAX_M,
+    DEFAULT_MAX_N,
+    DEFAULT_SEED,
+    DEFAULT_TRIALS,
+)
 from supertropical.fuzz import MAX_TRIALS, generate_trials
 from supertropical import (
     BoundExceededError,
@@ -70,6 +76,55 @@ class TestConfig:
             Config(max_n=10)
         with pytest.raises(BoundExceededError, match=r"size 4 exceeds bound 3$"):
             Config(det_bound=3)
+
+    FIELDS = ("trials", "seed", "min_n", "max_n", "min_m", "max_m",
+              "value_min", "value_max", "ghost_prob", "zero_prob", "det_bound")
+
+    def test_built_positionally_or_by_keyword(self):
+        values = (5, 9, 1, 3, 1, 2, -2, 2, 0.5, 0.0, 4)
+        by_position = Config(*values)
+        assert by_position == Config(**dict(zip(self.FIELDS, values)))
+        assert tuple(getattr(by_position, name) for name in self.FIELDS) == values
+
+    def test_defaults(self):
+        assert tuple(getattr(Config(), name) for name in self.FIELDS) == (
+            DEFAULT_TRIALS, DEFAULT_SEED, 2, DEFAULT_MAX_N, 2, DEFAULT_MAX_M,
+            -5, 5, 0.2, 0.05, None,
+        )
+
+    def test_field_names_in_order(self):
+        # The one list of fields that the command line's flags and the
+        # campaign's JSON read.
+        assert Config._fields == self.FIELDS
+        assert list(run_campaign(Config(trials=1)).to_json_dict()["config"]) == list(self.FIELDS)
+
+    @pytest.mark.parametrize(
+        "kwargs, error, message",
+        [
+            ({"trials": 0}, DomainError, "trials must be at least 1"),
+            ({"trials": MAX_TRIALS + 1}, BoundExceededError,
+             f"trials: size {MAX_TRIALS + 1} exceeds bound {MAX_TRIALS}"),
+            ({"min_n": 0}, DomainError, "need 1 <= min_n <= max_n"),
+            ({"min_n": 3, "max_n": 2}, DomainError, "need 1 <= min_n <= max_n"),
+            ({"max_n": 10}, BoundExceededError,
+             f"largest generated dimension: size 10 exceeds bound {DEFAULT_DET_BOUND}"),
+            ({"max_n": 5, "det_bound": 4}, BoundExceededError,
+             "largest generated dimension: size 5 exceeds bound 4"),
+            ({"min_m": 0}, DomainError, "need 1 <= min_m <= max_m"),
+            ({"min_m": 4, "max_m": 3}, DomainError, "need 1 <= min_m <= max_m"),
+            ({"value_min": 1, "value_max": 0}, DomainError, "empty value lattice"),
+            ({"ghost_prob": 1.5}, DomainError, "probabilities must lie in [0, 1]"),
+            ({"zero_prob": -0.1}, DomainError, "probabilities must lie in [0, 1]"),
+            # The checks run in this order, so the first that fails is reported.
+            ({"trials": 0, "min_n": 0}, DomainError, "trials must be at least 1"),
+            ({"min_m": 0, "value_min": 1, "value_max": 0}, DomainError,
+             "need 1 <= min_m <= max_m"),
+        ],
+    )
+    def test_refusal_messages(self, kwargs, error, message):
+        with pytest.raises(error) as exc:
+            Config(**kwargs)
+        assert type(exc.value) is error and str(exc.value) == message
 
 
 class TestGenerators:
@@ -145,7 +200,7 @@ class TestCampaign:
         for module in (polynomial, spectral):
             monkeypatch.setattr(module, "roots", counted("roots", module.roots))
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counted("Fraction", Fraction.__new__)))
-        monkeypatch.setattr(Scalar, "__post_init__", counted("Scalar", Scalar.__post_init__))
+        monkeypatch.setattr(Scalar, "__init__", counted("Scalar", Scalar.__init__))
         monkeypatch.setattr(Scalar, "__str__", counted("__str__", Scalar.__str__))
         seen = []
         for check_id, law in spectral.CHECKS.items():

@@ -60,9 +60,15 @@ RAN = (
     " if n.startswith('supertropical.') and type(m) is types.ModuleType)"
 )
 
+# Standard modules that cost a command several milliseconds to import and
+# that the package does not need, and an expression for those loaded.
+SLOW_STDLIB = ("dataclasses", "inspect")
+SLOW_LOADED = f"[name for name in {SLOW_STDLIB!r} if name in sys.modules]"
+
 
 def cli_modules(tmp_path, *argv: str) -> set[str]:
-    """The package modules a CLI call runs, after checking that it succeeded."""
+    """The package modules a CLI call runs, after checking that it succeeded
+    and loaded none of `SLOW_STDLIB`."""
     path = tmp_path / "A.txt"
     path.write_text("0 0\n1 2\n", encoding="utf-8")
     code = (
@@ -70,9 +76,11 @@ def cli_modules(tmp_path, *argv: str) -> set[str]:
         "from supertropical import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    assert cli.main(sys.argv[1:]) == 0\n"
-        f"print(json.dumps({RAN}))"
+        f"print(json.dumps([{RAN}, {SLOW_LOADED}]))"
     )
-    return set(fresh(code, *(str(path) if arg == "A" else arg for arg in argv)))
+    ran, slow = fresh(code, *(str(path) if arg == "A" else arg for arg in argv))
+    assert slow == []
+    return set(ran)
 
 
 def test_import_runs_no_submodule():
@@ -122,6 +130,21 @@ def test_det_and_charpoly_load_matrix_only(tmp_path, command):
 )
 def test_checks_load_what_they_run(tmp_path, argv, heavy):
     assert cli_modules(tmp_path, *argv) & HEAVY == heavy
+
+
+def test_star_import_loads_no_slow_stdlib():
+    # Every module runs once each exported name has been read.
+    code = (
+        "import json, sys, types\n"
+        "from supertropical import *\n"
+        "import supertropical\n"
+        "for name in supertropical.__all__:\n"
+        "    getattr(supertropical, name)\n"
+        f"print(json.dumps([{RAN}, {SLOW_LOADED}]))"
+    )
+    ran, slow = fresh(code)
+    assert set(EXPORTED) <= set(ran)
+    assert slow == []
 
 
 def test_every_export_resolves_to_its_home():

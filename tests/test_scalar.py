@@ -9,9 +9,30 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supertropical import DomainError, ONE, ParseError, ZERO, ghost, parse_scalar, tangible
+from supertropical import DomainError, Kind, ONE, ParseError, Scalar, ZERO, ghost, parse_scalar, tangible
 from supertropical.scalar import _decode, _encode_keys, _key_pow, _key_sum, _key_surpasses
 from conftest import scalars, tangibles
+
+
+class TestConstruction:
+    def test_fields(self):
+        a = Scalar(Kind.GHOST, Fraction(1, 2))
+        assert (a.kind, a.value) == (Kind.GHOST, Fraction(1, 2))
+        assert Scalar(Kind.ZERO) == ZERO and ZERO.value is None
+        assert Scalar(kind=Kind.TANGIBLE, value=Fraction(0)) == ONE
+
+    @pytest.mark.parametrize(
+        "kind, value, message",
+        [
+            (Kind.ZERO, Fraction(1), "the zero element carries no magnitude"),
+            (Kind.GHOST, 1, "ghost scalar needs an exact magnitude"),
+            (Kind.TANGIBLE, None, "tangible scalar needs an exact magnitude"),
+            (Kind.TANGIBLE, 0.5, "tangible scalar needs an exact magnitude"),
+        ],
+    )
+    def test_refused(self, kind, value, message):
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            Scalar(kind, value)
 
 
 class TestAdd:
