@@ -17,7 +17,6 @@ import argparse
 import json
 import os
 import sys
-from itertools import islice
 from typing import Iterable
 
 from . import fuzz, matrix, oracle, scalar, spectral
@@ -30,13 +29,7 @@ from .defaults import (
     LAW_IDS,
 )
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
-from .polynomial import (
-    Polynomial,
-    coeff_strings,
-    parse_polynomial,
-    polynomial_from_strings,
-    roots,
-)
+from .polynomial import Polynomial, parse_polynomial, polynomial_from_strings, roots
 
 # How many eigenpairs `check prop32` looks for on its search lattice.
 _PROP32_MAX_PAIRS = 100
@@ -64,85 +57,49 @@ def _read_matrix(path: str) -> matrix.Matrix:
 
 
 def _read_polynomial(arg: str) -> Polynomial:
-    if os.path.exists(arg):
+    if os.path.exists(arg) and not os.path.isdir(arg):
         return _read_file(arg, "[", polynomial_from_strings, parse_polynomial)
     return parse_polynomial(arg)
 
 
-def _emit(data: dict, as_json: bool, text: str) -> None:
-    if as_json:
-        print(json.dumps(data, sort_keys=True, indent=2))
-    else:
-        print(text)
+def _emit(report, as_json: bool) -> None:
+    """Print a report's ``--json`` object or its text, building only the one printed."""
+    print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) if as_json else report)
 
 
 def cmd_det(args) -> int:
-    report = matrix.det(_read_matrix(args.path), bound=args.bound)
-    # Each form lists the tracks anew, so only the one printed is built.
-    if args.json:
-        _emit(report.to_json_dict(), True, "")
-        return 0
-    tracks = report.dominant_tracks
-    names = ", ".join(t.name for t in islice(tracks, matrix.MAX_LISTED_TRACKS)) or "none"
-    if len(tracks) > matrix.MAX_LISTED_TRACKS:
-        names += f" (first {matrix.MAX_LISTED_TRACKS} of {len(tracks)} listed)"
-    print(f"{report.value} ({report.classification.value}), dominant: {names}")
+    _emit(matrix.det(_read_matrix(args.path), bound=args.bound), args.json)
     return 0
 
 
 def cmd_charpoly(args) -> int:
-    poly = matrix.char_poly(_read_matrix(args.path), bound=args.bound)
-    _emit({"coeffs": coeff_strings(poly), "text": str(poly)}, args.json, str(poly))
+    _emit(matrix.char_poly(_read_matrix(args.path), bound=args.bound), args.json)
     return 0
 
 
-def _root_report_text(report) -> str:
-    lines = []
-    if report.is_identically_root:
-        lines.append("identically a root (every evaluation is ghost or -inf)")
-    corners = ", ".join(f"{r} (mult {m})" for r, m in report.corner_roots) or "none"
-    lines.append(f"corner roots: {corners}")
-    intervals = ", ".join(str(iv) for iv in report.ghost_intervals) or "none"
-    lines.append(f"ghost intervals: {intervals}")
-    return "\n".join(lines)
-
-
 def cmd_roots(args) -> int:
-    report = roots(_read_polynomial(args.poly))
-    _emit(report.to_json_dict(), args.json, _root_report_text(report))
+    _emit(roots(_read_polynomial(args.poly)), args.json)
     return 0
 
 
 def cmd_eigen(args) -> int:
-    report = spectral.eigenvalues(_read_matrix(args.path), bound=args.bound)
-    values = ", ".join(f"{v} (mult {m})" for v, m in report.eigenvalues) or "none"
-    region = ", ".join(str(iv) for iv in report.ghost_region) or "none"
-    text = f"eigenvalues: {values}\nghost root region: {region}"
-    _emit(report.to_json_dict(), args.json, text)
+    _emit(spectral.eigenvalues(_read_matrix(args.path), bound=args.bound), args.json)
     return 0
 
 
-def _verdict_text(v: spectral.Verdict) -> str:
-    if v.holds is None:
-        status = "N/A "
-    else:
-        status = "PASS" if v.holds else "FAIL"
-    lines = [f"{status} {v.check}"]
-    for record in v.detail:
-        lines.append("  " + "  ".join(f"{k}={val}" for k, val in record.items()))
-    if v.witness is not None:
-        lines.append("  witness: " + json.dumps(v.witness, sort_keys=True))
-    return "\n".join(lines)
+class _Verdicts(tuple):
+    """Verdicts as one report: their texts in turn, and in JSON a lone
+    verdict's object or else the list of theirs."""
+
+    def to_json_dict(self) -> dict | list:
+        return self[0].to_json_dict() if len(self) == 1 else [v.to_json_dict() for v in self]
+
+    def __str__(self) -> str:
+        return "\n".join(map(str, self))
 
 
-def _print_verdicts(verdicts: list[spectral.Verdict], as_json: bool) -> int:
-    if as_json:
-        payload = [v.to_json_dict() for v in verdicts]
-        print(json.dumps(payload[0] if len(payload) == 1 else payload,
-                         sort_keys=True, indent=2))
-    else:
-        for v in verdicts:
-            print(_verdict_text(v))
+def _print_verdicts(verdicts: list[spectral.Verdict], as_json: bool, report=_Verdicts) -> int:
+    _emit(report(verdicts), as_json)
     return 1 if any(v.holds is False for v in verdicts) else 0
 
 
@@ -232,14 +189,18 @@ def _run_prop32(args) -> int:
 def _run_claim35(args) -> int:
     n, m = 2 if args.dim is None else args.dim, _power(args)
     verdicts = [oracle.census_power_tracks(n, m, k) for k in range(1, n + 1)]
-    if args.json:
-        payload = [v.to_json_dict() for v in verdicts]
-        if args.full_census:
-            for k, entry in enumerate(payload, start=1):
-                entry["census"] = oracle.sym_charpoly_coeff(n, m, k).to_json_list()
-        print(json.dumps(payload, sort_keys=True, indent=2))
-        return 1 if any(v.holds is False for v in verdicts) else 0
-    return _print_verdicts(verdicts, False)
+
+    class Census(_Verdicts):
+        """Always a list in JSON; with --full-census each entry adds its coefficient's census."""
+
+        def to_json_dict(self) -> list:
+            payload = [v.to_json_dict() for v in self]
+            if args.full_census:
+                for k, entry in enumerate(payload, start=1):
+                    entry["census"] = oracle.sym_charpoly_coeff(n, m, k).to_json_list()
+            return payload
+
+    return _print_verdicts(verdicts, args.json, Census)
 
 
 # Every `check` id in `check --help` order, laws first: the flags it reads,
@@ -300,23 +261,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_fuzz(args) -> int:
-    cfg = _generated_config(args)
-    result = fuzz.run_campaign(cfg)
-    if args.json:
-        print(result.to_json())
-    else:
-        print(
-            f"fuzz: {cfg.trials} trials, seed {cfg.seed}, "
-            f"n in [{cfg.min_n},{cfg.max_n}], m in [{cfg.min_m},{cfg.max_m}]"
-        )
-        for name, t in result.tallies.items():
-            print(f"  {name:<6} pass {t['pass']:>5}  fail {t['fail']:>3}  na {t['na']:>5}")
-        if result.violations:
-            print("violations:")
-            for item in result.violations:
-                print(json.dumps(item, sort_keys=True))
-        else:
-            print("violations: none")
+    result = fuzz.run_campaign(_generated_config(args))
+    _emit(result, args.json)
     return 0 if result.ok else 1
 
 

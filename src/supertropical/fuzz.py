@@ -163,6 +163,16 @@ class CampaignResult(_Record):
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True, indent=2)
 
+    def __str__(self) -> str:
+        cfg = self.config
+        lines = [f"fuzz: {cfg.trials} trials, seed {cfg.seed}, "
+                 f"n in [{cfg.min_n},{cfg.max_n}], m in [{cfg.min_m},{cfg.max_m}]"]
+        lines += [f"  {name:<6} pass {t['pass']:>5}  fail {t['fail']:>3}  na {t['na']:>5}"
+                  for name, t in self.tallies.items()]
+        lines.append("violations:" if self.violations else "violations: none")
+        lines += [json.dumps(item, sort_keys=True) for item in self.violations]
+        return "\n".join(lines)
+
 
 def generate_trials(cfg: Config) -> Iterator[Trial]:
     """The campaign's inputs in trial order; trial ``i`` draws n, m, A and B

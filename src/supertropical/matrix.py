@@ -13,10 +13,9 @@ table: the count through a column subset is the sum of the counts through
 the subsets that its dominant steps leave, and the classification reads
 the count. The tracks are listed, by a depth-first search over those steps,
 only when a report's ``dominant_tracks`` is iterated or indexed; a report's
-JSON and the command line's text list at most ``MAX_LISTED_TRACKS`` (8!) of
-them. Both computations are guarded by an explicit dimension bound
-(default 9, set per call with ``bound=``, or with ``--bound`` on the
-command line).
+text and JSON list at most ``MAX_LISTED_TRACKS`` (8!) of them. Both
+computations are guarded by an explicit dimension bound (default 9, set
+per call with ``bound=``, or with ``--bound`` on the command line).
 
 The kernels (the permanent table and the matrix product) run on plain
 integers, the keys that ``scalar.py`` describes. A `Matrix` holds either
@@ -298,7 +297,7 @@ class DetReport(_Record):
     ``dominant_tracks`` is a `DominantTracks` sequence whose length the
     subset table counted and whose tracks are built only when read; it is
     ``()`` when the value is zero (no track has a finite product).
-    `to_json_dict` lists at most ``MAX_LISTED_TRACKS`` of them.
+    Its text and `to_json_dict` list at most ``MAX_LISTED_TRACKS`` of them.
     """
 
     _fields = ("value", "dominant_tracks", "classification")
@@ -324,6 +323,13 @@ class DetReport(_Record):
             data["track_count"] = len(tracks)
             data["truncated"] = True
         return data
+
+    def __str__(self) -> str:
+        tracks = self.dominant_tracks
+        names = ", ".join(t.name for t in islice(tracks, MAX_LISTED_TRACKS)) or "none"
+        if len(tracks) > MAX_LISTED_TRACKS:
+            names += f" (first {MAX_LISTED_TRACKS} of {len(tracks)} listed)"
+        return f"{self.value} ({self.classification.value}), dominant: {names}"
 
 
 def _permanent_table(keys: _Keys) -> list[list[int | None] | None]:

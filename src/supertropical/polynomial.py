@@ -144,6 +144,9 @@ class Polynomial(_Record):
     def __repr__(self) -> str:
         return f"Polynomial({self})"
 
+    def to_json_dict(self) -> dict:
+        return {"coeffs": coeff_strings(self), "text": str(self)}
+
 
 def _format_term(c: Scalar, d: int) -> str:
     if d == 0:
@@ -400,6 +403,18 @@ class RootReport(_Record):
             "is_identically_root": self.is_identically_root,
         }
 
+    def __str__(self) -> str:
+        text = _roots_text("corner roots", self.corner_roots, "ghost intervals",
+                           self.ghost_intervals)
+        identically = "identically a root (every evaluation is ghost or -inf)\n"
+        return identically + text if self.is_identically_root else text
+
+
+def _roots_text(label: str, pairs, region_label: str, region: Sequence[Interval]) -> str:
+    """The text of a root or eigenvalue report; an empty listing reads "none"."""
+    listed = ", ".join(f"{r} (mult {m})" for r, m in pairs) or "none"
+    return f"{label}: {listed}\n{region_label}: {', '.join(map(str, region)) or 'none'}"
+
 
 def roots(f: Polynomial) -> RootReport:
     """Classify the root set of ``f`` from its envelope.
@@ -430,11 +445,10 @@ def roots(f: Polynomial) -> RootReport:
     def value(cut: tuple[int, int] | None) -> Fraction | None:
         return None if cut is None else _cut_value(cut, scale)
 
-    all_ghost = all(keys[d] & 1 for d in hull)
     return RootReport(
         tuple([(tangible(value(cut)), mult) for cut, mult in _corners(f)]),
         tuple([_closed(value(lo), value(hi)) for lo, hi in spans]),
-        all_ghost,
+        spans == [[None, None]],
     )
 
 

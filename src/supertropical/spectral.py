@@ -17,6 +17,7 @@ decodes nothing and builds no string and no `Fraction`.
 
 from __future__ import annotations
 
+import json
 import operator
 from functools import cached_property
 from typing import Callable, Iterable, Sequence
@@ -32,7 +33,7 @@ from .matrix import (
     mat_pow,
     mat_vec,
 )
-from .polynomial import Interval, Polynomial, _corners, _cut_value, roots
+from .polynomial import Interval, Polynomial, _corners, _cut_value, _roots_text, roots
 from .scalar import Scalar, _Record, _decode, _key_pow, _key_sum, _key_surpasses, tangible
 
 
@@ -84,6 +85,14 @@ class Verdict(_Record):
         out["detail"] = [dict(d) for d in self.detail]
         return out
 
+    def __str__(self) -> str:
+        status = "N/A " if self.holds is None else "PASS" if self.holds else "FAIL"
+        lines = [f"{status} {self.check}"]
+        lines += ["  " + "  ".join(f"{k}={val}" for k, val in d.items()) for d in self.detail]
+        if self.witness is not None:
+            lines.append("  witness: " + json.dumps(self.witness, sort_keys=True))
+        return "\n".join(lines)
+
 
 class EigenReport(_Record):
     """Tangible corner roots of the characteristic polynomial, with the
@@ -104,6 +113,9 @@ class EigenReport(_Record):
             ],
             "ghost_region": [iv.to_json_dict() for iv in self.ghost_region],
         }
+
+    def __str__(self) -> str:
+        return _roots_text("eigenvalues", self.eigenvalues, "ghost root region", self.ghost_region)
 
 
 def eigenvalues(a: Matrix, bound: int | None = None) -> EigenReport:

@@ -7,13 +7,16 @@ no reliance on the production code paths they are used to check.
 
 from __future__ import annotations
 
+import ast
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import lcm
+from pathlib import Path
 
 import hypothesis.strategies as st
 
+import supertropical
 from supertropical import Matrix, ONE, Polynomial, ZERO, ghost, parse_scalar, tangible
 
 acceptance_lines: list[str] = []
@@ -38,6 +41,20 @@ nonzero_scalars = st.one_of(
     st.builds(tangible, small_fractions), st.builds(ghost, small_fractions)
 )
 tangibles = st.builds(tangible, small_fractions)
+
+
+def package_defines() -> set[str]:
+    """The names the `supertropical` modules define at top level, read from
+    their source; an AST guard checks each name it forbids is one of them,
+    so that a rename cannot leave the guard checking nothing."""
+    names = set()
+    for path in Path(supertropical.__file__).parent.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names.add(node.name)
+            elif isinstance(node, ast.Assign):
+                names.update(t.id for t in node.targets if isinstance(t, ast.Name))
+    return names
 
 
 @st.composite

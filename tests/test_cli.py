@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supertropical import Polynomial, Verdict, ZERO, cli, oracle
+from supertropical import Polynomial, Verdict, ZERO, cli, oracle, parse_polynomial, roots
 from supertropical.fuzz import MAX_TRIALS, CampaignResult
 from supertropical.matrix import MAX_POWER
 from supertropical.polynomial import MAX_PARSE_DEGREE
@@ -108,6 +108,23 @@ class TestComputeCommands:
         code_str, out_str, _ = run(capsys, "roots", "x^2 + 2x + 2")
         assert code_file == code_str == 0
         assert out_file == out_str
+
+    def test_roots_tangible_on_edge_between_ghosts(self, capsys):
+        code, out, _ = run(capsys, "roots", "2gx^2 + 1x + 0g")
+        assert code == 0
+        assert out == (
+            "identically a root (every evaluation is ghost or -inf)\n"
+            "corner roots: none\nghost intervals: (-inf, +inf)\n"
+        )
+
+    def test_roots_argument_naming_a_directory_is_a_polynomial(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        (tmp_path / "x").mkdir()
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, "roots", "x", "--json")
+        assert (code, err) == (0, "")
+        assert json.loads(out) == roots(parse_polynomial("x")).to_json_dict()
 
     def test_roots_from_json_file(self, capsys, tmp_path):
         path = tmp_path / "p.json"

@@ -9,11 +9,22 @@ diff before committing.
 
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import pytest
 
-from supertropical import cli
+from supertropical import (
+    Config,
+    char_poly,
+    check_charpoly_power,
+    cli,
+    det,
+    eigenvalues,
+    parse_matrix,
+    roots,
+    run_campaign,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -88,6 +99,42 @@ def test_help_matches_golden(command, capsys, monkeypatch):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert capsys.readouterr().out == (GOLDEN / f"help_{command}.txt").read_text(encoding="utf-8")
+
+
+# Each report the library returns for a matrix fixture, and the argv whose
+# output is that report: "{path}" is the fixture's file and "{charpoly}"
+# its characteristic polynomial's text.
+LIBRARY_REPORTS = {
+    "det": (det, ["det", "{path}"]),
+    "charpoly": (char_poly, ["charpoly", "{path}"]),
+    "roots": (lambda a: roots(char_poly(a)), ["roots", "{charpoly}"]),
+    "eigen": (eigenvalues, ["eigen", "{path}"]),
+    "verdict": (lambda a: check_charpoly_power(a, 2),
+                ["check", "thm36", "-f", "{path}", "-m", "2"]),
+}
+
+
+@pytest.mark.parametrize(
+    "report, key", [(report, key) for report in LIBRARY_REPORTS for key in MATRICES]
+    + [("campaign", None)],
+)
+def test_library_text_is_the_command_text(report, key, tmp_path, capsys):
+    """A report's ``str`` is its command's stdout without the final newline,
+    and its ``to_json_dict()`` is what the command prints with --json."""
+    if key is None:
+        value = run_campaign(Config(trials=30, seed=5))
+        argv = ["fuzz", "--trials", "30", "--seed", "5"]
+    else:
+        path = tmp_path / f"{key}.txt"
+        path.write_text(MATRICES[key], encoding="utf-8")
+        a = parse_matrix(MATRICES[key])
+        compute, template = LIBRARY_REPORTS[report]
+        value = compute(a)
+        argv = [arg.format(path=path, charpoly=char_poly(a)) for arg in template]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out == f"{value}\n"
+    assert cli.main([*argv, "--json"]) == 0
+    assert json.loads(capsys.readouterr().out) == value.to_json_dict()
 
 
 def test_every_golden_file_is_read():

@@ -30,7 +30,7 @@ from supertropical import (
     sym_direct_charpoly,
     tangible,
 )
-from conftest import matrices, sample_matrix, sample_polynomial
+from conftest import matrices, package_defines, sample_matrix, sample_polynomial
 
 A = parse_matrix("0 0\n1 2")
 
@@ -154,9 +154,11 @@ class TestOracleBound:
 
 
 def test_oracle_uses_no_kernel_arithmetic():
-    """The reference computes in `Scalar`s: it imports none of the key codec
-    or the permanent kernel that it is there to check."""
-    kernel = {"_encode", "_encode_keys", "_key_scale", "_decode", "_permanent_table"}
+    """The reference computes in `Scalar`s: it imports none of the key codec,
+    the key arithmetic or the permanent kernel that it is there to check."""
+    kernel = {"_encode_keys", "_key_scale", "_decode", "_permanent_table", "_key_product",
+              "_key_pow", "_key_sum", "_key_surpasses"}
+    assert kernel <= package_defines()
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     used = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}

@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from supertropical import (
@@ -173,6 +173,21 @@ class TestRoots:
         assert report.corner_roots == tuple((tangible(x), m) for x, m in corners)
         assert [str(iv) for iv in report.ghost_intervals] == intervals
         assert not report.is_identically_root
+
+    @given(polynomials())
+    # 1x ties with both ghost ends at their cut, so every evaluation is
+    # ghost though one hull point is tangible.
+    @example(parse_polynomial("2gx^2 + 1x + 0g"))
+    def test_identically_a_root_exactly_when_every_probe_is(self, f):
+        """-inf, a point below the first breakpoint and one above the last,
+        the midpoint of each pair of consecutive ones (any point when there
+        are none), and the ghost copies of these, cover every piece of the
+        envelope."""
+        cuts = breakpoints(f)
+        points = [cuts[0] - 1, cuts[-1] + 1] if cuts else [Fraction(0)]
+        points += [(a + b) / 2 for a, b in zip(cuts, cuts[1:])]
+        probes = [ZERO, *map(tangible, points), *map(ghost, points)]
+        assert roots(f).is_identically_root == all(is_root(f, x) for x in probes)
 
     @given(polynomials())
     def test_breakpoints_and_corners_match_oracle(self, f):

@@ -49,7 +49,7 @@ from supertropical.matrix import MAX_POWER
 from supertropical.scalar import _key_pow, _key_scale
 from supertropical.oracle import enum_det, sym_direct_charpoly
 from supertropical.spectral import CHECKS, Trial
-from conftest import matrices, sample_matrix, scalars, small_fractions
+from conftest import matrices, package_defines, sample_matrix, scalars, small_fractions
 
 A = parse_matrix("0 0\n1 2")
 
@@ -379,11 +379,11 @@ def test_trial_reads_the_matrix_cache(monkeypatch):
 def test_det_rule_multiplies_through_mat_mul():
     """The product rule takes AB from `mat_mul` and each determinant from a
     matrix's characteristic polynomial: `spectral` imports none of the
-    key-space helpers that multiply, power or expand matrices or build a
-    subset table, so it keeps no copy of the product of its own and reaches
-    a table only through a matrix."""
-    helpers = {"_encode", "_key_product", "_key_power", "_char_poly_from_keys",
-               "_det_key", "_permanent_table"}
+    key-space helpers that encode or multiply matrices or build a subset
+    table, so it keeps no copy of the product of its own and reaches a
+    table only through a matrix."""
+    helpers = {"_encode_keys", "_key_scale", "_key_product", "_permanent_table"}
+    assert helpers <= package_defines()
     tree = ast.parse(Path(spectral_module.__file__).read_text(encoding="utf-8"))
     used = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
