@@ -22,8 +22,10 @@ from typing import Iterable
 from . import fuzz, matrix, oracle, scalar, spectral
 from .defaults import (
     DEFAULT_DET_BOUND,
+    DEFAULT_GHOST_PROB,
     DEFAULT_MAX_M,
     DEFAULT_MAX_N,
+    DEFAULT_MIN_N,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
     LAW_IDS,
@@ -287,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_det)
 
     p = sub.add_parser("charpoly", help="characteristic polynomial")
-    p.add_argument("path")
+    p.add_argument("path", help="matrix file (text or JSON)")
     add_common(p)
     p.set_defaults(func=cmd_charpoly)
 
@@ -301,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_roots)
 
     p = sub.add_parser("eigen", help="eigenvalues of a matrix")
-    p.add_argument("path")
+    p.add_argument("path", help="matrix file (text or JSON)")
     add_common(p)
     p.set_defaults(func=cmd_eigen)
 
@@ -325,12 +327,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("fuzz", help="seeded law-checking campaign")
-    p.add_argument("--trials", type=int)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--min-n", type=int)
-    p.add_argument("--max-n", type=int)
-    p.add_argument("--max-m", type=int)
-    p.add_argument("--ghost-prob", type=float)
+    p.add_argument("--trials", type=int, help=f"campaign trials (default {DEFAULT_TRIALS})")
+    p.add_argument("--seed", type=int, help=f"campaign seed (default {DEFAULT_SEED})")
+    p.add_argument("--min-n", type=int,
+                   help=f"smallest generated dimension (default {DEFAULT_MIN_N})")
+    p.add_argument("--max-n", type=int,
+                   help=f"largest generated dimension (default {DEFAULT_MAX_N})")
+    p.add_argument("--max-m", type=int, help=f"largest generated power (default {DEFAULT_MAX_M})")
+    p.add_argument("--ghost-prob", type=float,
+                   help=f"probability that a finite entry is ghost (default {DEFAULT_GHOST_PROB})")
     add_common(p)
     p.set_defaults(func=cmd_fuzz)
 

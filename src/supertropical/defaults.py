@@ -16,5 +16,7 @@ DEFAULT_DET_BOUND = 9
 # The campaign shape's defaults that a command-line flag overrides.
 DEFAULT_TRIALS = 100
 DEFAULT_SEED = 0
+DEFAULT_MIN_N = 2
 DEFAULT_MAX_N = 4
 DEFAULT_MAX_M = 3
+DEFAULT_GHOST_PROB = 0.2

@@ -15,8 +15,10 @@ from itertools import product
 from typing import Iterator
 
 from .defaults import (
+    DEFAULT_GHOST_PROB,
     DEFAULT_MAX_M,
     DEFAULT_MAX_N,
+    DEFAULT_MIN_N,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
 )
@@ -50,13 +52,13 @@ class Config(_Record):
         self,
         trials: int = DEFAULT_TRIALS,
         seed: int = DEFAULT_SEED,
-        min_n: int = 2,
+        min_n: int = DEFAULT_MIN_N,
         max_n: int = DEFAULT_MAX_N,
         min_m: int = 2,
         max_m: int = DEFAULT_MAX_M,
         value_min: int = -5,
         value_max: int = 5,
-        ghost_prob: float = 0.2,
+        ghost_prob: float = DEFAULT_GHOST_PROB,
         zero_prob: float = 0.05,
         det_bound: int | None = None,
     ):

@@ -6,16 +6,17 @@ tie comes out ghost through addition itself, so the permanent, ghost-by-tie
 included, is computed exactly by a row-by-column-subset dynamic program in
 ``O(n * 2^n)`` semiring operations (Held and Karp, 1962) rather than by
 enumerating all ``n!`` tracks. A matrix builds one such table, over the
-polynomial entries of ``A + xI``: its top entry is the characteristic
-polynomial, and the determinant is that polynomial's coefficient 0. The
-dominant tracks are counted from the degree-0 coefficients of the same
-table: the count through a column subset is the sum of the counts through
-the subsets that its dominant steps leave, and the classification reads
-the count. The tracks are listed, by a depth-first search over those steps,
-only when a report's ``dominant_tracks`` is iterated or indexed; a report's
-text and JSON list at most ``MAX_LISTED_TRACKS`` (8!) of them. Both
-computations are guarded by an explicit dimension bound (default 9, set
-per call with ``bound=``, or with ``--bound`` on the command line).
+polynomial entries of ``A + xI``, and keeps two things from it: the top
+entry, which is the characteristic polynomial, and the column of degree-0
+coefficients, whose last entry is the determinant. The dominant tracks are
+counted from that column: the count through a column subset is the sum of
+the counts through the subsets that its dominant steps leave, and the
+classification reads the count. The tracks are listed, by a depth-first
+search over those steps, only when a report's ``dominant_tracks`` is
+iterated or indexed; a report's text and JSON list at most
+``MAX_LISTED_TRACKS`` (8!) of them. Both computations are guarded by an
+explicit dimension bound (default 9, set per call with ``bound=``, or with
+``--bound`` on the command line).
 
 The kernels (the permanent table and the matrix product) run on plain
 integers, the keys that ``scalar.py`` describes. A `Matrix` holds either
@@ -26,12 +27,13 @@ keys are first read, and a product or a power is returned as keys
 scales are multiplied at the LCM of the two. `mat_mul` and `mat_pow` run
 the one key-space product, ``_key_product``. The characteristic polynomial
 keeps its keys and decodes its coefficients on their first read.
-``Matrix._keys``, ``Matrix._table`` and ``Matrix._char_poly`` are cached on
-the object, so ``det``, ``char_poly``, ``mat_pow`` and ``eigenvalues`` on
-one matrix share one encoding and one table, built once however often it
-is asked for. Nothing is cached across matrix objects, and a pickle holds
-only the rows. A scale of more than ``2 * MAX_LITERAL_DIGITS`` digits and a
-power above ``MAX_POWER`` are refused with ``BoundExceededError``.
+``Matrix._keys``, ``Matrix._table`` (the top entry and the column) and
+``Matrix._char_poly`` are cached on the object, so ``det``, ``char_poly``,
+``mat_pow`` and ``eigenvalues`` on one matrix share one encoding and one
+table, built once however often it is asked for. Nothing is cached across
+matrix objects, and a pickle holds only the rows. A scale of more than
+``2 * MAX_LITERAL_DIGITS`` digits and a power above ``MAX_POWER`` are
+refused with ``BoundExceededError``.
 """
 
 from __future__ import annotations
@@ -139,17 +141,16 @@ class Matrix(_Record):
         return scale, tuple(tuple(_encode_keys(row, scale)) for row in self.rows)
 
     @cached_property
-    def _table(self) -> list[list[int | None] | None]:
-        """The subset table of ``A + xI`` (`_permanent_table`), built once and
-        read by `det` and `char_poly`, which check the dimension bound on
-        every call before they read it."""
+    def _table(self) -> tuple[list[int | None], list[int | None]]:
+        """The top entry and the determinant column of ``A + xI``'s subset
+        table (`_permanent_table`), built once and read by `det` and
+        `char_poly`, which check the dimension bound on every call first."""
         return _permanent_table(self._keys[1])
 
     @cached_property
     def _char_poly(self) -> Polynomial:
-        """The characteristic polynomial, the table's top entry; its
-        coefficient 0 is the determinant's value."""
-        return Polynomial._from_keys(self._keys[0], self._table[-1])
+        """The characteristic polynomial, the table's top entry."""
+        return Polynomial._from_keys(self._keys[0], self._table[0])
 
 
 def _key_product(x: _Keys, y: _Keys) -> _Keys:
@@ -332,9 +333,10 @@ class DetReport(_Record):
         return f"{self.value} ({self.classification.value}), dominant: {names}"
 
 
-def _permanent_table(keys: _Keys) -> list[list[int | None] | None]:
-    """Subset table of partial permanents of ``A + xI``, over key coefficient
-    lists by degree in ``x``.
+def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
+    """The top entry and the determinant column of the subset table of
+    partial permanents of ``A + xI``, over key coefficient lists by degree
+    in ``x``; the table itself is dropped.
 
     ``table[S]`` is the permanent of the bottom ``|S|`` rows restricted to
     the columns in bitmask ``S``: row ``i = n - |S|`` picks a column ``j`` in
@@ -346,6 +348,8 @@ def _permanent_table(keys: _Keys) -> list[list[int | None] | None]:
     alone. A row's live terms are its finite keys at degree 0 and the unit
     key 0 at degree 1 on the diagonal. Zero terms are skipped, and
     ``table[S]`` is ``None`` when every track through ``S`` is ``-inf``.
+    The column entry ``dets[S]`` is coefficient 0 of ``table[S]``, ``None``
+    when no finite track through ``S`` avoids ``x``.
     """
     n = len(keys)
     live = [
@@ -375,7 +379,7 @@ def _permanent_table(keys: _Keys) -> list[list[int | None] | None]:
                 elif term >> 1 == old >> 1:
                     acc[d] = old | 1
         table[subset] = acc
-    return table
+    return table[-1], [None if entry is None else entry[0] for entry in table]
 
 
 class DominantTracks(Sequence[PermutationTrack]):
@@ -385,7 +389,7 @@ class DominantTracks(Sequence[PermutationTrack]):
 
     ``steps[S]`` holds the (column, entry's ghost bit) choices for the row
     of S whose entry plus the best completion of S - {column} attains
-    coefficient 0 of table[S], the partial permanent of A alone, and
+    ``dets[S]``, the partial permanent of A alone (`_permanent_table`), and
     ``ways[S]`` counts the dominant completions of S: the sum of
     ``ways[S - {column}]`` over those steps. Both are filled in, once each,
     for the subsets that some dominant track passes through, so `len` builds
@@ -397,24 +401,21 @@ class DominantTracks(Sequence[PermutationTrack]):
 
     __slots__ = ("_steps", "_ways", "_products", "_full")
 
-    def __init__(self, keys: _Keys, table: list[list[int | None] | None], value: Scalar):
+    def __init__(self, keys: _Keys, dets: list[int | None], value: Scalar):
         n = len(keys)
         steps: dict[int, list[tuple[int, int]]] = {0: []}
         ways = {0: 1}
 
         def count(subset: int) -> int:
             if subset not in ways:
-                target = table[subset][0] >> 1
-                # A subset whose finite tracks all take x on the diagonal
-                # has an entry with no degree-0 coefficient: no step leads there.
+                target = dets[subset] >> 1
                 steps[subset] = [
                     (j, k & 1)
                     for j, k in enumerate(keys[n - subset.bit_count()])
                     if subset & (1 << j)
                     and k is not None
-                    and (rest := table[subset ^ (1 << j)]) is not None
-                    and rest[0] is not None
-                    and (k >> 1) + (rest[0] >> 1) == target
+                    and (rest := dets[subset ^ (1 << j)]) is not None
+                    and (k >> 1) + (rest >> 1) == target
                 ]
                 ways[subset] = sum(count(subset ^ (1 << j)) for j, _ in steps[subset])
             return ways[subset]
@@ -478,21 +479,20 @@ class DominantTracks(Sequence[PermutationTrack]):
 def det(a: Matrix, bound: int | None = None) -> DetReport:
     """Permanent by the subset table, with its dominant tracks counted.
 
-    The value is coefficient 0 of the characteristic polynomial, read from
-    the matrix's one table. The count comes from the same table (see
-    `DominantTracks`), and the classification reads it: more than one
-    dominant track is a tie, and a single one is ghost exactly when the
-    value is. The tracks themselves are listed, in the lexicographic order
-    of their permutations, only when the report's ``dominant_tracks`` is
-    iterated or indexed.
+    The value is the last entry of the matrix's determinant column, which is
+    coefficient 0 of the characteristic polynomial. The count comes from the
+    same column (see `DominantTracks`), and the classification reads it:
+    more than one dominant track is a tie, and a single one is ghost exactly
+    when the value is. The tracks are listed, in the lexicographic order of
+    their permutations, only when ``dominant_tracks`` is iterated or indexed.
     """
     check_dim_bound("determinant", a.n, bound)
     scale, keys = a._keys
-    table = a._table
-    if table[-1][0] is None:
+    dets = a._table[1]
+    if dets[-1] is None:
         return DetReport(ZERO, (), DetClass.ZERO)
-    value = _decode(table[-1][0], scale)
-    tracks = DominantTracks(keys, table, value)
+    value = _decode(dets[-1], scale)
+    tracks = DominantTracks(keys, dets, value)
     if len(tracks) > 1:
         cls = DetClass.GHOST_BY_TIE
     elif value.is_ghost:

@@ -86,7 +86,7 @@ def test_output_matches_golden(name, tmp_path, capsys):
     assert out == expected
 
 
-HELP_COMMANDS = ("det", "check")
+HELP_COMMANDS = ("det", "check", "fuzz")
 
 
 # The help texts show the defaults of --bound and of the generation flags,
