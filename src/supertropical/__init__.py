@@ -38,15 +38,15 @@ _EXPORTS = {
     "spectral": (
         "EigenReport", "Verdict", "check_charpoly_power", "check_corner_root_power",
         "check_det_rule", "check_eigen_power", "check_eigenpair", "check_frobenius",
-        "check_tangible_equality", "check_trace_power", "eigenvalues",
+        "check_tangible_equality", "check_trace_power", "eigenpairs", "eigenvalues",
     ),
     "oracle": (
         "SymMonomial", "SymPoly", "census_power_tracks", "enum_det", "minor_sum_charpoly",
-        "sampled_equiv", "sym_charpoly_coeff", "sym_direct_charpoly",
+        "sampled_equiv", "search_eigenpairs", "sym_charpoly_coeff", "sym_direct_charpoly",
     ),
     "fuzz": (
         "CampaignResult", "Config", "random_matrix", "random_polynomial", "random_scalar",
-        "run_campaign", "search_eigenpairs", "trial_seed",
+        "run_campaign", "trial_seed",
     ),
 }
 _HOME = {name: module for module, names in _EXPORTS.items() for name in names}

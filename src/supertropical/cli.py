@@ -33,10 +33,6 @@ from .defaults import (
 from .errors import BoundExceededError, DomainError, ParseError, ShapeError
 from .polynomial import Polynomial, parse_polynomial, polynomial_from_strings, roots
 
-# How many eigenpairs `check prop32` looks for on its search lattice.
-_PROP32_MAX_PAIRS = 100
-
-
 def _read_file(path: str, json_opener: str, from_json, from_text):
     """Parse a file by ``from_json`` if it opens with ``json_opener``, else by ``from_text``."""
     # "utf-8-sig" drops a leading byte-order mark, which editors may save.
@@ -109,11 +105,18 @@ def _generated_config(args) -> fuzz.Config:
     """The campaign shape the generation flags give, for `fuzz` and `check`.
 
     Each flag named after a `Config` field sets that field, flags left out
-    take `Config`'s defaults, and `check`'s -m fixes the power.
+    take `Config`'s defaults, and `check`'s -m fixes the power. A largest
+    size below the default least one that no flag set is refused by its flag.
     """
     given = {k: v for k, v in vars(args).items() if k in fuzz.Config._fields and v is not None}
     if getattr(args, "power", None) is not None:
         given["min_m"] = given["max_m"] = args.power
+    defaults = fuzz.Config()
+    for low, high in (("min_n", "max_n"), ("min_m", "max_m")):
+        least = getattr(defaults, low)
+        if low not in given and given.get(high, least) < least:
+            flag = "--" + high.replace("_", "-")
+            raise DomainError(f"{flag} must be at least {least}, got {given[high]}")
     return fuzz.Config(**given, det_bound=args.bound)
 
 
@@ -178,14 +181,19 @@ def _run_frobenius(args) -> int:
 
 
 def _run_prop32(args) -> int:
+    """The power law on each tangible eigenvalue's eigenvector from the adjoint."""
     a = _read_matrix(args.file)
-    pairs = fuzz.search_eigenpairs(a, bound=args.bound, max_results=_PROP32_MAX_PAIRS)
-    if not pairs:
-        v = spectral.Verdict("eigen-power", None, None,
-                             ({"note": "no tangible eigenpair found on the search lattice"},))
-        return _print_verdicts([v], args.json)
-    verdicts = [spectral.check_eigen_power(a, v, x, _power(args)) for v, x in pairs]
-    return _print_verdicts(verdicts, args.json)
+
+    def not_applicable(**detail: str) -> spectral.Verdict:
+        return spectral.Verdict("eigen-power", None, None, (detail,))
+
+    verdicts = [
+        spectral.check_eigen_power(a, v, x, _power(args)) if v is not None
+        else not_applicable(eigenvalue=str(x), note="no column of adj(A + xI), nor their sum, "
+                            "gives a tangible eigenvector")
+        for x, v in spectral.eigenpairs(a, args.bound)
+    ]
+    return _print_verdicts(verdicts or [not_applicable(note="no tangible eigenvalue")], args.json)
 
 
 def _run_claim35(args) -> int:

@@ -4,14 +4,14 @@ Entries are drawn from a small integer lattice with configurable ghost and
 zero probabilities: a tight lattice makes ties (and therefore ghosts)
 frequent, which is where the interesting behavior is. Every trial derives
 its own generator from the campaign seed and trial index, so any reported
-violation can be reproduced from the summary alone.
+violation can be reproduced from the summary alone. Exhaustive searches,
+such as the eigenvector grid, are references in `oracle`, not here.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from itertools import product
 from typing import Iterator
 
 from .defaults import (
@@ -25,8 +25,8 @@ from .defaults import (
 from .errors import BoundExceededError, DomainError
 from .matrix import Matrix, check_dim_bound
 from .polynomial import Polynomial
-from .scalar import Scalar, _Record, _decode, tangible
-from .spectral import CHECKS, Trial, check_eigenpair, eigenvalues
+from .scalar import Scalar, _Record, _decode
+from .spectral import CHECKS, Trial
 
 # The default checks, in the order a campaign reports them; they run in
 # ``CHECKS`` order.
@@ -117,26 +117,6 @@ def random_polynomial(rng: random.Random, max_degree: int, cfg: Config) -> Polyn
     coeffs = [random_scalar(rng, cfg) for _ in range(degree)]
     coeffs.append(random_scalar(rng, cfg, allow_zero=False))
     return Polynomial(tuple(coeffs))
-
-
-def search_eigenpairs(
-    a: Matrix,
-    lattice: range = range(-3, 4),
-    bound: int | None = None,
-    max_results: int | None = 1,
-) -> list[tuple[tuple[Scalar, ...], Scalar]]:
-    """Exhaustive grid search for tangible eigenpairs: candidate vectors are
-    drawn from the lattice, candidate values from the corner roots."""
-    found = []
-    values = [v for v, _ in eigenvalues(a, bound).eigenvalues]
-    for x in values:
-        for combo in product(lattice, repeat=a.n):
-            v = tuple(tangible(c) for c in combo)
-            if check_eigenpair(a, v, x).holds:
-                found.append((v, x))
-                if max_results is not None and len(found) >= max_results:
-                    return found
-    return found
 
 
 class CampaignResult(_Record):

@@ -1,6 +1,6 @@
 """Independent brute-force witnesses for the production computations.
 
-Three kinds of evidence live here. The enumeration side computes the
+Four kinds of evidence live here. The enumeration side computes the
 determinant over all ``n!`` permutation tracks and the characteristic
 polynomial as a sum of principal-minor determinants: the definitions the
 subset table in ``matrix`` must reproduce exactly. The symbolic side
@@ -9,14 +9,15 @@ natural-number occurrence counts for every monomial (no max-plus collapse),
 so statements about *how often* a monomial appears can be checked by
 census. The numeric side recomputes the characteristic polynomial by a
 direct permanent over the polynomial semiring and compares functions by
-dense sampling.
+dense sampling. The lattice side tries every vector of a small integer grid
+as an eigenvector: the reference that `spectral.eigenpairs` must cover.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 from .errors import BoundExceededError
 from .matrix import (
@@ -29,7 +30,7 @@ from .matrix import (
 )
 from .polynomial import Polynomial, breakpoints
 from .scalar import ONE, Scalar, ZERO, _Record, ghost, tangible
-from .spectral import Verdict
+from .spectral import Verdict, check_eigenpair, eigenvalues
 
 Var = tuple[int, int]  # 0-based (row, column) entry variable
 
@@ -46,17 +47,14 @@ def enum_det(a: Matrix, bound: int | None = None) -> DetReport:
     value = ZERO
     tracks: list[PermutationTrack] = []
     for perm in permutations(range(a.n)):
-        product = ONE
+        prod = ONE
         for i, j in enumerate(perm):
-            entry = rows[i][j]
-            if entry.is_zero:
-                product = ZERO
+            prod = prod * rows[i][j]
+            if prod.is_zero:
                 break
-            product = product * entry
-        if product.is_zero:
-            continue
-        tracks.append(PermutationTrack(perm, product))
-        value = value + product
+        else:
+            tracks.append(PermutationTrack(perm, prod))
+            value = value + prod
     if value.is_zero:
         return DetReport(ZERO, (), DetClass.ZERO)
     dominant = tuple(t for t in tracks if t.product.value == value.value)
@@ -196,14 +194,8 @@ def _formal_power(n: int, m: int) -> list[list[SymPoly]]:
     base = [[SymPoly.var(i, j) for j in range(n)] for i in range(n)]
     cur = base
     for _ in range(m - 1):
-        nxt = [[SymPoly.zero() for _ in range(n)] for _ in range(n)]
-        for i in range(n):
-            for j in range(n):
-                acc = SymPoly.zero()
-                for t in range(n):
-                    acc = acc + cur[i][t] * base[t][j]
-                nxt[i][j] = acc
-        cur = nxt
+        cur = [[sum((cur[i][t] * base[t][j] for t in range(n)), SymPoly.zero()) for j in range(n)]
+               for i in range(n)]
     return cur
 
 
@@ -261,17 +253,9 @@ def census_power_tracks(n: int, m: int, k: int) -> Verdict:
     for mono, count in coeff.terms.items():
         if mono not in expected and count < 2:
             violations.append({"monomial": str(mono), "count": count, "want": ">=2"})
-    detail = (
-        {
-            "n": n,
-            "m": m,
-            "k": k,
-            "power_track_monomials": len(expected),
-            "other_monomials": len(others),
-            "min_other_count": min(others) if others else None,
-            "max_other_count": max(others) if others else None,
-        },
-    )
+    detail = ({"n": n, "m": m, "k": k, "power_track_monomials": len(expected),
+               "other_monomials": len(others), "min_other_count": min(others, default=None),
+               "max_other_count": max(others, default=None)},)
     witness = {"violations": violations[:10]} if violations else None
     return Verdict("power-track-census", not violations, witness, detail)
 
@@ -326,3 +310,23 @@ def sampled_equiv(
             witness = {"x": str(x), "f(x)": str(fx), "g(x)": str(gx)}
             return Verdict("sampled-equiv", False, witness)
     return Verdict("sampled-equiv", True, None, ({"points": len(points)},))
+
+
+def search_eigenpairs(
+    a: Matrix,
+    lattice: range = range(-3, 4),
+    bound: int | None = None,
+    max_results: int | None = 1,
+) -> list[tuple[tuple[Scalar, ...], Scalar]]:
+    """Exhaustive grid search for tangible eigenpairs: candidate vectors are
+    drawn from the lattice, candidate values from the corner roots."""
+    found = []
+    values = [v for v, _ in eigenvalues(a, bound).eigenvalues]
+    for x in values:
+        for combo in product(lattice, repeat=a.n):
+            v = tuple(tangible(c) for c in combo)
+            if check_eigenpair(a, v, x).holds:
+                found.append((v, x))
+                if max_results is not None and len(found) >= max_results:
+                    return found
+    return found

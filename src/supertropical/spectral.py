@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import operator
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Iterable, Sequence
 
 from .defaults import LAW_IDS
@@ -29,12 +29,13 @@ from .matrix import (
     _check_product_shape,
     char_poly,
     check_dim_bound,
+    det,
     mat_mul,
     mat_pow,
     mat_vec,
 )
 from .polynomial import Interval, Polynomial, _corners, _cut_value, _roots_text, roots
-from .scalar import Scalar, _Record, _decode, _key_pow, _key_sum, _key_surpasses, tangible
+from .scalar import ONE, Scalar, _Record, _decode, _key_pow, _key_sum, _key_surpasses, tangible
 
 
 class Verdict(_Record):
@@ -123,44 +124,61 @@ def eigenvalues(a: Matrix, bound: int | None = None) -> EigenReport:
     return EigenReport(report.corner_roots, report.ghost_intervals)
 
 
-def _require_tangible(v: Sequence[Scalar], x: Scalar) -> None:
+def check_eigenpair(a: Matrix, v: Sequence[Scalar], x: Scalar) -> Verdict:
+    """Does A*v ghost-surpass x*v componentwise?"""
     if not x.is_tangible:
         raise DomainError("candidate eigenvalue must be tangible")
     if any(not vi.is_tangible for vi in v):
         raise DomainError("candidate eigenvector entries must be tangible")
+    sides = list(zip(mat_vec(a, v), [x * vi for vi in v]))
+    holds = all(lhs.surpasses(rhs) for lhs, rhs in sides)
+
+    def detail():
+        for i, (lhs, rhs) in enumerate(sides):
+            yield {"i": i, "lhs": str(lhs), "rhs": str(rhs), "ok": lhs.surpasses(rhs)}
+
+    witness = None if holds else {"matrix": a.to_json_dict(), "vector": [str(vi) for vi in v],
+                                  "value": str(x)}
+    return Verdict("eigen-pair", holds, witness, detail)
 
 
-def check_eigenpair(a: Matrix, v: Sequence[Scalar], x: Scalar) -> Verdict:
-    """Does A*v ghost-surpass x*v componentwise?"""
-    _require_tangible(v, x)
-    av = mat_vec(a, v)
-    detail = []
-    holds = True
-    for i, (lhs, vi) in enumerate(zip(av, v)):
-        rhs = x * vi
-        ok = lhs.surpasses(rhs)
-        holds = holds and ok
-        detail.append({"i": i, "lhs": str(lhs), "rhs": str(rhs), "ok": ok})
-    witness = None
-    if not holds:
-        witness = {
-            "matrix": a.to_json_dict(),
-            "vector": [str(vi) for vi in v],
-            "value": str(x),
-        }
-    return Verdict("eigen-pair", holds, witness, tuple(detail))
+def eigenpairs(
+    a: Matrix, bound: int | None = None
+) -> list[tuple[Scalar, tuple[Scalar, ...] | None]]:
+    """Each tangible eigenvalue x of A, in `eigenvalues` order, with a
+    tangible eigenvector read off the adjoint of B = A + xI, or ``None``.
+
+    Column r of adj(B) is det(B without row r and column c) for c = 0..n-1
+    (the unit when n = 1). The columns are tried in turn and then their sum;
+    the first with no -inf entry whose tangible projection passes
+    `check_eigenpair` is the eigenvector. That is n^2 determinants of size
+    n - 1 at most per eigenvalue.
+    """
+
+    def candidates(b: list[list[Scalar]]):
+        columns = []
+        for r in range(a.n):
+            minors = ([row[:c] + row[c + 1:] for i, row in enumerate(b) if i != r]
+                      for c in range(a.n))
+            columns.append([det(Matrix(m), bound).value if a.n > 1 else ONE for m in minors])
+            yield columns[-1]
+        yield [reduce(operator.add, entries) for entries in zip(*columns)]
+
+    pairs = []
+    for x, _ in eigenvalues(a, bound).eigenvalues:
+        b = [[e + x if i == j else e for j, e in enumerate(row)] for i, row in enumerate(a.rows)]
+        projections = (tuple(tangible(e.value) for e in col)
+                       for col in candidates(b) if not any(e.is_zero for e in col))
+        pairs.append((x, next((v for v in projections if check_eigenpair(a, v, x).holds), None)))
+    return pairs
 
 
 def check_eigen_power(a: Matrix, v: Sequence[Scalar], x: Scalar, m: int) -> Verdict:
     """Given an eigenpair (v, x) of A, is (v, x^m) an eigenpair of A^m?"""
-    base = check_eigenpair(a, v, x)
-    if not base.holds:
+    if not check_eigenpair(a, v, x).holds:
         raise DomainError("(v, x) is not an eigenpair of the given matrix")
     inner = check_eigenpair(mat_pow(a, m), v, x**m)
-    witness = None
-    if not inner.holds:
-        witness = dict(inner.witness or {})
-        witness["m"] = m
+    witness = None if inner.holds else {**inner.witness, "m": m}
     return Verdict("eigen-power", inner.holds, witness, inner.detail)
 
 
@@ -265,9 +283,7 @@ def _det_rule(t: Trial) -> Verdict:
             "tangible_equality": lhs == rhs if lhs is not None and not lhs & 1 else None,
         }
 
-    witness = None
-    if not holds:
-        witness = {"a": t.a.to_json_dict(), "b": t.b.to_json_dict()}
+    witness = None if holds else {"a": t.a.to_json_dict(), "b": t.b.to_json_dict()}
     return Verdict("det-product", holds, witness, detail)
 
 

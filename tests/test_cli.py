@@ -238,6 +238,25 @@ class TestCheckCommand:
         assert code == 0
         assert out.startswith("PASS eigen-power")
 
+    def test_prop32_eigenvalue_without_eigenvector(self, capsys, tmp_path):
+        # Eigenvalue 0 has the eigenvector (3, 1); eigenvalue 1 has no tangible one.
+        path = tmp_path / "N.txt"
+        path.write_text("1 3\n-inf 0\n", encoding="utf-8")
+        code, out, _ = run(capsys, "check", "prop32", "-f", str(path), "-m", "2")
+        assert code == 0
+        assert out.startswith("PASS eigen-power\n")
+        assert out.endswith("\nN/A  eigen-power\n  eigenvalue=1  note=no column of adj(A + xI), "
+                            "nor their sum, gives a tangible eigenvector\n")
+        code, out, _ = run(capsys, "check", "prop32", "-f", str(path), "--json")
+        assert code == 0
+        assert [v.get("not_applicable", False) for v in json.loads(out)] == [False, True]
+
+    def test_prop32_without_tangible_eigenvalue(self, capsys, tmp_path):
+        path = tmp_path / "Z.txt"
+        path.write_text("-inf -inf\n-inf -inf\n", encoding="utf-8")
+        code, out, _ = run(capsys, "check", "prop32", "-f", str(path))
+        assert (code, out) == (0, "N/A  eigen-power\n  note=no tangible eigenvalue\n")
+
     def test_prop32_requires_file(self, capsys):
         code, _, err = run(capsys, "check", "prop32")
         assert code == 2
@@ -331,6 +350,20 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""
         assert err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["check", "thm36", "--max-n", "1"], "--max-n must be at least 2, got 1"),
+            (["check", "thm36", "--max-m", "1"], "--max-m must be at least 2, got 1"),
+            (["fuzz", "--max-m", "1"], "--max-m must be at least 2, got 1"),
+        ],
+        ids=["check-max-n", "check-max-m", "fuzz-max-m"],
+    )
+    def test_largest_size_below_least_names_its_flag(self, capsys, argv, message):
+        # No flag sets the least size here, so the refusal names the flag given.
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_generation_defaults(self, capsys):
         explicit = ["--trials", "100", "--seed", "0", "--max-n", "4", "--max-m", "3"]
@@ -656,6 +689,7 @@ BOUNDARY_COMMANDS = (
     ("roots", "{text}"),
     ("check", "thm36", "-f", "{a}"),
     ("check", "thm13", "-f", "{a}", "-g", "{b}"),
+    ("check", "prop32", "-f", "{a}"),
 )
 LITERAL_TOKENS = (
     *"0123456789", "/", "g", "-inf", "x", "^", "+", " ", "\n", "\t", *'{}[]",:',

@@ -57,6 +57,12 @@ CASES = {
     "check_thm13_fA.json": ["check", "thm13", "-f", "{A}", "--json"],
     "check_frobenius.txt": ["check", "frobenius"],
     "check_frobenius.json": ["check", "frobenius", "--json"],
+    **{
+        f"check_prop32_f{key}_m{m}.{ext}": ["check", "prop32", "-f", f"{{{key}}}", "-m", str(m),
+                                           *(["--json"] if ext == "json" else [])]
+        for key, m in (("A", 3), ("B4", 2))
+        for ext in ("txt", "json")
+    },
     "check_charpoly-equiv_fA2.txt": ["check", "charpoly-equiv", "-f", "{A2}"],
     "check_charpoly-equiv_fA2.json": ["check", "charpoly-equiv", "-f", "{A2}", "--json"],
     **{

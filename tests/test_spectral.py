@@ -31,6 +31,7 @@ from supertropical import (
     check_tangible_equality,
     check_trace_power,
     det,
+    eigenpairs,
     eigenvalues,
     ghost,
     is_root,
@@ -134,6 +135,55 @@ class TestEigenPower:
         for v, x in search_eigenpairs(a, lattice=range(-2, 3), max_results=3):
             for m in (2, 3, 4):
                 assert check_eigen_power(a, v, x, m).holds
+
+
+def _reference_matrix(rng: random.Random):
+    """A matrix of dimension 1..3 on the lattice -4..4 over one denominator
+    of 1..3, with 0-50% of its entries -inf and 0-40% of the rest ghost."""
+    n, den = rng.randint(1, 3), rng.randint(1, 3)
+    zero_p, ghost_p = rng.choice((0, 0.25, 0.5)), rng.choice((0, 0.2, 0.4))
+
+    def entry():
+        if rng.random() < zero_p:
+            return ZERO
+        value = Fraction(rng.randint(-4, 4), den)
+        return ghost(value) if rng.random() < ghost_p else tangible(value)
+
+    return Matrix(tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+
+
+class TestEigenpairs:
+    def test_covers_the_lattice_search(self):
+        # Every eigenvalue for which the oracle's grid finds an eigenvector
+        # gets one from the adjoint, and every eigenvector given holds.
+        rng = random.Random("eigenpairs")
+        grid_found = adjoint_found = 0
+        for _ in range(150):
+            a = _reference_matrix(rng)
+            pairs = eigenpairs(a)
+            assert [x for x, _ in pairs] == [x for x, _ in eigenvalues(a).eigenvalues]
+            for x, v in pairs:
+                assert v is None or check_eigenpair(a, v, x).holds
+            grid = {x for _, x in search_eigenpairs(a, max_results=None)}
+            assert grid <= {x for x, v in pairs if v is not None}
+            grid_found += len(grid)
+            adjoint_found += sum(v is not None for _, v in pairs)
+        assert 0 < grid_found < adjoint_found
+
+    def test_diagonal_needs_the_column_sum(self):
+        # Both columns of adj(A + 1I) have a -inf entry; their sum has none.
+        a = parse_matrix("1 -inf\n-inf 1")
+        assert eigenpairs(a) == [(tangible(1), (tangible(1), tangible(1)))]
+        assert search_eigenpairs(a, max_results=None)
+
+    def test_eigenvalue_without_tangible_eigenvector(self):
+        a = parse_matrix("1 3\n-inf 0")
+        assert eigenpairs(a) == [(tangible(0), (tangible(3), tangible(1))), (tangible(1), None)]
+        assert {x for _, x in search_eigenpairs(a, max_results=None)} == {tangible(0)}
+
+    def test_one_by_one_takes_the_unit(self):
+        assert eigenpairs(parse_matrix("5")) == [(tangible(5), (tangible(0),))]
+        assert eigenpairs(parse_matrix("-inf")) == []
 
 
 class TestCharpolyPower:
