@@ -181,18 +181,25 @@ def _run_frobenius(args) -> int:
 
 
 def _run_prop32(args) -> int:
-    """The power law on each tangible eigenvalue's eigenvector from the adjoint."""
-    a = _read_matrix(args.file)
+    """The power law on each tangible eigenvalue's eigenvector from the adjoint,
+    each verdict led by the eigenvalue it is for."""
+    a, m = _read_matrix(args.file), _power(args)
+    # Refused as `mat_pow` refuses it, also when no eigenpair would reach `mat_pow`.
+    if m > matrix.MAX_POWER:
+        raise BoundExceededError("matrix power", m, matrix.MAX_POWER)
 
     def not_applicable(**detail: str) -> spectral.Verdict:
         return spectral.Verdict("eigen-power", None, None, (detail,))
 
-    verdicts = [
-        spectral.check_eigen_power(a, v, x, _power(args)) if v is not None
-        else not_applicable(eigenvalue=str(x), note="no column of adj(A + xI), nor their sum, "
-                            "gives a tangible eigenvector")
-        for x, v in spectral.eigenpairs(a, args.bound)
-    ]
+    def verdict(x: scalar.Scalar, v: tuple[scalar.Scalar, ...] | None) -> spectral.Verdict:
+        if v is None:
+            return not_applicable(eigenvalue=str(x), note="no column of adj(A + xI), nor their "
+                                  "sum, gives a tangible eigenvector")
+        inner = spectral.check_eigen_power(a, v, x, m)
+        head = {"eigenvalue": str(x), "vector": "(" + ", ".join(map(str, v)) + ")"}
+        return spectral.Verdict(inner.check, inner.holds, inner.witness, (head, *inner.detail))
+
+    verdicts = [verdict(x, v) for x, v in spectral.eigenpairs(a, args.bound)]
     return _print_verdicts(verdicts or [not_applicable(note="no tangible eigenvalue")], args.json)
 
 

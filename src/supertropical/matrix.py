@@ -349,7 +349,8 @@ def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
     key 0 at degree 1 on the diagonal. Zero terms are skipped, and
     ``table[S]`` is ``None`` when every track through ``S`` is ``-inf``.
     The column entry ``dets[S]`` is coefficient 0 of ``table[S]``, ``None``
-    when no finite track through ``S`` avoids ``x``.
+    when no finite track through ``S`` avoids ``x``. The column reads no x
+    term, so a caller may pass the rows in any order.
     """
     n = len(keys)
     live = [

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import operator
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Iterable, Sequence
 
 from .defaults import LAW_IDS
@@ -29,13 +29,12 @@ from .matrix import (
     _check_product_shape,
     char_poly,
     check_dim_bound,
-    det,
     mat_mul,
     mat_pow,
     mat_vec,
 )
 from .polynomial import Interval, Polynomial, _corners, _cut_value, _roots_text, roots
-from .scalar import ONE, Scalar, _Record, _decode, _key_pow, _key_sum, _key_surpasses, tangible
+from .scalar import Scalar, _Record, _decode, _key_pow, _key_sum, _key_surpasses, tangible
 
 
 class Verdict(_Record):
@@ -151,24 +150,25 @@ def eigenpairs(
     Column r of adj(B) is det(B without row r and column c) for c = 0..n-1
     (the unit when n = 1). The columns are tried in turn and then their sum;
     the first with no -inf entry whose tangible projection passes
-    `check_eigenpair` is the eigenvector. That is n^2 determinants of size
-    n - 1 at most per eigenvalue.
+    `check_eigenpair` is the eigenvector. Column r is read off one subset
+    table of B with row r on top (its entry for all columns but c is that
+    minor's permanent), and decoded at B's scale only when it is tried.
     """
 
-    def candidates(b: list[list[Scalar]]):
-        columns = []
+    def candidates(scale: int, keys):
+        columns, full = [], (1 << a.n) - 1
         for r in range(a.n):
-            minors = ([row[:c] + row[c + 1:] for i, row in enumerate(b) if i != r]
-                      for c in range(a.n))
-            columns.append([det(Matrix(m), bound).value if a.n > 1 else ONE for m in minors])
+            dets = Matrix._from_keys(scale, (keys[r], *keys[:r], *keys[r + 1:]))._table[1]
+            columns.append([dets[full ^ (1 << c)] for c in range(a.n)])
             yield columns[-1]
-        yield [reduce(operator.add, entries) for entries in zip(*columns)]
+        yield [_key_sum(entries) for entries in zip(*columns)]
 
     pairs = []
     for x, _ in eigenvalues(a, bound).eigenvalues:
-        b = [[e + x if i == j else e for j, e in enumerate(row)] for i, row in enumerate(a.rows)]
-        projections = (tuple(tangible(e.value) for e in col)
-                       for col in candidates(b) if not any(e.is_zero for e in col))
+        scale, keys = Matrix([[e + x if i == j else e for j, e in enumerate(row)]
+                              for i, row in enumerate(a.rows)])._keys
+        projections = (tuple(tangible(_decode(k, scale).value) for k in col)
+                       for col in candidates(scale, keys) if None not in col)
         pairs.append((x, next((v for v in projections if check_eigenpair(a, v, x).holds), None)))
     return pairs
 

@@ -244,7 +244,7 @@ class TestCheckCommand:
         path.write_text("1 3\n-inf 0\n", encoding="utf-8")
         code, out, _ = run(capsys, "check", "prop32", "-f", str(path), "-m", "2")
         assert code == 0
-        assert out.startswith("PASS eigen-power\n")
+        assert out.startswith("PASS eigen-power\n  eigenvalue=0  vector=(3, 1)\n")
         assert out.endswith("\nN/A  eigen-power\n  eigenvalue=1  note=no column of adj(A + xI), "
                             "nor their sum, gives a tangible eigenvector\n")
         code, out, _ = run(capsys, "check", "prop32", "-f", str(path), "--json")
@@ -256,6 +256,16 @@ class TestCheckCommand:
         path.write_text("-inf -inf\n-inf -inf\n", encoding="utf-8")
         code, out, _ = run(capsys, "check", "prop32", "-f", str(path))
         assert (code, out) == (0, "N/A  eigen-power\n  note=no tangible eigenvalue\n")
+
+    @pytest.mark.parametrize("text", ["-inf -inf\n-inf -inf\n", "1 3\n-inf 0\n"],
+                             ids=["no-eigenvalue", "eigenpairs"])
+    def test_prop32_power_cap_exit_3(self, capsys, tmp_path, text):
+        # The power is refused whether or not any eigenpair would reach it.
+        path = tmp_path / "M.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "check", "prop32", "-f", str(path), "-m", str(MAX_POWER + 1))
+        assert (code, out) == (3, "")
+        assert err == f"error: matrix power: size {MAX_POWER + 1} exceeds bound {MAX_POWER}\n"
 
     def test_prop32_requires_file(self, capsys):
         code, _, err = run(capsys, "check", "prop32")

@@ -137,19 +137,50 @@ class TestEigenPower:
                 assert check_eigen_power(a, v, x, m).holds
 
 
-def _reference_matrix(rng: random.Random):
-    """A matrix of dimension 1..3 on the lattice -4..4 over one denominator
-    of 1..3, with 0-50% of its entries -inf and 0-40% of the rest ghost."""
-    n, den = rng.randint(1, 3), rng.randint(1, 3)
+def _reference_matrix(rng: random.Random, max_n: int = 3, span: int = 4):
+    """A matrix of dimension 1..max_n on the lattice -span..span over one
+    denominator of 1..3, with 0-50% of its entries -inf and 0-40% of the
+    rest ghost."""
+    n, den = rng.randint(1, max_n), rng.randint(1, 3)
     zero_p, ghost_p = rng.choice((0, 0.25, 0.5)), rng.choice((0, 0.2, 0.4))
 
     def entry():
         if rng.random() < zero_p:
             return ZERO
-        value = Fraction(rng.randint(-4, 4), den)
+        value = Fraction(rng.randint(-span, span), den)
         return ghost(value) if rng.random() < ghost_p else tangible(value)
 
     return Matrix(tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
+
+
+def _reference_eigenpairs(a: Matrix):
+    """`eigenpairs` by its documented order, each entry of adj(A + xI)
+    taken from the oracle's permanent of its minor; with the number of
+    adjoint columns tried over all eigenvalues."""
+    pairs, tried = [], 0
+    for x, _ in eigenvalues(a).eigenvalues:
+        b = [[e + x if i == j else e for j, e in enumerate(row)] for i, row in enumerate(a.rows)]
+
+        def adjoint_entry(r, c):
+            minor = [row[:c] + row[c + 1:] for i, row in enumerate(b) if i != r]
+            return enum_det(Matrix(minor)).value if minor else tangible(0)
+
+        columns, vector = [], None
+        for r in range(a.n + 1):
+            if r < a.n:
+                tried += 1
+                columns.append([adjoint_entry(r, c) for c in range(a.n)])
+                column = columns[-1]
+            else:
+                column = [sum(entries, ZERO) for entries in zip(*columns)]
+            if any(e.is_zero for e in column):
+                continue
+            v = tuple(tangible(e.value) for e in column)
+            if check_eigenpair(a, v, x).holds:
+                vector = v
+                break
+        pairs.append((x, vector))
+    return pairs, tried
 
 
 class TestEigenpairs:
@@ -184,6 +215,39 @@ class TestEigenpairs:
     def test_one_by_one_takes_the_unit(self):
         assert eigenpairs(parse_matrix("5")) == [(tangible(5), (tangible(0),))]
         assert eigenpairs(parse_matrix("-inf")) == []
+
+    def test_matches_the_oracle_adjoint(self):
+        # Tight lattices, so that ties are common, and eigenvalues whose
+        # denominator A's scale lacks, so that B = A + xI has a larger one.
+        rng = random.Random("eigenpairs-oracle")
+        found = finer = 0
+        for _ in range(400):
+            a = _reference_matrix(rng, max_n=6, span=2)
+            pairs = eigenpairs(a)
+            assert pairs == _reference_eigenpairs(Matrix(a.rows))[0]
+            found += sum(v is not None for _, v in pairs)
+            finer += sum(a._keys[0] % x.value.denominator != 0 for x, _ in pairs)
+        assert found > 300 and finer > 40
+
+    def test_one_table_per_adjoint_column_tried(self, monkeypatch):
+        calls = []
+        table = matrix_module._permanent_table
+
+        def counting(*args):
+            calls.append(1)
+            return table(*args)
+
+        monkeypatch.setattr(matrix_module, "_permanent_table", counting)
+        # Eigenvalue 0 takes column 1, and eigenvalue 1 tries both columns
+        # and then their sum, which builds no table.
+        assert _reference_eigenpairs(parse_matrix("1 3\n-inf 0"))[1] == 2 + 2
+        rng = random.Random("eigenpairs-cost")
+        texts = ["1 3\n-inf 0"] + [str(_reference_matrix(rng, max_n=5, span=2)) for _ in range(20)]
+        for text in texts:
+            tried = _reference_eigenpairs(parse_matrix(text))[1]
+            calls.clear()
+            eigenpairs(parse_matrix(text))
+            assert len(calls) == 1 + tried
 
 
 class TestCharpolyPower:
