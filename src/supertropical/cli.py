@@ -123,18 +123,13 @@ def _generated_config(args) -> fuzz.Config:
 def _summary(check_id: str, verdicts: Iterable[spectral.Verdict]) -> spectral.Verdict:
     """One verdict over many cases: the case and failure counts, and the
     first failure's witness."""
-    cases = 0
-    failures = []
-    for v in verdicts:
-        cases += 1
+    cases, failures = 0, []
+    for cases, v in enumerate(verdicts, start=1):
         if v.holds is False:
             failures.append(v)
-    return spectral.Verdict(
-        check_id,
-        not failures,
-        failures[0].witness if failures else None,
-        ({"cases": cases, "failures": len(failures)},),
-    )
+    witness = failures[0].witness if failures else None
+    return spectral.Verdict(check_id, not failures, witness,
+                            ({"cases": cases, "failures": len(failures)},))
 
 
 def _power(args) -> int:
@@ -181,26 +176,8 @@ def _run_frobenius(args) -> int:
 
 
 def _run_prop32(args) -> int:
-    """The power law on each tangible eigenvalue's eigenvector from the adjoint,
-    each verdict led by the eigenvalue it is for."""
-    a, m = _read_matrix(args.file), _power(args)
-    # Refused as `mat_pow` refuses it, also when no eigenpair would reach `mat_pow`.
-    if m > matrix.MAX_POWER:
-        raise BoundExceededError("matrix power", m, matrix.MAX_POWER)
-
-    def not_applicable(**detail: str) -> spectral.Verdict:
-        return spectral.Verdict("eigen-power", None, None, (detail,))
-
-    def verdict(x: scalar.Scalar, v: tuple[scalar.Scalar, ...] | None) -> spectral.Verdict:
-        if v is None:
-            return not_applicable(eigenvalue=str(x), note="no column of adj(A + xI), nor their "
-                                  "sum, gives a tangible eigenvector")
-        inner = spectral.check_eigen_power(a, v, x, m)
-        head = {"eigenvalue": str(x), "vector": "(" + ", ".join(map(str, v)) + ")"}
-        return spectral.Verdict(inner.check, inner.holds, inner.witness, (head, *inner.detail))
-
-    verdicts = [verdict(x, v) for x, v in spectral.eigenpairs(a, args.bound)]
-    return _print_verdicts(verdicts or [not_applicable(note="no tangible eigenvalue")], args.json)
+    """The power law on each tangible eigenvalue's eigenvector from the adjoint."""
+    return _print_verdicts(spectral.eigen_power_verdicts(_file_trial(args)), args.json)
 
 
 def _run_claim35(args) -> int:

@@ -6,9 +6,9 @@ without loading the modules that use them: ``spectral`` for the laws,
 shape.
 """
 
-# The check ids of the matrix-power laws, in the order ``spectral.CHECKS``
-# runs them and ``check --help`` lists them.
-LAW_IDS = ("thm36", "thm13", "cor37", "cor38", "trace")
+# The one list of the matrix-power laws' check ids, in the paper's order, which
+# is that of ``spectral.CHECKS``, of a campaign's runs and of ``check --help``.
+LAW_IDS = ("thm13", "thm36", "cor37", "cor38", "trace")
 
 # The largest matrix dimension det and char_poly accept unless given ``bound=``.
 DEFAULT_DET_BOUND = 9

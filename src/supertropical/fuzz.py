@@ -21,16 +21,13 @@ from .defaults import (
     DEFAULT_MIN_N,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    LAW_IDS,
 )
 from .errors import BoundExceededError, DomainError
 from .matrix import Matrix, check_dim_bound
 from .polynomial import Polynomial
 from .scalar import Scalar, _Record, _decode
 from .spectral import CHECKS, Trial
-
-# The default checks, in the order a campaign reports them; they run in
-# ``CHECKS`` order.
-CAMPAIGN_CHECKS = ("thm13", "thm36", "cor37", "cor38", "trace")
 
 # The most trials one campaign runs; more are refused before any is drawn.
 MAX_TRIALS = 10**6
@@ -168,23 +165,23 @@ def generate_trials(cfg: Config) -> Iterator[Trial]:
         yield Trial(a, b, m, cfg.det_bound)
 
 
-def run_campaign(cfg: Config, checks: tuple[str, ...] = CAMPAIGN_CHECKS) -> CampaignResult:
+def run_campaign(cfg: Config, checks: tuple[str, ...] = LAW_IDS) -> CampaignResult:
+    """Run each of ``checks`` (`spectral.CHECKS` ids, by default ``LAW_IDS``)
+    once per trial, and tally it and list its violations, in that order."""
     unknown = [c for c in checks if c not in CHECKS]
     if unknown:
         raise DomainError(f"unknown check id: {unknown[0]!r}")
     tallies = {c: {"pass": 0, "fail": 0, "na": 0} for c in checks}
     violations: list[dict] = []
     for trial, inputs in enumerate(generate_trials(cfg)):
-        for name, check in CHECKS.items():
-            if name not in tallies:
-                continue
-            verdict = check(inputs)
+        for name, tally in tallies.items():
+            verdict = CHECKS[name](inputs)
             if verdict.holds is None:
-                tallies[name]["na"] += 1
+                tally["na"] += 1
             elif verdict.holds:
-                tallies[name]["pass"] += 1
+                tally["pass"] += 1
             else:
-                tallies[name]["fail"] += 1
+                tally["fail"] += 1
                 violations.append(
                     {
                         "trial": trial,

@@ -72,6 +72,14 @@ def check_dim_bound(
     return limit
 
 
+def check_power(m: int) -> None:
+    """Refuse a negative matrix power, or one above `MAX_POWER`."""
+    if m < 0:
+        raise DomainError("negative matrix powers are not defined")
+    if m > MAX_POWER:
+        raise BoundExceededError("matrix power", m, MAX_POWER)
+
+
 class Matrix(_Record):
     """An n-by-n array of scalars, indexed from 0 in the API.
 
@@ -198,12 +206,9 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 def mat_pow(a: Matrix, m: int) -> Matrix:
     """A^m at A's scale, as keys, by repeated squaring: m = 2 takes one
     product, m = 3 two. The keys are read first, so a scale past the cap is
-    refused before a negative m or one above `MAX_POWER`."""
+    refused before a power that `check_power` refuses."""
     scale, keys = a._keys
-    if m < 0:
-        raise DomainError("negative matrix powers are not defined")
-    if m > MAX_POWER:
-        raise BoundExceededError("matrix power", m, MAX_POWER)
+    check_power(m)
     square = keys
     result = None if m else [[0 if i == j else None for j in range(a.n)] for i in range(a.n)]
     while m:

@@ -29,6 +29,7 @@ from .matrix import (
     _check_product_shape,
     char_poly,
     check_dim_bound,
+    check_power,
     mat_mul,
     mat_pow,
     mat_vec,
@@ -177,9 +178,14 @@ def check_eigen_power(a: Matrix, v: Sequence[Scalar], x: Scalar, m: int) -> Verd
     """Given an eigenpair (v, x) of A, is (v, x^m) an eigenpair of A^m?"""
     if not check_eigenpair(a, v, x).holds:
         raise DomainError("(v, x) is not an eigenpair of the given matrix")
-    inner = check_eigenpair(mat_pow(a, m), v, x**m)
+    return _eigen_power(mat_pow(a, m), v, x, m)
+
+
+def _eigen_power(power: Matrix, v: Sequence[Scalar], x: Scalar, m: int, *head: dict) -> Verdict:
+    """Is (v, x^m) an eigenpair of ``power`` = A^m? The detail records follow ``head``."""
+    inner = check_eigenpair(power, v, x**m)
     witness = None if inner.holds else {**inner.witness, "m": m}
-    return Verdict("eigen-power", inner.holds, witness, inner.detail)
+    return Verdict("eigen-power", inner.holds, witness, (*head, *inner.detail))
 
 
 def _text(k: int | None, scale: int) -> str:
@@ -192,15 +198,15 @@ class Trial:
     determinant product rule reads ``b``, and it alone ignores ``m``.
 
     Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m),
-    the trace law reads A^m too, and the determinant rule reads det(A),
-    det(B) and det(AB) as coefficient 0 of the characteristic polynomials of
-    A, B and AB. So the trial computes each of these once, on first use:
+    the trace law and prop32 read A^m too, and the determinant rule reads
+    det(A), det(B) and det(AB) as coefficient 0 of the characteristic
+    polynomials of A, B and AB. So the trial computes each once, on first use:
     ``power`` = A^m, ``alpha`` = charpoly(A) and ``beta`` = charpoly(A^m),
     which the matrices keep as keys; running every law costs one key-space
     power, one product AB and at most four characteristic-polynomial tables
     (a matrix keeps its own). The laws compare keys at A's scale, or at the
     joint scale of A and B, and decode nothing unless a verdict's detail or
-    witness is read.
+    witness is read. A campaign runs and reports them in ``LAW_IDS`` order.
     """
 
     def __init__(self, a: Matrix, b: Matrix, m: int, bound: int | None = None):
@@ -216,7 +222,9 @@ class Trial:
 
     @cached_property
     def beta(self) -> Polynomial:
-        # The power first: a negative or oversize m is refused before the dimension.
+        # m, then n, before A^m: a bad m is refused first, and an oversize A costs no product.
+        check_power(self.m)
+        check_dim_bound("characteristic polynomial", self.a.n, self.bound)
         return char_poly(self.power, self.bound)
 
     @cached_property
@@ -341,17 +349,35 @@ def _trace_power(t: Trial) -> Verdict:
 
 CHECKS: dict[str, Callable[[Trial], Verdict]] = dict(zip(
     LAW_IDS,
-    (_charpoly_power, _det_rule, _tangible_equality, _corner_root_power, _trace_power),
+    (_det_rule, _charpoly_power, _tangible_equality, _corner_root_power, _trace_power),
     strict=True,
 ))
 """The matrix-power laws by check id, each a function of one ``Trial``.
 
-The ids are ``defaults.LAW_IDS``, which the command line reads without
-loading this module. Both ``check`` and ``fuzz`` dispatch through this table, and every law reads
-the trial's cached A^m and characteristic polynomials instead of computing
-its own. A campaign runs the laws in this order, which is also the order of
-one trial's entries in the violations list.
+In ``defaults.LAW_IDS`` order, the paper's, which the command line reads
+without loading this module. Both ``check`` and ``fuzz`` dispatch through
+this table; every law reads the trial's cached A^m and characteristic
+polynomials. A campaign runs and reports the laws, and lists one trial's
+violations, in ``LAW_IDS`` order.
 """
+
+
+def eigen_power_verdicts(t: Trial) -> list[Verdict]:
+    """The prop32 verdicts: is (v, x^m) an eigenpair of the trial's A^m, for
+    each tangible eigenvalue x of A and its eigenvector v from `eigenpairs`
+    (led by x and v; N/A without v, or without x)? The pairs are not checked
+    again on A, and m is refused also when no pair reads A^m."""
+    check_power(t.m)
+    verdicts = []
+    for x, v in eigenpairs(t.a, t.bound):
+        head = {"eigenvalue": str(x)}
+        if v is None:
+            head["note"] = "no column of adj(A + xI), nor their sum, gives a tangible eigenvector"
+            verdicts.append(Verdict("eigen-power", None, None, (head,)))
+        else:
+            head["vector"] = "(" + ", ".join(map(str, v)) + ")"
+            verdicts.append(_eigen_power(t.power, v, x, t.m, head))
+    return verdicts or [Verdict("eigen-power", None, None, ({"note": "no tangible eigenvalue"},))]
 
 
 def check_charpoly_power(a: Matrix, m: int, bound: int | None = None) -> Verdict:

@@ -6,13 +6,17 @@ import io
 import json
 import os
 import tempfile
+from collections import Counter
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from supertropical import Polynomial, Verdict, ZERO, cli, oracle, parse_polynomial, roots
+from supertropical import (
+    Polynomial, Verdict, ZERO, cli, oracle, parse_polynomial, roots, spectral,
+)
 from supertropical.fuzz import MAX_TRIALS, CampaignResult
 from supertropical.matrix import MAX_POWER
 from supertropical.polynomial import MAX_PARSE_DEGREE
@@ -238,6 +242,26 @@ class TestCheckCommand:
         assert code == 0
         assert out.startswith("PASS eigen-power")
 
+    def test_prop32_builds_the_power_once(self, capsys, monkeypatch, tmp_path):
+        # A^m is the trial's, built once; each eigenpair that `eigenpairs`
+        # found is checked on A^m, not again on A. B4 has two eigenpairs, and
+        # `eigenpairs` checks six candidates to find them.
+        calls = Counter()
+        for name in ("mat_pow", "check_eigenpair"):
+
+            def counted(*args, _name=name, _original=getattr(spectral, name)):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(spectral, name, counted)
+        path = tmp_path / "B4.txt"
+        path.write_text("1/2g 3/2 1/2 -inf\n1/2 1g 1 -1/3\n-2/3 2 3/2 -inf\n-1/3 2 1 2\n",
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "check", "prop32", "-f", str(path), "-m", "2")
+        golden = Path(__file__).resolve().parent / "golden" / "check_prop32_fB4_m2.txt"
+        assert (code, out) == (0, golden.read_text(encoding="utf-8"))
+        assert calls == Counter({"mat_pow": 1, "check_eigenpair": 8})
+
     def test_prop32_eigenvalue_without_eigenvector(self, capsys, tmp_path):
         # Eigenvalue 0 has the eigenvector (3, 1); eigenvalue 1 has no tangible one.
         path = tmp_path / "N.txt"
@@ -445,6 +469,24 @@ class TestErrorPaths:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "command,text,message",
+        [
+            ("det", '{"rows": [["1"]]}', "matrix JSON needs keys 'n' and 'rows'"),
+            ("det", '{"n": 1, "rows": [[1]]}', "expected a scalar string, got int"),
+            ("det", '{"n": 2, "rows": "ab"}', "matrix JSON 'rows' must be a list of lists"),
+            ("roots", "[1, 2]", "expected a scalar string, got int"),
+            ("roots", '["1", {"a": 1}]', "expected a scalar string, got dict"),
+        ],
+        ids=["matrix-missing-n", "matrix-int-entry", "matrix-rows-string",
+             "poly-int-entries", "poly-dict-entry"],
+    )
+    def test_json_reader_refusals_exit_2(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "input.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, command, str(path))
+        assert (code, out, err) == (2, "", f"error: {message}\n")
 
     def test_empty_json_matrix_exit_2(self, capsys, tmp_path):
         path = tmp_path / "empty.json"

@@ -15,6 +15,7 @@ from supertropical.defaults import (
     DEFAULT_MAX_N,
     DEFAULT_SEED,
     DEFAULT_TRIALS,
+    LAW_IDS,
 )
 from supertropical.fuzz import MAX_TRIALS, generate_trials
 from supertropical import (
@@ -26,14 +27,10 @@ from supertropical import (
     det,
     mat_mul,
     mat_pow,
-    check_eigenpair,
-    parse_matrix,
     random_matrix,
     random_polynomial,
     roots,
     run_campaign,
-    search_eigenpairs,
-    tangible,
     trace,
     trial_seed,
 )
@@ -217,6 +214,28 @@ class TestCampaign:
             assert list(verdict.detail) == _scalar_route_detail(check_id, t), (check_id, t.a)
         assert all(calls[name] > 0 for name in ("_decode", "Fraction", "Scalar", "__str__"))
 
+    def test_violations_in_tally_order(self, monkeypatch):
+        # With every law failing, one trial's violations are listed in the
+        # order the campaign tallies and runs the checks: by default LAW_IDS,
+        # thm13 first, and else the order given.
+        ran = []
+
+        def failing(check_id):
+            ran.append(check_id)
+            return spectral.Verdict(check_id, False, {})
+
+        for check_id in LAW_IDS:
+            monkeypatch.setitem(spectral.CHECKS, check_id, lambda t, _id=check_id: failing(_id))
+        default = run_campaign(Config(trials=2, seed=0))
+        reverse = run_campaign(Config(trials=2, seed=0), LAW_IDS[::-1])
+        assert ran == [*LAW_IDS, *LAW_IDS, *LAW_IDS[::-1], *LAW_IDS[::-1]]
+        for result, checks in ((default, LAW_IDS), (reverse, LAW_IDS[::-1])):
+            assert list(result.tallies) == list(checks)
+            assert [(v["trial"], v["check"]) for v in result.violations] == [
+                (trial, check_id) for trial in range(2) for check_id in checks
+            ]
+        assert default.violations[0]["check"] == "thm13"
+
     def test_unknown_check_id_rejected(self):
         with pytest.raises(DomainError, match="thm99"):
             run_campaign(Config(trials=3), ("thm99", "thm36"))
@@ -254,11 +273,3 @@ def _scalar_route_detail(check_id: str, t) -> list[dict]:
     lhs, rhs = trace(mat_pow(a, m)), trace(a) ** m
     return [{"lhs": str(lhs), "rhs": str(rhs)}]
 
-
-class TestEigenpairSearch:
-    def test_finds_golden_pair(self):
-        a = parse_matrix("0 0\n1 2")
-        pairs = search_eigenpairs(a, lattice=range(-2, 3), max_results=None)
-        assert ((tangible(0), tangible(2)), tangible(2)) in pairs
-        for v, x in pairs:
-            assert check_eigenpair(a, v, x).holds

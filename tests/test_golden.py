@@ -25,6 +25,7 @@ from supertropical import (
     roots,
     run_campaign,
 )
+from supertropical.defaults import LAW_IDS
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -37,8 +38,6 @@ MATRICES = {
     "A2": "1 2\n3 4\n",
     "B4": "1/2g 3/2 1/2 -inf\n1/2 1g 1 -1/3\n-2/3 2 3/2 -inf\n-1/3 2 1 2\n",
 }
-
-LAW_IDS = ("thm13", "thm36", "cor37", "cor38", "trace")
 
 CASES = {
     "fuzz_t200_s42.txt": ["fuzz", "--trials", "200", "--seed", "42"],

@@ -18,8 +18,10 @@ from pathlib import Path
 import pytest
 
 import supertropical
+from supertropical.defaults import LAW_IDS
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
 
 # The package's public names, by the module that defines each: resolving
 # them lazily must keep every one.
@@ -220,3 +222,31 @@ def test_only_the_oracle_enumerates():
                   and isinstance(node.value, ast.Name) and node.value.id == "itertools"):
                 found.append((path.name, node.attr))
     assert found == []
+
+
+def test_one_list_of_law_ids():
+    # The five law ids are spelled out together once, as `defaults.LAW_IDS`;
+    # every other list of them, in the package or its tests, reads that one.
+    found = []
+    for path in sorted([*(SRC / "supertropical").glob("*.py"), *TESTS.glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+                spelled = {e.value for e in node.elts if isinstance(e, ast.Constant)}
+                if set(LAW_IDS) <= spelled:
+                    found.append((path.name, type(node).__name__))
+    assert found == [("defaults.py", "Tuple")]
+
+
+def test_one_power_rule():
+    # Only `matrix` reads the power cap: every other module has a power
+    # refused by `matrix.check_power`, through `mat_pow` or on its own.
+    readers = []
+    for path in sorted((SRC / "supertropical").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {getattr(node, "id", None) or getattr(node, "attr", None)
+                 for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute))}
+        names |= {a.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for a in node.names}
+        if "MAX_POWER" in names:
+            readers.append(path.name)
+    assert readers == ["matrix.py"]

@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import supertropical.matrix as matrix_module
-from supertropical.matrix import MAX_POWER
+from supertropical.matrix import MAX_POWER, check_power
 from supertropical.scalar import _key_pow
 from supertropical import (
     BoundExceededError,
@@ -325,6 +325,13 @@ class TestCaps:
         message = rf"^matrix power: size {MAX_POWER + 1} exceeds bound {MAX_POWER}$"
         with pytest.raises(BoundExceededError, match=message):
             mat_pow(one, MAX_POWER + 1)
+        # The one power rule, which `mat_pow` and the laws' trials call.
+        for m in (0, 1, MAX_POWER):
+            assert check_power(m) is None
+        with pytest.raises(BoundExceededError, match=message):
+            check_power(MAX_POWER + 1)
+        with pytest.raises(DomainError, match=r"^negative matrix powers are not defined$"):
+            check_power(-1)
 
     def test_huge_power_reported_by_digit_count(self):
         # 10**5000 is past the interpreter's str() limit for ints; the

@@ -17,6 +17,7 @@ from supertropical import (
     SymPoly,
     census_power_tracks,
     char_poly,
+    check_eigenpair,
     det,
     enum_det,
     essential,
@@ -26,6 +27,7 @@ from supertropical import (
     parse_matrix,
     parse_polynomial,
     sampled_equiv,
+    search_eigenpairs,
     sym_charpoly_coeff,
     sym_direct_charpoly,
     tangible,
@@ -164,6 +166,15 @@ def test_oracle_uses_no_kernel_arithmetic():
             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert not used & kernel
+
+
+class TestEigenpairSearch:
+    def test_finds_golden_pair(self):
+        a = parse_matrix("0 0\n1 2")
+        pairs = search_eigenpairs(a, lattice=range(-2, 3), max_results=None)
+        assert ((tangible(0), tangible(2)), tangible(2)) in pairs
+        for v, x in pairs:
+            assert check_eigenpair(a, v, x).holds
 
 
 class TestSampledEquiv:

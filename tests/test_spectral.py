@@ -473,6 +473,26 @@ class TestTrialKeySpace:
                 CHECKS[check_id](Trial(a3, a3, -1, bound=2))
 
 
+def test_oversize_matrix_refused_before_its_power(monkeypatch):
+    # charpoly(A^m) checks m and then the dimension before A^m is built, so
+    # an oversize matrix is refused after no key product.
+    calls = []
+    product = matrix_module._key_product
+
+    def counting(*args):
+        calls.append(1)
+        return product(*args)
+
+    monkeypatch.setattr(matrix_module, "_key_product", counting)
+    a = Matrix.identity(10)
+    for check_id in ("thm36", "cor37"):
+        with pytest.raises(
+            BoundExceededError, match=r"^characteristic polynomial: size 10 exceeds bound 9$"
+        ):
+            CHECKS[check_id](Trial(a, a, 3))
+    assert calls == []
+
+
 def test_trial_reads_the_matrix_cache(monkeypatch):
     # A trial's charpoly(A) is the matrix's own: after char_poly(a), the
     # charpoly-power law builds one more table, for A^m.
