@@ -93,10 +93,18 @@ def trial_seed(seed: int, trial: int) -> str:
 
 def _random_key(rng: random.Random, cfg: Config, allow_zero: bool = True) -> int | None:
     """One lattice entry as a key at scale 1 (see ``scalar.py``): ``None``
-    for ``-inf``, else ``value << 1 | is_ghost``."""
+    for ``-inf``, else ``value << 1 | is_ghost``. The value is drawn as
+    CPython's ``rng.randint(value_min, value_max)`` draws it, by rejection
+    from ``getrandbits``, so a seed gives the same trials as a ``randint``
+    draw, without that call's argument checks."""
     if allow_zero and rng.random() < cfg.zero_prob:
         return None
-    return rng.randint(cfg.value_min, cfg.value_max) << 1 | (rng.random() < cfg.ghost_prob)
+    width = cfg.value_max - cfg.value_min + 1
+    k = width.bit_length()
+    r = rng.getrandbits(k)
+    while r >= width:
+        r = rng.getrandbits(k)
+    return (cfg.value_min + r) << 1 | (rng.random() < cfg.ghost_prob)
 
 
 def random_scalar(rng: random.Random, cfg: Config, allow_zero: bool = True) -> Scalar:

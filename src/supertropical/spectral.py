@@ -4,15 +4,16 @@ Each checker computes both sides of one stated relation and returns a
 `Verdict` carrying per-coefficient detail and, on failure, a witness that
 reproduces the computation. A conditional law whose hypothesis does not
 hold reports ``holds=None`` (not applicable) rather than pass or fail.
-The matrix-power laws are functions of one cached ``Trial``, listed by
-check id in ``CHECKS``; the public ``check_*`` functions wrap them. A trial
-is two matrices, and it works in their key space from end to end: A^m, AB
-and both characteristic polynomials come from `mat_pow`, `mat_mul` and
-`char_poly` as keys, and the laws compare keys; the corner-root law
+The matrix-power laws are functions of one cached ``Trial``, listed by check
+id in ``CHECKS``; the public ``check_*`` functions wrap them. A trial is two
+matrices, and it works in their key space from end to end: A^m, AB and both
+characteristic polynomials come from `mat_pow`, `mat_mul` and `char_poly` as
+keys, det(AB) and det(B) from `matrix._det_column`, the one kernel this
+module calls on keys, and the laws compare keys; the corner-root law
 compares the corner roots of both characteristic polynomials as their
-envelopes' integer cuts. A law's verdict builds its detail records when
-they are first read, and its witness only on failure, so a passing law
-decodes nothing and builds no string and no `Fraction`.
+envelopes' integer cuts. A law's verdict builds its detail records when they
+are first read, and its witness only on failure, so a passing law decodes
+nothing and builds no string and no `Fraction`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .errors import DomainError
 from .matrix import (
     Matrix,
     _check_product_shape,
+    _det_column,
     char_poly,
     check_dim_bound,
     check_power,
@@ -151,15 +153,17 @@ def eigenpairs(
     Column r of adj(B) is det(B without row r and column c) for c = 0..n-1
     (the unit when n = 1). The columns are tried in turn and then their sum;
     the first with no -inf entry whose tangible projection passes
-    `check_eigenpair` is the eigenvector. Column r is read off one subset
-    table of B with row r on top (its entry for all columns but c is that
-    minor's permanent), and decoded at B's scale only when it is tried.
+    `check_eigenpair` is the eigenvector. Column r is read off one
+    determinant column of B's keys with row r on top (`matrix._det_column`;
+    its entry for all columns but c is that minor's permanent), and decoded
+    at B's scale only when it is tried. So an eigenvalue costs at most n
+    integer columns of size n and builds no polynomial table.
     """
 
     def candidates(scale: int, keys):
         columns, full = [], (1 << a.n) - 1
         for r in range(a.n):
-            dets = Matrix._from_keys(scale, (keys[r], *keys[:r], *keys[r + 1:]))._table[1]
+            dets = _det_column((keys[r], *keys[:r], *keys[r + 1:]))
             columns.append([dets[full ^ (1 << c)] for c in range(a.n)])
             yield columns[-1]
         yield [_key_sum(entries) for entries in zip(*columns)]
@@ -197,16 +201,17 @@ class Trial:
     power ``m`` and the det/charpoly dimension ``bound``. Only the
     determinant product rule reads ``b``, and it alone ignores ``m``.
 
-    Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m),
-    the trace law and prop32 read A^m too, and the determinant rule reads
-    det(A), det(B) and det(AB) as coefficient 0 of the characteristic
-    polynomials of A, B and AB. So the trial computes each once, on first use:
+    Thm 3.6 and Cor 3.7/3.8 each compare charpoly(A) with charpoly(A^m), the
+    trace law and prop32 read A^m too, and the determinant rule reads det(A)
+    as coefficient 0 of charpoly(A), and det(B) and det(AB) off their
+    determinant columns. So the trial computes each once, on first use:
     ``power`` = A^m, ``alpha`` = charpoly(A) and ``beta`` = charpoly(A^m),
     which the matrices keep as keys; running every law costs one key-space
-    power, one product AB and at most four characteristic-polynomial tables
-    (a matrix keeps its own). The laws compare keys at A's scale, or at the
-    joint scale of A and B, and decode nothing unless a verdict's detail or
-    witness is read. A campaign runs and reports them in ``LAW_IDS`` order.
+    power, one product AB, two characteristic-polynomial tables (a matrix
+    keeps its own) and two integer determinant columns. The laws compare
+    keys at A's scale, or at the joint scale of A and B, and decode nothing
+    unless a verdict's detail or witness is read. A campaign runs and
+    reports them in ``LAW_IDS`` order.
     """
 
     def __init__(self, a: Matrix, b: Matrix, m: int, bound: int | None = None):
@@ -270,17 +275,19 @@ def _charpoly_power(t: Trial) -> Verdict:
 
 
 def _det_rule(t: Trial) -> Verdict:
-    # A determinant is coefficient 0 of its matrix's characteristic
-    # polynomial; the dimension is checked first, so that an oversize matrix
-    # is refused as a determinant.
+    # det(A) is coefficient 0 of charpoly(A), which the other laws build
+    # anyway; det(AB) and det(B) are read off determinant columns alone. The
+    # dimension is checked first, so that an oversize matrix is refused as a
+    # determinant.
     _check_product_shape(t.a.n, t.b.n)
     check_dim_bound("determinant", t.a.n, t.bound)
     ab = mat_mul(t.a, t.b)
     scale = ab._keys[0]
-    lhs = ab._char_poly._keys[1][0]
+    lhs = _det_column(ab._keys[1])[-1]
     # rhs = det(A) * det(B), the key-space product, with each rescaled from
     # its own matrix's scale to AB's.
-    p, q = (_key_pow(f._keys[1][0], scale // f._keys[0]) for f in (t.alpha, t.b._char_poly))
+    p = _key_pow(t.alpha._keys[1][0], scale // t.a._keys[0])
+    q = _key_pow(_det_column(t.b._keys[1])[-1], scale // t.b._keys[0])
     rhs = None if p is None or q is None else p + q - (p & q & 1)
     holds = _key_surpasses(lhs, rhs)
 

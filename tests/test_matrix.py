@@ -653,6 +653,33 @@ def test_scaled_kernels_match_scalar_references():
     assert ties > 20
 
 
+def test_det_column_is_the_table_column():
+    """`_det_column` equals `_permanent_table`'s determinant column, ties and
+    -inf included, also on rows in a shuffled order, where the table's x
+    terms fall off the diagonal and its column still reads none of them."""
+    rng = random.Random("det-column")
+    ties = scaled = 0
+    for trial in range(800):
+        n = trial % 8 + 1
+        zero_prob = rng.choice((0, 0.15, 0.3, 0.5))
+        values = [Fraction(p, rng.choice((1, 2, 3))) for p in range(-2, 3)]
+        a = Matrix(tuple(
+            tuple(ZERO if rng.random() < zero_prob
+                  else (ghost if rng.random() < 0.4 else tangible)(rng.choice(values))
+                  for _ in range(n))
+            for _ in range(n)
+        ))
+        scale, keys = a._keys
+        shuffled = rng.sample(keys, n)
+        for rows in (keys, shuffled):
+            column = matrix_module._det_column(rows)
+            assert column == matrix_module._permanent_table(rows)[1], a
+        assert column[-1] == a._table[1][-1]
+        scaled += scale > 1
+        ties += det(a).classification is DetClass.GHOST_BY_TIE
+    assert ties > 100 and scaled > 400
+
+
 # The golden fixture B4 and the bytes of its pickles, pinned above.
 B4_TEXT = "1/2g 3/2 1/2 -inf\n1/2 1g 1 -1/3\n-2/3 2 3/2 -inf\n-1/3 2 1 2\n"
 B4_PICKLE = (

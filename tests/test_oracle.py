@@ -157,9 +157,10 @@ class TestOracleBound:
 
 def test_oracle_uses_no_kernel_arithmetic():
     """The reference computes in `Scalar`s: it imports none of the key codec,
-    the key arithmetic or the permanent kernel that it is there to check."""
-    kernel = {"_encode_keys", "_key_scale", "_decode", "_permanent_table", "_key_product",
-              "_key_pow", "_key_sum", "_key_surpasses"}
+    the key arithmetic or the permanent kernels (the table and the
+    determinant column) that it is there to check."""
+    kernel = {"_encode_keys", "_key_scale", "_decode", "_permanent_table", "_det_column",
+              "_key_product", "_key_pow", "_key_sum", "_key_surpasses"}
     assert kernel <= package_defines()
     tree = ast.parse(Path(oracle.__file__).read_text(encoding="utf-8"))
     used = {alias.name.rpartition(".")[2] for node in ast.walk(tree)

@@ -7,6 +7,7 @@ import itertools
 import json
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -230,16 +231,20 @@ class TestEigenpairs:
         assert found > 300 and finer > 40
 
     def test_one_table_per_adjoint_column_tried(self, monkeypatch):
-        calls = []
-        table = matrix_module._permanent_table
+        # A's table (for its eigenvalues), then one determinant column per
+        # adjoint column tried and no other table.
+        calls = Counter()
+        for name in ("_permanent_table", "_det_column"):
 
-        def counting(*args):
-            calls.append(1)
-            return table(*args)
+            def counted(*args, _name=name, _original=getattr(matrix_module, name)):
+                calls[_name] += 1
+                return _original(*args)
 
-        monkeypatch.setattr(matrix_module, "_permanent_table", counting)
+            for module in (matrix_module, spectral_module):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted)
         # Eigenvalue 0 takes column 1, and eigenvalue 1 tries both columns
-        # and then their sum, which builds no table.
+        # and then their sum, which builds no column.
         assert _reference_eigenpairs(parse_matrix("1 3\n-inf 0"))[1] == 2 + 2
         rng = random.Random("eigenpairs-cost")
         texts = ["1 3\n-inf 0"] + [str(_reference_matrix(rng, max_n=5, span=2)) for _ in range(20)]
@@ -247,7 +252,7 @@ class TestEigenpairs:
             tried = _reference_eigenpairs(parse_matrix(text))[1]
             calls.clear()
             eigenpairs(parse_matrix(text))
-            assert len(calls) == 1 + tried
+            assert calls == Counter({"_permanent_table": 1, "_det_column": tried})
 
 
 class TestCharpolyPower:
@@ -511,18 +516,19 @@ def test_trial_reads_the_matrix_cache(monkeypatch):
 
 
 def test_det_rule_multiplies_through_mat_mul():
-    """The product rule takes AB from `mat_mul` and each determinant from a
-    matrix's characteristic polynomial: `spectral` imports none of the
-    key-space helpers that encode or multiply matrices or build a subset
-    table, so it keeps no copy of the product of its own and reaches a
-    table only through a matrix."""
-    helpers = {"_encode_keys", "_key_scale", "_key_product", "_permanent_table"}
+    """The product rule takes AB from `mat_mul`: `spectral` imports none of
+    the key-space helpers that encode or multiply matrices or build a
+    polynomial subset table, so it keeps no copy of the product of its own
+    and reaches a table only through a matrix. The determinant column
+    (`_det_column`) is the one kernel it calls on keys, for det(AB), det(B)
+    and the adjoint's columns."""
+    helpers = {"_encode_keys", "_key_scale", "_key_product", "_permanent_table", "_det_column"}
     assert helpers <= package_defines()
     tree = ast.parse(Path(spectral_module.__file__).read_text(encoding="utf-8"))
     used = {alias.name.rpartition(".")[2] for node in ast.walk(tree)
             if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
     used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not used & helpers
+    assert used & helpers == {"_det_column"}
     assert "mat_mul" in used
 
 
