@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Subcommands: det, charpoly, roots, eigen, check, fuzz. Exit codes: 0 on
-success, 1 when a check or campaign found a violation, 2 for input errors,
-3 when a bound (dimension, degree, digit count, matrix or polynomial scale,
-matrix power or trial count) was exceeded.
+Subcommands: det, charpoly, roots, eigen, check, fuzz. Each is a function
+from its parsed arguments to one report; `main` prints that report once, as
+text or ``--json``, and takes the exit code from it. Exit codes: 0 on
+success, 1 when the report is not ``ok`` (a check or campaign found a
+violation), 2 for input errors, 3 when a bound (dimension, degree, digit
+count, matrix or polynomial scale, matrix power or trial count) was exceeded.
 
 Every subcommand uses ``polynomial`` (and ``scalar``), which load with this
 module. The other submodules are bound here as the package's lazy modules:
@@ -65,24 +67,23 @@ def _emit(report, as_json: bool) -> None:
     print(json.dumps(report.to_json_dict(), sort_keys=True, indent=2) if as_json else report)
 
 
-def cmd_det(args) -> int:
-    _emit(matrix.det(_read_matrix(args.path), bound=args.bound), args.json)
-    return 0
+_MATRIX_FILE = "matrix file (text or JSON)"
 
-
-def cmd_charpoly(args) -> int:
-    _emit(matrix.char_poly(_read_matrix(args.path), bound=args.bound), args.json)
-    return 0
-
-
-def cmd_roots(args) -> int:
-    _emit(roots(_read_polynomial(args.poly)), args.json)
-    return 0
-
-
-def cmd_eigen(args) -> int:
-    _emit(spectral.eigenvalues(_read_matrix(args.path), bound=args.bound), args.json)
-    return 0
+# The subcommands that compute one report from one input, in `--help` order:
+# name, help, positional argument and its help, whether --bound is read, and
+# the call. Each call reads its lazy module's name when it runs.
+_REPORTS = (
+    ("det", "determinant with dominant tracks", "path", _MATRIX_FILE, True,
+     lambda args: matrix.det(_read_matrix(args.path), bound=args.bound)),
+    ("charpoly", "characteristic polynomial", "path", _MATRIX_FILE, True,
+     lambda args: matrix.char_poly(_read_matrix(args.path), bound=args.bound)),
+    ("roots", "root report for a polynomial", "poly",
+     "polynomial string or file; one that starts with '-' and has no "
+     "space goes after --, as in: roots -- -2g", False,
+     lambda args: roots(_read_polynomial(args.poly))),
+    ("eigen", "eigenvalues of a matrix", "path", _MATRIX_FILE, True,
+     lambda args: spectral.eigenvalues(_read_matrix(args.path), bound=args.bound)),
+)
 
 
 class _Verdicts(tuple):
@@ -95,10 +96,9 @@ class _Verdicts(tuple):
     def __str__(self) -> str:
         return "\n".join(map(str, self))
 
-
-def _print_verdicts(verdicts: list[spectral.Verdict], as_json: bool, report=_Verdicts) -> int:
-    _emit(report(verdicts), as_json)
-    return 1 if any(v.holds is False for v in verdicts) else 0
+    @property
+    def ok(self) -> bool:
+        return all(v.holds is not False for v in self)
 
 
 def _generated_config(args) -> fuzz.Config:
@@ -132,30 +132,25 @@ def _summary(check_id: str, verdicts: Iterable[spectral.Verdict]) -> spectral.Ve
                             ({"cases": cases, "failures": len(failures)},))
 
 
-def _power(args) -> int:
-    return 2 if args.power is None else args.power
-
-
 def _file_trial(args) -> spectral.Trial:
-    """The trial that -f (and -g, else A again) and -m give."""
+    """The trial that -f (and -g, else A again) and -m (else 2) give."""
     a = _read_matrix(args.file)
     b = a if args.file_b is None else _read_matrix(args.file_b)
-    return spectral.Trial(a, b, _power(args), args.bound)
+    return spectral.Trial(a, b, 2 if args.power is None else args.power, args.bound)
 
 
-def _run_law(args) -> int:
+def _run_law(args) -> _Verdicts:
     """One of `spectral.CHECKS` on the file's trial, or tallied over a campaign."""
     check_id = args.theorem
     if args.file is not None:
-        return _print_verdicts([spectral.CHECKS[check_id](_file_trial(args))], args.json)
+        return _Verdicts([spectral.CHECKS[check_id](_file_trial(args))])
     result = fuzz.run_campaign(_generated_config(args), (check_id,))
     first = result.violations[0]["verdict"] if result.violations else {}
     tally = (result.tallies[check_id],)
-    summary = spectral.Verdict(check_id, result.ok, first.get("witness"), tally)
-    return _print_verdicts([summary], args.json)
+    return _Verdicts([spectral.Verdict(check_id, result.ok, first.get("witness"), tally)])
 
 
-def _run_charpoly_equiv(args) -> int:
+def _run_charpoly_equiv(args) -> _Verdicts:
     """Does the kernel's charpoly(A) equal the one the direct route expands?"""
 
     def check(t: spectral.Trial) -> spectral.Verdict:
@@ -164,24 +159,25 @@ def _run_charpoly_equiv(args) -> int:
         return spectral.Verdict("charpoly-equiv", same, witness)
 
     if args.file is not None:
-        return _print_verdicts([check(_file_trial(args))], args.json)
+        return _Verdicts([check(_file_trial(args))])
     verdicts = map(check, fuzz.generate_trials(_generated_config(args)))
-    return _print_verdicts([_summary(args.theorem, verdicts)], args.json)
+    return _Verdicts([_summary(args.theorem, verdicts)])
 
 
-def _run_frobenius(args) -> int:
+def _run_frobenius(args) -> _Verdicts:
     grid = [scalar.ZERO] + [f(v) for v in range(-3, 4) for f in (scalar.tangible, scalar.ghost)]
     cases = (spectral.check_frobenius(a, b, n) for a in grid for b in grid for n in range(1, 5))
-    return _print_verdicts([_summary(args.theorem, cases)], args.json)
+    return _Verdicts([_summary(args.theorem, cases)])
 
 
-def _run_prop32(args) -> int:
+def _run_prop32(args) -> _Verdicts:
     """The power law on each tangible eigenvalue's eigenvector from the adjoint."""
-    return _print_verdicts(spectral.eigen_power_verdicts(_file_trial(args)), args.json)
+    return _Verdicts(spectral.eigen_power_verdicts(_file_trial(args)))
 
 
-def _run_claim35(args) -> int:
-    n, m = 2 if args.dim is None else args.dim, _power(args)
+def _run_claim35(args) -> _Verdicts:
+    n = 2 if args.dim is None else args.dim
+    m = 2 if args.power is None else args.power
     verdicts = [oracle.census_power_tracks(n, m, k) for k in range(1, n + 1)]
 
     class Census(_Verdicts):
@@ -194,7 +190,7 @@ def _run_claim35(args) -> int:
                     entry["census"] = oracle.sym_charpoly_coeff(n, m, k).to_json_list()
             return payload
 
-    return _print_verdicts(verdicts, args.json, Census)
+    return Census(verdicts)
 
 
 # Every `check` id in `check --help` order, laws first: the flags it reads,
@@ -222,7 +218,7 @@ def _at_least_one(flag: str, value: int | None) -> None:
         raise DomainError(f"{flag} must be at least 1, got {value}")
 
 
-def cmd_check(args) -> int:
+def cmd_check(args) -> _Verdicts:
     check_id = args.theorem
     reads, generated, run = _CHECK_TABLE[check_id]
     given = {"-f": args.file, "-g": args.file_b, "-m": args.power, "-n": args.dim}
@@ -254,12 +250,6 @@ def cmd_check(args) -> int:
     return run(args)
 
 
-def cmd_fuzz(args) -> int:
-    result = fuzz.run_campaign(_generated_config(args))
-    _emit(result, args.json)
-    return 0 if result.ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="supertropical",
@@ -275,29 +265,11 @@ def build_parser() -> argparse.ArgumentParser:
                 help=f"dimension bound for det and charpoly (default {DEFAULT_DET_BOUND})",
             )
 
-    p = sub.add_parser("det", help="determinant with dominant tracks")
-    p.add_argument("path", help="matrix file (text or JSON)")
-    add_common(p)
-    p.set_defaults(func=cmd_det)
-
-    p = sub.add_parser("charpoly", help="characteristic polynomial")
-    p.add_argument("path", help="matrix file (text or JSON)")
-    add_common(p)
-    p.set_defaults(func=cmd_charpoly)
-
-    p = sub.add_parser("roots", help="root report for a polynomial")
-    p.add_argument(
-        "poly",
-        help="polynomial string or file; one that starts with '-' and has no "
-        "space goes after --, as in: roots -- -2g",
-    )
-    add_common(p, with_bound=False)
-    p.set_defaults(func=cmd_roots)
-
-    p = sub.add_parser("eigen", help="eigenvalues of a matrix")
-    p.add_argument("path", help="matrix file (text or JSON)")
-    add_common(p)
-    p.set_defaults(func=cmd_eigen)
+    for name, help_text, positional, positional_help, with_bound, call in _REPORTS:
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument(positional, help=positional_help)
+        add_common(p, with_bound)
+        p.set_defaults(func=call)
 
     p = sub.add_parser("check", help="run one law checker")
     p.add_argument("theorem", choices=CHECK_IDS)
@@ -329,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ghost-prob", type=float,
                    help=f"probability that a finite entry is ghost (default {DEFAULT_GHOST_PROB})")
     add_common(p)
-    p.set_defaults(func=cmd_fuzz)
+    p.set_defaults(func=lambda args: fuzz.run_campaign(_generated_config(args)))
 
     return parser
 
@@ -338,13 +310,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         _at_least_one("--bound", getattr(args, "bound", None))
-        return args.func(args)
+        report = args.func(args)
+        _emit(report, args.json)
     except BoundExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ParseError, ShapeError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0 if getattr(report, "ok", True) else 1
 
 
 if __name__ == "__main__":

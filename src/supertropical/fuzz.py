@@ -117,11 +117,12 @@ def random_matrix(rng: random.Random, n: int, cfg: Config) -> Matrix:
 
 
 def random_polynomial(rng: random.Random, max_degree: int, cfg: Config) -> Polynomial:
-    """Random nonzero polynomial with a guaranteed nonzero leading term."""
+    """Random nonzero polynomial with a guaranteed nonzero leading term,
+    drawn as keys at scale 1 as `random_matrix` draws, decoded only when read."""
     degree = rng.randint(1, max_degree)
-    coeffs = [random_scalar(rng, cfg) for _ in range(degree)]
-    coeffs.append(random_scalar(rng, cfg, allow_zero=False))
-    return Polynomial(tuple(coeffs))
+    keys = [_random_key(rng, cfg) for _ in range(degree)]
+    keys.append(_random_key(rng, cfg, allow_zero=False))
+    return Polynomial._from_keys(1, keys)
 
 
 class CampaignResult(_Record):

@@ -11,18 +11,17 @@ entry, which is the characteristic polynomial, and the column of degree-0
 coefficients, whose last entry is the determinant. A reader that needs only
 determinants, such as the product rule or the adjoint in `spectral`, builds
 that column alone (`_det_column`): the same recurrence with no ``x`` terms
-and one integer per subset, a quarter to a third of the table's time at
-n = 3..10. So a campaign trial builds two polynomial tables, of A and A^m,
-and two determinant columns, of AB and B. The public `det` still reads the
-matrix's table, which a later `char_poly` then reuses. The dominant tracks
-are counted from that column: the count through a column subset is the sum
-of the counts through the subsets that its dominant steps leave, and the
-classification reads the count. The tracks are listed, by a depth-first
-search over those steps, only when a report's ``dominant_tracks`` is
-iterated or indexed; a report's text and JSON list at most
-``MAX_LISTED_TRACKS`` (8!) of them. Both computations are guarded by an
-explicit dimension bound (default 9, set per call with ``bound=``, or with
-``--bound`` on the command line).
+and one integer per subset. So a campaign trial builds two polynomial
+tables, of A and A^m, and two determinant columns, of AB and B. The public
+`det` reads the matrix's table, so `det` and `char_poly` of one matrix
+share it. The dominant tracks are counted from that column: the count
+through a column subset is the sum of the counts through the subsets that
+its dominant steps leave, and the classification reads the count. The
+tracks are listed, by a depth-first search over those steps, only when a
+report's ``dominant_tracks`` is iterated or indexed; a report's text and
+JSON list at most ``MAX_LISTED_TRACKS`` (8!) of them. Both computations
+are guarded by an explicit dimension bound (default 9, set per call with
+``bound=``, or with ``--bound`` on the command line).
 
 The kernels (the permanent table, the determinant column and the matrix
 product) run on plain integers, the keys that ``scalar.py`` describes. A
@@ -347,7 +346,7 @@ class DetReport(_Record):
 def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
     """The top entry and the determinant column of the subset table of
     partial permanents of ``A + xI``, over key coefficient lists by degree
-    in ``x``; the table itself is dropped.
+    in ``x``; no other entry is kept.
 
     ``table[S]`` is the permanent of the bottom ``|S|`` rows restricted to
     the columns in bitmask ``S``: row ``i = n - |S|`` picks a column ``j`` in

@@ -206,9 +206,9 @@ class Trial:
     as coefficient 0 of charpoly(A), and det(B) and det(AB) off their
     determinant columns. So the trial computes each once, on first use:
     ``power`` = A^m, ``alpha`` = charpoly(A) and ``beta`` = charpoly(A^m),
-    which the matrices keep as keys; running every law costs one key-space
-    power, one product AB, two characteristic-polynomial tables (a matrix
-    keeps its own) and two integer determinant columns. The laws compare
+    which the matrices keep as keys. Running every law builds one key-space
+    power, one product AB, two characteristic-polynomial tables, each kept
+    by its matrix, and two integer determinant columns. The laws compare
     keys at A's scale, or at the joint scale of A and B, and decode nothing
     unless a verdict's detail or witness is read. A campaign runs and
     reports them in ``LAW_IDS`` order.

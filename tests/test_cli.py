@@ -220,6 +220,20 @@ class TestCheckCommand:
         assert code == 0
         assert out.count("PASS power-track-census") == 2
 
+    def test_claim35_violation_exits_1(self, capsys, monkeypatch):
+        # The trace of A^2 (k = 1) forged: the power track a11^2 counted
+        # twice and a12*a21 once. The k = 2 coefficient is left true.
+        real = oracle.sym_charpoly_coeff
+        track = oracle.SymMonomial.of([((0, 0), 2)])
+        other = oracle.SymMonomial.of([((0, 1), 1), ((1, 0), 1)])
+        forged = oracle.SymPoly({**real(2, 2, 1).terms, track: 2, other: 1})
+        monkeypatch.setattr(oracle, "sym_charpoly_coeff",
+                            lambda n, m, k: forged if k == 1 else real(n, m, k))
+        code, out, _ = run(capsys, "check", "claim35", "-n", "2", "-m", "2")
+        assert code == 1
+        assert out.startswith("FAIL power-track-census")
+        assert out.count("PASS power-track-census") == 1
+
     def test_claim35_full_census_json(self, capsys):
         code, out, _ = run(
             capsys, "check", "claim35", "-n", "2", "-m", "2", "--json", "--full-census"
@@ -678,6 +692,12 @@ class TestErrorPaths:
         assert (code, out) == (3, "")
         assert err == f"error: trials: size {MAX_TRIALS + 1} exceeds bound {MAX_TRIALS}\n"
         assert len(configs) == 1
+
+    def test_trials_shown_by_digit_count(self, capsys):
+        # 40 nines: one below a power of ten, where the float log10 rounds up.
+        code, out, err = run(capsys, "fuzz", "--trials", "9" * 40)
+        assert (code, out) == (3, "")
+        assert err == f"error: trials: size of 40 digits exceeds bound {MAX_TRIALS}\n"
 
     def test_max_n_cap(self, capsys):
         # Refused before any trial is drawn, however large; within the

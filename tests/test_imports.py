@@ -9,6 +9,7 @@ turns into a plain module when it runs, and ``type()`` does not run it.
 from __future__ import annotations
 
 import ast
+import importlib
 import json
 import os
 import subprocess
@@ -250,3 +251,24 @@ def test_one_power_rule():
         if "MAX_POWER" in names:
             readers.append(path.name)
     assert readers == ["matrix.py"]
+
+
+def test_benchmark_tracer_targets_exist():
+    # The benchmark's tracer (perfbench/tracer.py) wraps package names given
+    # as strings, and a name that no longer exists loses its per-layer
+    # metric without an error. Its tables are read here, not imported.
+    tree = ast.parse((TESTS.parent / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    tables = {
+        target.id: ast.literal_eval(node.value)
+        for node in tree.body if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name) and target.id in ("SPANNED", "COUNTED", "METHODS")
+    }
+    missing = []
+    for module, name in [*tables["SPANNED"].values(), *tables["COUNTED"].values()]:
+        if not callable(getattr(importlib.import_module(module), name, None)):
+            missing.append(f"{module}.{name}")
+    for module, cls, method, _spanned in tables["METHODS"].values():
+        if not callable(getattr(getattr(importlib.import_module(module), cls, None), method, None)):
+            missing.append(f"{module}.{cls}.{method}")
+    assert missing == []

@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import supertropical.matrix as matrix_module
+from supertropical.errors import _digit_count
 from supertropical.matrix import MAX_POWER, check_power
 from supertropical.scalar import _key_pow
 from supertropical import (
@@ -88,6 +89,8 @@ class TestProduct:
     def test_mat_vec(self):
         v = (tangible(0), tangible(2))
         assert mat_vec(A, v) == (tangible(2), tangible(4))
+        with pytest.raises(ShapeError, match=r"^vector length 3 does not match dimension 2$"):
+            mat_vec(A, (*v, ZERO))
 
 
 class TestDet:
@@ -103,6 +106,9 @@ class TestDet:
         assert report.classification is DetClass.GHOST_BY_TIE
         assert {t.name for t in report.dominant_tracks} == {"Id", "-Id"}
         assert all(t.product == tangible(5) for t in report.dominant_tracks)
+        tracks = report.dominant_tracks
+        assert repr(tracks) == "<2 dominant tracks>"
+        assert tracks == tuple(tracks) and tracks != list(tracks)
 
     def test_diagonal(self):
         d = parse_matrix("1 -inf -inf\n-inf 2 -inf\n-inf -inf 3")
@@ -347,6 +353,13 @@ class TestCaps:
     def test_long_sizes_shown_as_digit_counts(self, size, shown):
         assert str(BoundExceededError("x", size, 1)) == f"x: size {shown} exceeds bound 1"
 
+    def test_digit_count_at_every_length(self):
+        # From k = 15 on, the float log10 of 10**k - 1 rounds up to k, and
+        # the count is mended down by one.
+        for k in range(1, 401):
+            assert _digit_count(10**k - 1) == k
+            assert _digit_count(10**k) == k + 1
+
 
 class TestSharedCache:
     """A matrix encodes itself once and computes its characteristic
@@ -470,6 +483,9 @@ class TestKeyForm:
             assert keyed == twin and twin == keyed and hash(keyed) == hash(twin)
             assert (repr(keyed), str(keyed)) == (repr(twin), str(twin))
             assert keyed.to_json_dict() == twin.to_json_dict()
+            assert [keyed[i, j] for i in range(keyed.n) for j in range(keyed.n)] == [
+                twin[i, j] for i in range(twin.n) for j in range(twin.n)
+            ] == [entry for row in twin.rows for entry in row]
             assert pickle.dumps(keyed) == pickle.dumps(twin)
             assert char_poly(keyed) == char_poly(twin)
 

@@ -97,6 +97,29 @@ class TestCensus:
         assert verdict.holds
         assert verdict.detail[0]["other_monomials"] == 0
 
+    def test_violations_of_both_kinds(self, monkeypatch):
+        # A power-track monomial counted twice and another counted once.
+        track, other = mono((0, 0, 2)), mono((0, 1, 1), (1, 0, 1))
+        forged = SymPoly({**sym_charpoly_coeff(2, 2, 1).terms, track: 2, other: 1})
+        monkeypatch.setattr(oracle, "sym_charpoly_coeff", lambda n, m, k: forged)
+        verdict = census_power_tracks(2, 2, 1)
+        assert verdict.holds is False and str(verdict).startswith("FAIL power-track-census")
+        assert verdict.witness == {"violations": [
+            {"monomial": str(track), "count": 2, "want": 1},
+            {"monomial": str(other), "count": 1, "want": ">=2"},
+        ]}
+
+    def test_witness_lists_at_most_ten(self, monkeypatch):
+        # An empty coefficient misses all 24 power tracks of the 3-minors of
+        # a 4x4; the witness lists the first 10.
+        monkeypatch.setattr(oracle, "sym_charpoly_coeff", lambda n, m, k: SymPoly.zero())
+        verdict = census_power_tracks(4, 2, 3)
+        assert verdict.holds is False
+        assert verdict.detail[0]["power_track_monomials"] == 24
+        violations = verdict.witness["violations"]
+        assert len(violations) == 10
+        assert all(v["count"] == 0 and v["want"] == 1 for v in violations)
+
     def test_bounds_rejected(self):
         with pytest.raises(BoundExceededError):
             census_power_tracks(4, 2, 1)

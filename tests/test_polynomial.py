@@ -583,6 +583,14 @@ class TestProducts:
         unit = Polynomial((ONE,))
         assert X2_4X_5G * unit == X2_4X_5G
 
+    def test_zero_absorbs(self):
+        zero = Polynomial((ZERO,))
+        assert (X2_4X_5G * zero).is_zero and (zero * X2_4X_5G).is_zero
+
+    def test_negative_power_rejected(self):
+        with pytest.raises(DomainError, match=r"^negative polynomial powers are not defined$"):
+            X2_2X_2 ** -1
+
     @given(polynomials(max_degree=4), polynomials(max_degree=4), scalars)
     def test_product_evaluates_pointwise(self, f, g, x):
         assert (f * g).evaluate(x) == f.evaluate(x) * g.evaluate(x)

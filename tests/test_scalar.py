@@ -20,6 +20,8 @@ class TestConstruction:
         assert (a.kind, a.value) == (Kind.GHOST, Fraction(1, 2))
         assert Scalar(Kind.ZERO) == ZERO and ZERO.value is None
         assert Scalar(kind=Kind.TANGIBLE, value=Fraction(0)) == ONE
+        # A scalar equals only a scalar, not the number of its magnitude.
+        assert (Scalar(Kind.TANGIBLE, Fraction(0)) == 0) is False
 
     @pytest.mark.parametrize(
         "kind, value, message",
