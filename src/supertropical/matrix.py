@@ -8,7 +8,11 @@ included, is computed exactly by a row-by-column-subset dynamic program in
 enumerating all ``n!`` tracks. A matrix builds one such table, over the
 polynomial entries of ``A + xI``, and keeps two things from it: the top
 entry, which is the characteristic polynomial, and the column of degree-0
-coefficients, whose last entry is the determinant. A reader that needs only
+coefficients, whose last entry is the determinant. The table is built one
+subset size at a time (`_permanent_table`): the unit ``x`` on the diagonal
+is a shift of a list by one degree, each entry keeps only the degrees that
+its tracks can reach, and a layer is dropped once the next is built, so two
+layers of it are held at once, beside the column. A reader that needs only
 determinants, such as the product rule or the adjoint in `spectral`, builds
 that column alone (`_det_column`): the same recurrence with no ``x`` terms
 and one integer per subset. So a campaign trial builds two polynomial
@@ -343,10 +347,31 @@ class DetReport(_Record):
         return f"{self.value} ({self.classification.value}), dominant: {names}"
 
 
+# The subset masks by size for each n up to the default dimension bound, built
+# on first use by `_size_layers`: 2^10 - 1 small ints in all.
+_LAYERS: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+
+def _size_layers(n: int) -> tuple[tuple[int, ...], ...]:
+    """The bitmasks of the subsets of ``n`` columns, grouped by size, each
+    group in ascending order; kept for ``n`` up to the default dimension
+    bound, where building them for each table would add a fifth to its time
+    at n = 2 and a sixteenth at n = 4, and built afresh above it."""
+    if n in _LAYERS:
+        return _LAYERS[n]
+    groups: list[list[int]] = [[] for _ in range(n + 1)]
+    for subset in range(1 << n):
+        groups[subset.bit_count()].append(subset)
+    layers = tuple(map(tuple, groups))
+    if n <= DEFAULT_DET_BOUND:
+        _LAYERS[n] = layers
+    return layers
+
+
 def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
     """The top entry and the determinant column of the subset table of
     partial permanents of ``A + xI``, over key coefficient lists by degree
-    in ``x``; no other entry is kept.
+    in ``x``.
 
     ``table[S]`` is the permanent of the bottom ``|S|`` rows restricted to
     the columns in bitmask ``S``: row ``i = n - |S|`` picks a column ``j`` in
@@ -355,43 +380,70 @@ def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
     is the sum of the same track products that permutation enumeration adds
     up: ``table[2^n - 1]`` is the characteristic polynomial, and the
     degree-0 coefficient of ``table[S]`` is the partial permanent of ``A``
-    alone. A row's live terms are its finite keys at degree 0 and the unit
-    key 0 at degree 1 on the diagonal. Zero terms are skipped, and
-    ``table[S]`` is ``None`` when every track through ``S`` is ``-inf``.
+    alone. Zero terms are skipped, and ``table[S]`` is ``None`` when every
+    track through ``S`` is ``-inf``.
+
+    The table is built one size layer at a time, so row ``i`` and its
+    finite keys are fixed for a whole layer. The unit ``x`` on the diagonal
+    has key 0 at degree 1, so its term is ``table[S - {i}]`` shifted up one
+    degree, a list copy with no arithmetic. That term comes first; without
+    it, the first finite term is one list comprehension, padded to the
+    entry's width, and only the later terms are merged entry by entry. Only
+    a track's rows ``i..n-1`` that are also among ``S``'s columns can take
+    ``x``, so ``table[S]`` holds the reachable degrees
+    ``0..popcount(S >> i)`` and no more. A
+    layer's lists are dropped once the next layer is built, so at most two
+    layers of lists are held, beside the column and the subset masks: at
+    n = 15, the widest layers have 6,435 subsets each, of 32,768.
+
     The column entry ``dets[S]`` is coefficient 0 of ``table[S]``, ``None``
-    when no finite track through ``S`` avoids ``x``. The column reads no x
-    term, so a caller may pass the rows in any order; `_det_column` builds
-    it alone, for a reader that needs no other coefficient.
+    when no finite track through ``S`` avoids ``x``; it is filled in as each
+    entry is made. The column reads no x term, so a caller may pass the rows
+    in any order; `_det_column` builds it alone, for a reader that needs no
+    other coefficient.
     """
     n = len(keys)
-    live = [
-        [(1 << j, k, 0) for j, k in enumerate(row) if k is not None] + [(1 << i, 0, 1)]
-        for i, row in enumerate(keys)
-    ]
+    live = [[(1 << j, k) for j, k in enumerate(row) if k is not None] for row in keys]
+    layers = _size_layers(n)
     table: list[list[int | None] | None] = [None] * (1 << n)
+    dets: list[int | None] = [None] * (1 << n)
     table[0] = [0]
-    for subset in range(1, 1 << n):
-        size = subset.bit_count()
-        acc = None
-        for bit, p, degree in live[n - size]:
-            if not subset & bit:
-                continue
-            rest = table[subset ^ bit]
-            if rest is None:
-                continue
-            if acc is None:
-                acc = [None] * (1 + size)
-            for d, q in enumerate(rest, degree):
-                if q is None:
+    dets[0] = 0
+    for size in range(1, n + 1):
+        i = n - size
+        row = live[i]
+        diag = 1 << i
+        for subset in layers[size]:
+            acc = None
+            if subset & diag:
+                rest = table[subset ^ diag]
+                if rest is not None:
+                    acc = [None, *rest]
+            for bit, p in row:
+                if not subset & bit:
                     continue
-                term = p + q - (p & q & 1)
-                old = acc[d]
-                if old is None or term > old | 1:
-                    acc[d] = term
-                elif term >> 1 == old >> 1:
-                    acc[d] = old | 1
-        table[subset] = acc
-    return table[-1], [None if entry is None else entry[0] for entry in table]
+                rest = table[subset ^ bit]
+                if rest is None:
+                    continue
+                if acc is None:
+                    acc = [None if q is None else p + q - (p & q & 1) for q in rest]
+                    acc += [None] * (1 + (subset >> i).bit_count() - len(acc))
+                    continue
+                for d, q in enumerate(rest):
+                    if q is None:
+                        continue
+                    term = p + q - (p & q & 1)
+                    old = acc[d]
+                    if old is None or term > old | 1:
+                        acc[d] = term
+                    elif term >> 1 == old >> 1:
+                        acc[d] = old | 1
+            if acc is not None:
+                table[subset] = acc
+                dets[subset] = acc[0]
+        for subset in layers[size - 1]:
+            table[subset] = None
+    return table[-1], dets
 
 
 def _det_column(keys: _Keys) -> list[int | None]:

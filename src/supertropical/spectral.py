@@ -21,7 +21,8 @@ from __future__ import annotations
 import json
 import operator
 from functools import cached_property
-from typing import Callable, Iterable, Sequence
+from itertools import chain
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .defaults import LAW_IDS
 from .errors import DomainError
@@ -148,7 +149,8 @@ def eigenpairs(
     a: Matrix, bound: int | None = None
 ) -> list[tuple[Scalar, tuple[Scalar, ...] | None]]:
     """Each tangible eigenvalue x of A, in `eigenvalues` order, with a
-    tangible eigenvector read off the adjoint of B = A + xI, or ``None``.
+    tangible eigenvector read off the adjoint of B = A + xI, or failing
+    that off the Kleene star of |A| - x (`_critical_columns`), or ``None``.
 
     Column r of adj(B) is det(B without row r and column c) for c = 0..n-1
     (the unit when n = 1). The columns are tried in turn and then their sum;
@@ -156,8 +158,10 @@ def eigenpairs(
     `check_eigenpair` is the eigenvector. Column r is read off one
     determinant column of B's keys with row r on top (`matrix._det_column`;
     its entry for all columns but c is that minor's permanent), and decoded
-    at B's scale only when it is tried. So an eigenvalue costs at most n
-    integer columns of size n and builds no polynomial table.
+    at B's scale only when it is tried. So the adjoint costs at most n
+    integer columns of size n and builds no polynomial table. The star's
+    critical columns, and then their sum, are tried only when no adjoint
+    candidate passes, and pass through the same check.
     """
 
     def candidates(scale: int, keys):
@@ -174,8 +178,42 @@ def eigenpairs(
                               for i, row in enumerate(a.rows)])._keys
         projections = (tuple(tangible(_decode(k, scale).value) for k in col)
                        for col in candidates(scale, keys) if None not in col)
-        pairs.append((x, next((v for v in projections if check_eigenpair(a, v, x).holds), None)))
+        vectors = chain(projections, _critical_columns(a, x))
+        pairs.append((x, next((v for v in vectors if check_eigenpair(a, v, x).holds), None)))
     return pairs
+
+
+def _critical_columns(a: Matrix, x: Scalar) -> Iterator[tuple[Scalar, ...]]:
+    """The critical columns of the Kleene star of |A| - x with no -inf
+    entry, then their sum if it has none, as tangible vectors; nothing when
+    |A| - x has a cycle of positive weight.
+
+    ``d[i][j]`` is the largest weight of a path of one or more steps from i
+    to j in the graph of |A| - x (magnitudes, ghosts included), by
+    Floyd-Warshall in exact arithmetic. Column j is critical when j lies on
+    a cycle of weight 0, ``d[j][j] == 0``; it is then column j of the star,
+    a max-plus eigenvector of |A| for x (Cuninghame-Green, *Minimax
+    Algebra*, 1979; Butkovic, *Max-linear Systems*, 2010, ch. 4), and so,
+    when finite, a tangible candidate for A, since equal magnitudes
+    surpass.
+    """
+    n, lam = a.n, x.value
+    d = [[None if e.is_zero else e.value - lam for e in row] for row in a.rows]
+    for k in range(n):
+        dk = d[k]
+        for di in d:
+            if (dik := di[k]) is None:
+                continue
+            for j, dkj in enumerate(dk):
+                if dkj is not None and (di[j] is None or dik + dkj > di[j]):
+                    di[j] = dik + dkj
+    if any(d[i][i] is not None and d[i][i] > 0 for i in range(n)):
+        return
+    columns = [[row[j] for row in d] for j in range(n) if d[j][j] == 0]
+    sums = [max((e for e in entries if e is not None), default=None) for entries in zip(*columns)]
+    for column in (*columns, sums):
+        if column and None not in column:
+            yield tuple(map(tangible, column))
 
 
 def check_eigen_power(a: Matrix, v: Sequence[Scalar], x: Scalar, m: int) -> Verdict:
@@ -379,7 +417,8 @@ def eigen_power_verdicts(t: Trial) -> list[Verdict]:
     for x, v in eigenpairs(t.a, t.bound):
         head = {"eigenvalue": str(x)}
         if v is None:
-            head["note"] = "no column of adj(A + xI), nor their sum, gives a tangible eigenvector"
+            head["note"] = ("no column of adj(A + xI) or critical column of the star of |A| - x,"
+                            " nor either sum, gives a tangible eigenvector")
             verdicts.append(Verdict("eigen-power", None, None, (head,)))
         else:
             head["vector"] = "(" + ", ".join(map(str, v)) + ")"

@@ -283,8 +283,9 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", "prop32", "-f", str(path), "-m", "2")
         assert code == 0
         assert out.startswith("PASS eigen-power\n  eigenvalue=0  vector=(3, 1)\n")
-        assert out.endswith("\nN/A  eigen-power\n  eigenvalue=1  note=no column of adj(A + xI), "
-                            "nor their sum, gives a tangible eigenvector\n")
+        assert out.endswith("\nN/A  eigen-power\n  eigenvalue=1  note=no column of adj(A + xI) "
+                            "or critical column of the star of |A| - x, nor either sum, gives a "
+                            "tangible eigenvector\n")
         code, out, _ = run(capsys, "check", "prop32", "-f", str(path), "--json")
         assert code == 0
         assert [v.get("not_applicable", False) for v in json.loads(out)] == [False, True]

@@ -6,6 +6,7 @@ import itertools
 import json
 import pickle
 import random
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -694,6 +695,81 @@ def test_det_column_is_the_table_column():
         scaled += scale > 1
         ties += det(a).classification is DetClass.GHOST_BY_TIE
     assert ties > 100 and scaled > 400
+
+
+def _edge_shape(rng: random.Random, shape: str, n: int) -> Matrix:
+    """A seeded matrix of one edge shape for the subset table: ``row`` has a
+    row of -inf, ``diagonal`` an all -inf diagonal, ``x-only`` finite entries
+    only above the diagonal (so every finite track of A + xI but the all-x
+    one is -inf), and ``tied`` every entry equal."""
+    values = [Fraction(p, rng.choice((1, 2, 3))) for p in range(-3, 4)]
+
+    def entry(i, j):
+        if shape == "x-only" and j <= i or shape == "diagonal" and i == j:
+            return ZERO
+        if rng.random() < 0.15 and shape != "tied":
+            return ZERO
+        return (ghost if rng.random() < 0.3 else tangible)(rng.choice(values))
+
+    rows = [[entry(i, j) for j in range(n)] for i in range(n)]
+    if shape == "row":
+        rows[rng.randrange(n)] = [ZERO] * n
+    if shape == "tied":
+        rows = [[rows[0][0]] * n for _ in range(n)]
+    return Matrix(rows)
+
+
+def test_permanent_table_edge_shapes():
+    """On n = 1, a row of -inf, an all -inf diagonal, tracks through x alone
+    and all entries tied, the table's top has n + 1 keys, equal to the
+    direct route's characteristic polynomial at the matrix's scale for
+    n <= 6, and its column equals `_det_column`."""
+    rng = random.Random("table-edge-shapes")
+    shapes = ("random", "row", "diagonal", "x-only", "tied")
+    for trial in range(150):
+        shape = shapes[trial % len(shapes)]
+        n = 1 if trial < 10 else rng.randint(2, 8)
+        a = _edge_shape(rng, shape, n)
+        scale, keys = a._keys
+        top, dets = matrix_module._permanent_table(keys)
+        assert len(top) == n + 1 and top[-1] == 0, (shape, a)
+        assert dets == matrix_module._det_column(keys), (shape, a)
+        if n <= 6:
+            s, expected = sym_direct_charpoly(a)._keys
+            assert top == [_key_pow(k, scale // s) for k in expected], (shape, a)
+        if shape == "x-only":
+            assert top[1:] == [None] * (n - 1) + [0] and dets[-1] is None
+
+
+def test_permanent_table_holds_reachable_degrees_and_two_layers():
+    """While the table is built, ``table[S]`` has the degrees 0..k for the k
+    rows i..n-1 of S's layer that are also among S's columns, and every
+    entry held is in the layer being built or the one before it."""
+    rng = random.Random("table-layers")
+    kernel = matrix_module._permanent_table.__code__
+    for n in (3, 5):
+        a = _edge_shape(rng, "random", n)
+        seen = {}
+
+        def trace(frame, event, arg):
+            if frame.f_code is not kernel:
+                return None
+            held = {s: len(entry) for s, entry in enumerate(frame.f_locals.get("table") or ())
+                    if entry}
+            sizes = {s.bit_count() for s in held}
+            assert not sizes or max(sizes) - min(sizes) <= 1
+            seen.update(held)
+            return trace
+
+        previous = sys.gettrace()
+        sys.settrace(trace)
+        try:
+            matrix_module._permanent_table(a._keys[1])
+        finally:
+            sys.settrace(previous)
+        assert len(seen) > 2 ** n // 2
+        for s, width in seen.items():
+            assert width == 1 + (s >> (n - s.bit_count())).bit_count(), (a, s)
 
 
 # The golden fixture B4 and the bytes of its pickles, pinned above.

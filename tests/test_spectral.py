@@ -213,6 +213,24 @@ class TestEigenpairs:
         assert eigenpairs(a) == [(tangible(0), (tangible(3), tangible(1))), (tangible(1), None)]
         assert {x for _, x in search_eigenpairs(a, max_results=None)} == {tangible(0)}
 
+    def test_reducible_needs_the_star(self):
+        # Every adjoint candidate for eigenvalue 1 has a -inf entry or fails;
+        # the sum of the star's critical columns 1 and 2 is (-1, 0, 0).
+        a = parse_matrix("-inf -inf 0\n-inf 1 -inf\n-inf -inf 1")
+        assert _reference_eigenpairs(a)[0] == [(tangible(1), None)]
+        v = (tangible(-1), tangible(0), tangible(0))
+        assert check_eigenpair(a, v, tangible(1)).holds
+        assert eigenpairs(a) == [(tangible(1), v)]
+
+    def test_star_columns_and_their_sum(self):
+        # For x = 3 both critical columns of the star have a -inf entry and
+        # their sum (0, 0) has none; below 3, |A| - x has a positive cycle.
+        a = parse_matrix("3 -inf\n-inf 3")
+        assert list(spectral_module._critical_columns(a, tangible(3))) == [
+            (tangible(0), tangible(0))
+        ]
+        assert list(spectral_module._critical_columns(a, tangible(2))) == []
+
     def test_one_by_one_takes_the_unit(self):
         assert eigenpairs(parse_matrix("5")) == [(tangible(5), (tangible(0),))]
         assert eigenpairs(parse_matrix("-inf")) == []
