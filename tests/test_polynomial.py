@@ -61,6 +61,15 @@ PARSE_ERRORS = {
     "x^2 ++ 1": "not a polynomial term: ''",
     "1/0x": "zero denominator in '1/0'",
     "2/00": "zero denominator in '2/00'",
+    "1/0gx": "zero denominator in '1/0g'",
+    # The first faulty term in text order is the one reported, and the
+    # degree bound only once every term has parsed.
+    "1/0 + y": "zero denominator in '1/0'",
+    "y + 1/0": "not a polynomial term: 'y'",
+    "x^100001 + y": "not a polynomial term: 'y'",
+    "+x": "not a polynomial term: ''",
+    "  +  ": "not a polynomial term: ''",
+    "1 + " + "9" * 1001 + "x": "number of digits: size 1001 exceeds bound 1000",
 }
 
 
@@ -653,11 +662,15 @@ class TestTextForms:
     def test_json_round_trip(self, f):
         assert polynomial_from_strings(coeff_strings(f)) == f
 
-    @pytest.mark.parametrize("bad", list(PARSE_ERRORS))
+    @pytest.mark.parametrize(
+        "bad", list(PARSE_ERRORS), ids=lambda t: t if len(t) < 40 else f"{t[:8]}...{len(t)}"
+    )
     def test_parse_rejects(self, bad):
-        with pytest.raises(ParseError) as exc:
+        message = PARSE_ERRORS[bad]
+        with pytest.raises((ParseError, BoundExceededError)) as exc:
             parse_polynomial(bad)
-        assert str(exc.value) == PARSE_ERRORS[bad]
+        assert str(exc.value) == message
+        assert exc.type is (BoundExceededError if "exceeds bound" in message else ParseError)
 
     @pytest.mark.parametrize(
         "text, canonical, kinds",
@@ -672,6 +685,19 @@ class TestTextForms:
         f = parse_polynomial(text)
         assert str(f) == canonical
         assert [c.kind.value for c in f.coeffs] == kinds
+
+    @pytest.mark.parametrize(
+        "text, keys",
+        [
+            ("1\n+\t2x +\xa03x^2", (1, (2, 4, 6))),
+            ("\u2003x^2\u2028+ 1/2 \t", (2, (2, None, 0))),
+            ("3 x^2", (1, (None, None, 6))),
+            ("-inf x^3 + 1", (1, (2,))),
+            ("1 + 1g", (1, (3,))),
+        ],
+    )
+    def test_parse_keys(self, text, keys):
+        assert parse_polynomial(text)._keys == keys
 
     def test_parse_caps_degree(self):
         cap = polynomial.MAX_PARSE_DEGREE
