@@ -6,6 +6,8 @@ import ast
 import json
 import pickle
 import random
+import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,6 +38,7 @@ from supertropical import (
     tangible,
 )
 from supertropical import polynomial
+from supertropical.scalar import DIGITS, RATIONAL, check_digits, literal_ratio
 from supertropical.spectral import CHECKS, Trial
 from conftest import (
     attained_degrees,
@@ -342,6 +345,89 @@ class TestScaledEnvelope:
                                 and "_same_cut" in (getattr(node.func, "id", None),
                                                     getattr(node.func, "attr", None))}
         assert callers == {"_edges", "roots"}
+
+
+def _plain_chain(keys):
+    """The monotone chain over every point of the support: `_envelope` as
+    it was before it walked only `_hull_candidates`, kept as its reference."""
+    hull, cuts = [], []
+    for d, k in enumerate(keys):
+        if k is None:
+            continue
+        key = k >> 1
+        while hull:
+            last_d, last_key = hull[-1]
+            num, den = last_key - key, d - last_d
+            if not cuts or num * cuts[-1][1] >= cuts[-1][0] * den:
+                cuts.append((num, den))
+                break
+            hull.pop()
+            cuts.pop()
+        hull.append((d, key))
+    return tuple(d for d, _ in hull), tuple(cuts)
+
+
+def _lattice_keys(rng, degree):
+    """Keys of degree ``degree`` on the magnitudes -3..3, so flat tops and
+    on-edge points are common: dense or sparse supports, a single point,
+    or every point at one magnitude; a third of them ghost."""
+    shape = rng.choice(("dense", "sparse", "single", "equal"))
+    density = {"dense": 1.0, "sparse": rng.uniform(0.1, 0.6), "single": 0.0, "equal": 1.0}[shape]
+    level = rng.randint(-3, 3)
+    keys = []
+    for d in range(degree + 1):
+        if d < degree and rng.random() >= density:
+            keys.append(None)
+            continue
+        magnitude = level if shape == "equal" else rng.randint(-3, 3)
+        keys.append(magnitude << 1 | (rng.random() < 0.3))
+    return keys
+
+
+class TestHullCandidates:
+    """`_envelope` walks only the points that can lie on the hull from
+    degree `_RECORDS_ABOVE` on; its output is the plain chain's."""
+
+    def test_matches_the_plain_chain(self):
+        rng = random.Random("hull-candidates")
+        for index in range(6100):
+            keys = _lattice_keys(rng, index % 61)
+            f = Polynomial._from_keys(1, keys)
+            assert polynomial._envelope(f) == _plain_chain(keys), keys
+
+    def test_candidates_hold_every_hull_point(self):
+        rng = random.Random("hull-candidate-superset")
+        for index in range(2000):
+            keys = _lattice_keys(rng, 11 + index % 50)
+            candidates = polynomial._hull_candidates(keys)
+            degrees = [d for d, _ in candidates]
+            assert degrees == sorted(set(degrees))
+            assert set(_plain_chain(keys)[0]) <= set(degrees), keys
+            assert all(keys[d] == k for d, k in candidates)
+
+    @pytest.mark.parametrize("keys, kept", [
+        # A flat top of three points, each on the hull.
+        ([0, 2, 4, 4, 5, 2, 0, -2, -4, -6, -8], [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]),
+        # Only the records on each side of the peak at degree 5 are walked;
+        # a tie with the record so far is one (degrees 2 and 8).
+        ([6, 2, 6, 0, 2, 10, 4, 8, 2, 0, 3, 1], [0, 2, 5, 7, 8, 10, 11]),
+        # Every point at one magnitude.
+        ([3, 2, 3, 2, 2, 3, 2, 3, 2, 3, 3], list(range(11))),
+    ])
+    def test_records(self, keys, kept):
+        assert [d for d, _ in polynomial._hull_candidates(keys)] == kept
+
+    def test_gate(self, monkeypatch):
+        """Polynomials of degree up to 9 (the characteristic polynomials of
+        every campaign and every 8x8 matrix) walk every point; from degree
+        10 on they walk the candidates."""
+        calls = []
+        candidates = polynomial._hull_candidates
+        monkeypatch.setattr(polynomial, "_hull_candidates",
+                            lambda keys: calls.append(len(keys)) or candidates(keys))
+        for size in range(1, 14):
+            polynomial._envelope(Polynomial._from_keys(1, [0] * size))
+        assert calls == [11, 12, 13]
 
 
 def _coeff_text(rng: random.Random, degree: int) -> str:
@@ -718,3 +804,117 @@ class TestTextForms:
         assert parse_polynomial("-inf") == zero
         assert parse_polynomial(str(zero)) == zero
         assert polynomial_from_strings(coeff_strings(zero)) == zero
+
+
+# The term-by-term parser that the one-pass `parse_polynomial` replaced, kept
+# as its reference: each "+"-separated term stripped and matched on its own.
+_REFERENCE_TERM_RE = re.compile(rf"(?P<coeff>-inf|{RATIONAL})?\s*(?P<x>x(?:\^(?P<deg>{DIGITS}))?)?\Z")
+
+
+def _reference_parse(text: str) -> Polynomial:
+    stripped = text.strip()
+    if not stripped:
+        raise ParseError("empty polynomial")
+    terms = []
+    for raw in stripped.split("+"):
+        term = raw.strip()
+        match = _REFERENCE_TERM_RE.match(term)
+        if match is None or not (match["coeff"] or match["x"]):
+            check_digits(term)
+            raise ParseError(f"not a polynomial term: {term!r}")
+        coeff_text, num, den, ghost_mark, x, deg = match.groups()
+        degree = 0 if x is None else 1 if deg is None else int(deg)
+        if coeff_text is None:
+            terms.append((degree, 0, 1, False))
+        elif num is None:
+            terms.append((degree, None, 1, False))
+        else:
+            p, q = literal_ratio(num, den, coeff_text)
+            terms.append((degree, p, q, ghost_mark is not None))
+    return polynomial._from_terms(terms)
+
+
+def _outcome(parse, text):
+    """The keys ``parse`` reads off ``text``, or its error's type and text."""
+    try:
+        return parse(text)._keys
+    except (ParseError, BoundExceededError) as exc:
+        return type(exc), str(exc)
+
+
+_SEPARATORS = (" + ", "+", "\n+\t", "\xa0+\u2003", " +\u2028", "\x1c+ ")
+_STRAYS = "y#*.^/g-x0 \u200b\u0663"
+# Denominators of 1,000 digits: any three of them, or two and 7 after a
+# third, pass the scale cap, so where the cap refuses depends on the order.
+_HUGE_DENOMINATORS = (10**1000 - 1, 10**1000 - 3, 10**1000 - 7, 7)
+
+
+def _mutate(rng, pieces):
+    """One fault, or a whitespace change, in the terms ``pieces``."""
+    i = rng.randrange(len(pieces))
+    kind = rng.choice(("stray", "plus", "drop", "zero", "long", "huge", "degree", "space"))
+    if kind == "stray":
+        at = rng.randint(0, len(pieces[i]))
+        pieces[i] = pieces[i][:at] + rng.choice(_STRAYS) + pieces[i][at:]
+    elif kind == "plus":
+        pieces.insert(rng.choice((0, i, len(pieces))), rng.choice(("", " ", "\t")))
+    elif kind == "drop":
+        pieces[i] = re.sub(r"^-inf|^[-\d/]+g?", "", pieces[i])
+    elif kind == "zero":
+        pieces[i] = f"{rng.randint(-3, 3)}/{'0' * rng.randint(1, 2)}{rng.choice(('', 'g'))}x^{i}"
+    elif kind == "long":
+        run = "9" * (1001 if rng.random() < 0.7 else 1000)
+        pieces[i] = rng.choice((run, f"1/{run}x", f"-{run}gx^2", f"x^{run}"))
+    elif kind == "huge":
+        for q in rng.sample(_HUGE_DENOMINATORS, rng.randint(2, 4)):
+            pieces.insert(rng.randint(0, len(pieces)), f"1/{q}x^{rng.randint(0, 12)}")
+    elif kind == "degree":
+        pieces[i] = rng.choice(("x^100001", "-infx^100001", "2gx^0100000"))
+    else:
+        pieces[i] = rng.choice(("\u2003", "\xa0", "\n", "")) + pieces[i] + rng.choice((" ", "\u3000", ""))
+
+
+def _differential_texts():
+    """2,000 seeded texts: a third well formed, the rest with one or two
+    mutations, so two faults in one text are common."""
+    rng = random.Random("parse-reference")
+    for index in range(2000):
+        top = rng.randint(0, 12)
+        degrees = [top, *(rng.randint(0, top) for _ in range(rng.randint(0, top + 2)))]
+        pieces = [_term_text(_coeff_text(rng, d), d, rng) for d in degrees]
+        for _ in range(index % 3):
+            _mutate(rng, pieces)
+        text = pieces[0]
+        for piece in pieces[1:]:
+            text += rng.choice(_SEPARATORS) + piece
+        yield text
+
+
+class TestParseReference:
+    def test_matches_the_term_by_term_parser(self):
+        kinds = set()
+        for text in _differential_texts():
+            expected = _outcome(_reference_parse, text)
+            assert _outcome(parse_polynomial, text) == expected, text
+            kinds.add("keys" if isinstance(expected[0], int) else re.split(r":| in '", expected[1])[0])
+        assert kinds == {"keys", "empty polynomial", "not a polynomial term", "zero denominator",
+                         "number of digits", "polynomial degree", "digits of the polynomial scale"}
+
+    @pytest.mark.parametrize("order, size", [((0, 1, 2, 3), 3000), ((3, 0, 1, 2), 2001)])
+    def test_scale_cap_reports_the_text_order(self, order, size):
+        text = " + ".join(f"1/{_HUGE_DENOMINATORS[i]}x^{d}" for d, i in enumerate(order))
+        message = f"digits of the polynomial scale: size {size} exceeds bound 2000"
+        with pytest.raises(BoundExceededError, match=f"^{message}$"):
+            parse_polynomial(text)
+
+    @pytest.mark.parametrize("text, term", [
+        ("1" + " " * 100_000 + "#", "1" + " " * 100_000 + "#"),
+        ("1" * 1000 + " " * 5_000 + "#", "1" * 1000 + " " * 5_000 + "#"),
+        ("+".join(["3 4x"] * 20_000), "3 4x"),
+    ], ids=["long-space-run", "digits-then-spaces", "many-bad-terms"])
+    def test_malformed_text_in_bounded_time(self, text, term):
+        start = time.perf_counter()
+        with pytest.raises(ParseError) as exc:
+            parse_polynomial(text)
+        assert time.perf_counter() - start < 2.0
+        assert str(exc.value) == f"not a polynomial term: {term!r}"
