@@ -370,7 +370,7 @@ def _plain_chain(keys):
 def _lattice_keys(rng, degree):
     """Keys of degree ``degree`` on the magnitudes -3..3, so flat tops and
     on-edge points are common: dense or sparse supports, a single point,
-    or every point at one magnitude; a third of them ghost."""
+    or every point at one magnitude; 30% of them ghost."""
     shape = rng.choice(("dense", "sparse", "single", "equal"))
     density = {"dense": 1.0, "sparse": rng.uniform(0.1, 0.6), "single": 0.0, "equal": 1.0}[shape]
     level = rng.randint(-3, 3)
@@ -394,16 +394,6 @@ class TestHullCandidates:
             keys = _lattice_keys(rng, index % 61)
             f = Polynomial._from_keys(1, keys)
             assert polynomial._envelope(f) == _plain_chain(keys), keys
-
-    def test_candidates_hold_every_hull_point(self):
-        rng = random.Random("hull-candidate-superset")
-        for index in range(2000):
-            keys = _lattice_keys(rng, 11 + index % 50)
-            candidates = polynomial._hull_candidates(keys)
-            degrees = [d for d, _ in candidates]
-            assert degrees == sorted(set(degrees))
-            assert set(_plain_chain(keys)[0]) <= set(degrees), keys
-            assert all(keys[d] == k for d, k in candidates)
 
     @pytest.mark.parametrize("keys, kept", [
         # A flat top of three points, each on the hull.
