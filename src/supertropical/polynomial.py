@@ -164,11 +164,9 @@ MAX_PARSE_DEGREE = 100_000
 # with its degree, at least one of the two (the lookahead), with whitespace
 # around. A match starts only at the start of the text or at a ``+`` and
 # ends just before the next ``+`` or the end, so a text has one match per
-# well-formed piece. No term has two readings, so the possessive ``*+`` and
-# ``?+``, which never give back what they matched, change no outcome; they
-# spare the engine its backtracking records.
+# well-formed piece.
 _PIECE_RE = re.compile(
-    rf"(?:\A|\+)\s*+(?=[-\dx])(?:(-inf)|{RATIONAL})?+(?:\s*+(x)(?:\^({DIGITS}))?+)?+\s*+(?=\+|\Z)"
+    rf"(?:\A|\+)\s*(?=[-\dx])(?:(-inf)|{RATIONAL})?(?:\s*(x)(?:\^({DIGITS}))?)?\s*(?=\+|\Z)"
 )
 
 
@@ -232,27 +230,6 @@ def _raise_first_fault(text: str) -> NoReturn:
         start = end
 
 
-def _from_terms(terms: Sequence[tuple[int, int | None, int, bool]]) -> Polynomial:
-    """The sum of ``(degree, numerator or None for -inf, denominator as
-    written, ghost bit)`` terms; no terms make the zero polynomial."""
-    top = max((t[0] for t in terms), default=0)
-    if top > MAX_PARSE_DEGREE:
-        raise BoundExceededError("polynomial degree", top, MAX_PARSE_DEGREE)
-    scale = _key_scale((q for _, p, q, _ in terms if p is not None), "polynomial")
-    keys: list[int | None] = [None] * (top + 1)
-    for degree, p, q, ghost_bit in terms:
-        if p is None:
-            continue
-        # Repeated degrees add: the larger magnitude wins, a tie is ghost.
-        key = (p * (scale // q)) << 1 | ghost_bit
-        old = keys[degree]
-        if old is None or key > old | 1:
-            keys[degree] = key
-        elif key >> 1 == old >> 1:
-            keys[degree] = old | 1
-    return Polynomial._from_keys(scale, keys)
-
-
 def coeff_strings(f: Polynomial) -> list[str]:
     """JSON form: coefficient strings indexed by degree."""
     return [str(c) for c in f.coeffs]
@@ -260,9 +237,15 @@ def coeff_strings(f: Polynomial) -> list[str]:
 
 def polynomial_from_strings(strings: Sequence[str]) -> Polynomial:
     """The polynomial whose degree-``i`` coefficient is ``strings[i]``, in
-    the grammar of `parse_scalar`; each string is read straight into a
-    term, so no `Scalar` is built."""
-    return _from_terms([(d, *scalar_parts(s)) for d, s in enumerate(strings)])
+    the grammar of `parse_scalar`; each string is read straight into its
+    key, so no `Scalar` is built. A degree above `MAX_PARSE_DEGREE` raises
+    `BoundExceededError`, once every string has parsed."""
+    parts = [scalar_parts(s) for s in strings]
+    if len(parts) > MAX_PARSE_DEGREE + 1:
+        raise BoundExceededError("polynomial degree", len(parts) - 1, MAX_PARSE_DEGREE)
+    scale = _key_scale((q for p, q, _ in parts if p is not None), "polynomial")
+    keys = [None if p is None else (p * (scale // q)) << 1 | ghost_bit for p, q, ghost_bit in parts]
+    return Polynomial._from_keys(scale, keys)
 
 
 # ---------------------------------------------------------------------------
@@ -296,12 +279,9 @@ def _envelope(f: Polynomial) -> tuple[tuple[int, ...], tuple[tuple[int, int], ..
     or more walks only `_hull_candidates`, which hold every hull point; the
     hull of a subset that holds all of them is the same, with the same
     cuts. Below that degree, finding the candidates costs more than the
-    chain saves. Measured per envelope on seeded polynomials (Python
-    3.11.7, 2-core x86-64 host), the two break even at degree 8 to 10; at
-    degree 4 the full walk takes 2.1 us and the candidates' 3.3 us, at
-    degree 23 9.5 and 5.5 us. So the characteristic polynomial of a matrix
-    up to 9x9 walks every point, and a text of degree 100 or more walks the
-    candidates.
+    chain saves: measured per envelope on seeded polynomials, the two walks
+    break even at about degree 8 to 10. So the characteristic polynomial of
+    a matrix up to 9x9 walks every point.
     """
     keys = f._keys[1]
     hull: list[tuple[int, int]] = []

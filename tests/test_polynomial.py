@@ -38,7 +38,7 @@ from supertropical import (
     tangible,
 )
 from supertropical import polynomial
-from supertropical.scalar import DIGITS, RATIONAL, check_digits, literal_ratio
+from supertropical.scalar import DIGITS, RATIONAL, _key_scale, check_digits, literal_ratio
 from supertropical.spectral import CHECKS, Trial
 from conftest import (
     attained_degrees,
@@ -784,6 +784,11 @@ class TestTextForms:
             assert exc.value.bound == cap
             assert exc.value.size > cap
 
+    def test_json_route_reads_every_string_before_the_degree_cap(self):
+        strings = ["1"] * (polynomial.MAX_PARSE_DEGREE + 1) + ["y"]
+        with pytest.raises(ParseError, match="^not a scalar: 'y'$"):
+            polynomial_from_strings(strings)
+
     def test_normalization_trims_leading_zeros(self):
         f = Polynomial((tangible(1), ZERO, ZERO))
         assert f.degree == 0
@@ -821,7 +826,28 @@ def _reference_parse(text: str) -> Polynomial:
         else:
             p, q = literal_ratio(num, den, coeff_text)
             terms.append((degree, p, q, ghost_mark is not None))
-    return polynomial._from_terms(terms)
+    return _reference_from_terms(terms)
+
+
+def _reference_from_terms(terms):
+    """The sum of ``(degree, numerator or None for -inf, denominator as
+    written, ghost bit)`` terms; no terms make the zero polynomial."""
+    top = max((t[0] for t in terms), default=0)
+    if top > polynomial.MAX_PARSE_DEGREE:
+        raise BoundExceededError("polynomial degree", top, polynomial.MAX_PARSE_DEGREE)
+    scale = _key_scale((q for _, p, q, _ in terms if p is not None), "polynomial")
+    keys = [None] * (top + 1)
+    for degree, p, q, ghost_bit in terms:
+        if p is None:
+            continue
+        # Repeated degrees add: the larger magnitude wins, a tie is ghost.
+        key = (p * (scale // q)) << 1 | ghost_bit
+        old = keys[degree]
+        if old is None or key > old | 1:
+            keys[degree] = key
+        elif key >> 1 == old >> 1:
+            keys[degree] = old | 1
+    return Polynomial._from_keys(scale, keys)
 
 
 def _outcome(parse, text):
