@@ -2,8 +2,11 @@
 
 Entries are drawn from a small integer lattice with configurable ghost and
 zero probabilities: a tight lattice makes ties (and therefore ghosts)
-frequent, which is where the interesting behavior is. Every trial derives
-its own generator from the campaign seed and trial index, so any reported
+frequent, which is where the interesting behavior is. Every entry, of a
+matrix, a polynomial or a lone scalar, is drawn by one loop,
+`_random_keys`, which reads the shape and the generator's methods once per
+call and draws the entries straight into keys. Every trial derives its own
+generator from the campaign seed and trial index, so any reported
 violation can be reproduced from the summary alone. Exhaustive searches,
 such as the eigenvector grid, are references in `oracle`, not here.
 """
@@ -91,37 +94,50 @@ def trial_seed(seed: int, trial: int) -> str:
     return f"{seed}:{trial}"
 
 
-def _random_key(rng: random.Random, cfg: Config, allow_zero: bool = True) -> int | None:
-    """One lattice entry as a key at scale 1 (see ``scalar.py``): ``None``
-    for ``-inf``, else ``value << 1 | is_ghost``. The value is drawn as
-    CPython's ``rng.randint(value_min, value_max)`` draws it, by rejection
-    from ``getrandbits``, so a seed gives the same trials as a ``randint``
-    draw, without that call's argument checks."""
-    if allow_zero and rng.random() < cfg.zero_prob:
-        return None
-    width = cfg.value_max - cfg.value_min + 1
+def _random_keys(
+    rng: random.Random, cfg: Config, count: int, allow_zero: bool = True
+) -> list[int | None]:
+    """``count`` lattice entries as keys at scale 1 (see ``scalar.py``):
+    ``None`` for ``-inf``, else ``value << 1 | is_ghost``. Each entry draws,
+    in this order, the ``-inf`` test (only if ``allow_zero``), the value and
+    the ghost test. The value is drawn as CPython's
+    ``rng.randint(value_min, value_max)`` draws it, by rejection from
+    ``getrandbits``, so a seed gives the same entries as a ``randint`` draw,
+    without that call's argument checks; the shape and the generator's
+    methods are read once for all ``count`` entries."""
+    draw, bits = rng.random, rng.getrandbits
+    low, zero_prob, ghost_prob = cfg.value_min, cfg.zero_prob, cfg.ghost_prob
+    width = cfg.value_max - low + 1
     k = width.bit_length()
-    r = rng.getrandbits(k)
-    while r >= width:
-        r = rng.getrandbits(k)
-    return (cfg.value_min + r) << 1 | (rng.random() < cfg.ghost_prob)
+    keys: list[int | None] = []
+    for _ in range(count):
+        if allow_zero and draw() < zero_prob:
+            keys.append(None)
+            continue
+        r = bits(k)
+        while r >= width:
+            r = bits(k)
+        keys.append((low + r) << 1 | (draw() < ghost_prob))
+    return keys
 
 
 def random_scalar(rng: random.Random, cfg: Config, allow_zero: bool = True) -> Scalar:
-    return _decode(_random_key(rng, cfg, allow_zero), 1)
+    return _decode(_random_keys(rng, cfg, 1, allow_zero)[0], 1)
 
 
 def random_matrix(rng: random.Random, n: int, cfg: Config) -> Matrix:
-    """An n-by-n lattice matrix drawn as keys at scale 1, decoded only when read."""
-    return Matrix._from_keys(1, [[_random_key(rng, cfg) for _ in range(n)] for _ in range(n)])
+    """An n-by-n lattice matrix drawn as keys at scale 1, row by row in one
+    `_random_keys` call, decoded only when read."""
+    keys = _random_keys(rng, cfg, n * n)
+    return Matrix._from_keys(1, [keys[i:i + n] for i in range(0, n * n, n)])
 
 
 def random_polynomial(rng: random.Random, max_degree: int, cfg: Config) -> Polynomial:
     """Random nonzero polynomial with a guaranteed nonzero leading term,
     drawn as keys at scale 1 as `random_matrix` draws, decoded only when read."""
     degree = rng.randint(1, max_degree)
-    keys = [_random_key(rng, cfg) for _ in range(degree)]
-    keys.append(_random_key(rng, cfg, allow_zero=False))
+    keys = _random_keys(rng, cfg, degree)
+    keys += _random_keys(rng, cfg, 1, allow_zero=False)
     return Polynomial._from_keys(1, keys)
 
 

@@ -27,6 +27,13 @@ JSON list at most ``MAX_LISTED_TRACKS`` (8!) of them. Both computations
 are guarded by an explicit dimension bound (default 9, set per call with
 ``bound=``, or with ``--bound`` on the command line).
 
+The table, the column and the dominant steps visit, for a subset, only the
+columns in it, read off one shared column index (`_members`): the
+``(j, 1 << j)`` pairs of each subset mask, kept in chunks of 9 columns, 512
+tuples each, each chunk built on first use. Every matrix up to the default
+bound reads chunk 0 directly; a larger one joins the chunks' tuples for one
+subset at a time, so no walk holds ``2^n`` of them.
+
 The kernels (the permanent table, the determinant column and the matrix
 product) run on plain integers, the keys that ``scalar.py`` describes. A
 `Matrix` holds either form: ``Matrix(rows)`` encodes its rows once, at its
@@ -347,6 +354,54 @@ class DetReport(_Record):
         return f"{self.value} ({self.classification.value}), dominant: {names}"
 
 
+# The (column, bit) pairs of the columns in each subset mask, a chunk of
+# `_CHUNK_BITS` columns at a time: ``_CHUNKS[c][mask]`` holds
+# ``(j, 1 << j)`` for j = 9c + b and each bit b of the 9-bit ``mask``, in
+# ascending order. Chunk 0 alone indexes every subset of up to 9 columns, the
+# default dimension bound; each chunk is built on first use (`_chunk`) and
+# kept: 512 tuples over nine shared pairs.
+_CHUNK_BITS = 9
+_CHUNKS: list[list[tuple[tuple[int, int], ...]]] = []
+
+
+def _chunk(c: int) -> list[tuple[tuple[int, int], ...]]:
+    """Chunk ``c`` of the column index, built on first use."""
+    while len(_CHUNKS) <= c:
+        base = len(_CHUNKS) * _CHUNK_BITS
+        table: list[tuple[tuple[int, int], ...]] = [()]
+        for j in range(base, base + _CHUNK_BITS):
+            pair = (j, 1 << j)
+            table += [members + (pair,) for members in table]
+        _CHUNKS.append(table)
+    return _CHUNKS[c]
+
+
+class _JoinedMembers:
+    """The column index past one chunk: ``members[S]`` joins the low chunk's
+    tuple for S's low 9 bits to the index of the columns above them, so a
+    walk over 2^n subsets holds one joined tuple at a time, never 2^n."""
+
+    __slots__ = ("_low", "_high")
+
+    def __init__(self, low: list, high: Sequence):
+        self._low = low
+        self._high = high
+
+    def __getitem__(self, subset: int) -> tuple[tuple[int, int], ...]:
+        # 9 is _CHUNK_BITS and 511 its mask, written out as constants.
+        return self._low[subset & 511] + self._high[subset >> 9]
+
+
+def _members(n: int, c: int = 0) -> Sequence[tuple[tuple[int, int], ...]]:
+    """The ``(j, 1 << j)`` pairs of the columns in each subset of ``n``
+    columns from column ``9c`` on, indexed by the subset's mask over them:
+    chunk ``c`` itself for n up to 9, else that chunk joined to the index of
+    the columns above it."""
+    if n <= _CHUNK_BITS:
+        return _chunk(c)
+    return _JoinedMembers(_chunk(c), _members(n - _CHUNK_BITS, c + 1))
+
+
 # The subset masks by size for each n up to the default dimension bound, built
 # on first use by `_size_layers`: 2^10 - 1 small ints in all.
 _LAYERS: dict[int, tuple[tuple[int, ...], ...]] = {}
@@ -383,18 +438,21 @@ def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
     alone. Zero terms are skipped, and ``table[S]`` is ``None`` when every
     track through ``S`` is ``-inf``.
 
-    The table is built one size layer at a time, so row ``i`` and its
-    finite keys are fixed for a whole layer. The unit ``x`` on the diagonal
-    has key 0 at degree 1, so its term is ``table[S - {i}]`` shifted up one
-    degree, a list copy with no arithmetic. That term comes first; without
+    The table is built one size layer at a time, so row ``i`` is fixed for
+    a whole layer, and each entry loops over the columns ``j`` in ``S``
+    alone, from the shared column index (`_members`), reading ``row[j]``.
+    The unit ``x`` on the diagonal has key 0 at degree 1, so its term is
+    ``table[S - {i}]`` shifted up one degree, a list copy with no
+    arithmetic. That term comes first; without
     it, the first finite term is one list comprehension, padded to the
     entry's width, and only the later terms are merged entry by entry. Only
     a track's rows ``i..n-1`` that are also among ``S``'s columns can take
     ``x``, so ``table[S]`` holds the reachable degrees
     ``0..popcount(S >> i)`` and no more. A
     layer's lists are dropped once the next layer is built, so at most two
-    layers of lists are held, beside the column and the subset masks: at
-    n = 15, the widest layers have 6,435 subsets each, of 32,768.
+    layers of lists are held, beside the column, the subset masks and the
+    column index (512 tuples per 9 columns): at n = 15, the widest layers
+    have 6,435 subsets each, of 32,768.
 
     The column entry ``dets[S]`` is coefficient 0 of ``table[S]``, ``None``
     when no finite track through ``S`` avoids ``x``; it is filled in as each
@@ -403,7 +461,7 @@ def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
     other coefficient.
     """
     n = len(keys)
-    live = [[(1 << j, k) for j, k in enumerate(row) if k is not None] for row in keys]
+    members = _members(n)
     layers = _size_layers(n)
     table: list[list[int | None] | None] = [None] * (1 << n)
     dets: list[int | None] = [None] * (1 << n)
@@ -411,7 +469,7 @@ def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
     dets[0] = 0
     for size in range(1, n + 1):
         i = n - size
-        row = live[i]
+        row = keys[i]
         diag = 1 << i
         for subset in layers[size]:
             acc = None
@@ -419,8 +477,9 @@ def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
                 rest = table[subset ^ diag]
                 if rest is not None:
                     acc = [None, *rest]
-            for bit, p in row:
-                if not subset & bit:
+            for j, bit in members[subset]:
+                p = row[j]
+                if p is None:
                     continue
                 rest = table[subset ^ bit]
                 if rest is None:
@@ -448,18 +507,22 @@ def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
 
 def _det_column(keys: _Keys) -> list[int | None]:
     """The determinant column of `_permanent_table`, built alone: the same
-    subset recurrence over the keys of ``A``, with no ``x`` terms, so each
-    entry is one key or ``None`` rather than a coefficient list.
-    ``dets[S]`` is the partial permanent of the bottom ``|S|`` rows on the
-    columns in ``S``, and ``dets[-1]`` the determinant."""
+    subset recurrence over the keys of ``A``, over the columns in each
+    subset from the same column index, with no ``x`` terms, so each entry
+    is one key or ``None`` rather than a coefficient list; it holds nothing
+    beside the column but that index. ``dets[S]`` is the partial permanent
+    of the bottom ``|S|`` rows on the columns in ``S``, and ``dets[-1]``
+    the determinant."""
     n = len(keys)
-    live = [[(1 << j, k) for j, k in enumerate(row) if k is not None] for row in keys]
+    members = _members(n)
     dets: list[int | None] = [None] * (1 << n)
     dets[0] = 0
     for subset in range(1, 1 << n):
+        row = keys[n - subset.bit_count()]
         acc = None
-        for bit, p in live[n - subset.bit_count()]:
-            if not subset & bit:
+        for j, bit in members[subset]:
+            p = row[j]
+            if p is None:
                 continue
             q = dets[subset ^ bit]
             if q is None:
@@ -482,7 +545,8 @@ class DominantTracks(Sequence[PermutationTrack]):
     of S whose entry plus the best completion of S - {column} attains
     ``dets[S]``, the partial permanent of A alone (`_permanent_table`), and
     ``ways[S]`` counts the dominant completions of S: the sum of
-    ``ways[S - {column}]`` over those steps. Both are filled in, once each,
+    ``ways[S - {column}]`` over those steps, which are sought among S's
+    columns alone, from the column index. Both are filled in, once each,
     for the subsets that some dominant track passes through, so `len` builds
     no track. Iterating pops (subset left, ghost bit, prefix) states off
     one stack, depth first in ascending column order, and builds each track
@@ -494,18 +558,19 @@ class DominantTracks(Sequence[PermutationTrack]):
 
     def __init__(self, keys: _Keys, dets: list[int | None], value: Scalar):
         n = len(keys)
+        members = _members(n)
         steps: dict[int, list[tuple[int, int]]] = {0: []}
         ways = {0: 1}
 
         def count(subset: int) -> int:
             if subset not in ways:
+                row = keys[n - subset.bit_count()]
                 target = dets[subset] >> 1
                 steps[subset] = [
                     (j, k & 1)
-                    for j, k in enumerate(keys[n - subset.bit_count()])
-                    if subset & (1 << j)
-                    and k is not None
-                    and (rest := dets[subset ^ (1 << j)]) is not None
+                    for j, bit in members[subset]
+                    if (k := row[j]) is not None
+                    and (rest := dets[subset ^ bit]) is not None
                     and (k >> 1) + (rest >> 1) == target
                 ]
                 ways[subset] = sum(count(subset ^ (1 << j)) for j, _ in steps[subset])

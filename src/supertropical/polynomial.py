@@ -34,7 +34,7 @@ from typing import Iterator, NoReturn, Sequence
 from .errors import BoundExceededError, DomainError, ParseError
 from .scalar import DIGITS, RATIONAL, check_digits, literal_ratio
 from .scalar import Kind, ONE, Scalar, ZERO, scalar_parts, tangible
-from .scalar import _Record, _decode, _encode_keys, _key_scale, _key_sum
+from .scalar import _Record, _decode, _encode_keys, _key_scale, _key_sum, _quoted
 
 
 class Polynomial(_Record):
@@ -166,7 +166,7 @@ MAX_PARSE_DEGREE = 100_000
 # ends just before the next ``+`` or the end, so a text has one match per
 # well-formed piece.
 _PIECE_RE = re.compile(
-    rf"(?:\A|\+)\s*(?=[-\dx])(?:(-inf)|{RATIONAL})?(?:\s*(x)(?:\^({DIGITS}))?)?\s*(?=\+|\Z)"
+    rf"(?:\A|\+)\s*(?=[-0-9x])(?:(-inf)|{RATIONAL})?(?:\s*(x)(?:\^({DIGITS}))?)?\s*(?=\+|\Z)"
 )
 
 
@@ -223,7 +223,7 @@ def _raise_first_fault(text: str) -> NoReturn:
         if match is None or match.end() != end:
             term = raw.strip()
             check_digits(term)
-            raise ParseError(f"not a polynomial term: {term!r}")
+            raise ParseError(f"not a polynomial term: {_quoted(term)}")
         _, num, den, ghost_mark, _, _ = match.groups("")
         if den:
             literal_ratio(num, den, f"{num}/{den}{ghost_mark}")

@@ -191,11 +191,11 @@ def ghost(value) -> Scalar:
 # Numerators, denominators and degrees are capped below the interpreter's
 # int() limit (4,300 digits by default), so the outcome does not depend on it.
 MAX_LITERAL_DIGITS = 1000
-DIGITS = rf"\d{{1,{MAX_LITERAL_DIGITS}}}"
+DIGITS = rf"[0-9]{{1,{MAX_LITERAL_DIGITS}}}"
 # The rational literal; groups 1 to 3 are numerator, denominator, ghost mark.
 RATIONAL = rf"(-?{DIGITS})(?:/({DIGITS}))?(g)?"
 _SCALAR_RE = re.compile(RATIONAL + r"\Z")
-_LONG_DIGITS_RE = re.compile(rf"\d{{{MAX_LITERAL_DIGITS + 1},}}")
+_LONG_DIGITS_RE = re.compile(rf"[0-9]{{{MAX_LITERAL_DIGITS + 1},}}")
 
 
 def check_digits(text: str) -> None:
@@ -205,6 +205,22 @@ def check_digits(text: str) -> None:
         raise BoundExceededError("number of digits", len(run[0]), MAX_LITERAL_DIGITS)
 
 
+# Faulty text is quoted in full in an error up to this many characters, and
+# past it by its first and last characters and its length, so that an error
+# message stays short however long the text.
+_QUOTE_LIMIT = 100
+_QUOTE_HEAD, _QUOTE_TAIL = 40, 20
+
+
+def _quoted(text: str) -> str:
+    """``text`` as an error message quotes it: its ``repr`` up to
+    `_QUOTE_LIMIT` characters, else the ``repr`` of its head and of its
+    tail, with its length in characters."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_HEAD]!r} ... {text[-_QUOTE_TAIL:]!r} ({len(text):,} characters)"
+
+
 def literal_ratio(num: str, den: str | None, text: str) -> tuple[int, int]:
     """Numerator and denominator of a matched rational literal, as written;
     ``text`` is quoted in errors."""
@@ -212,7 +228,7 @@ def literal_ratio(num: str, den: str | None, text: str) -> tuple[int, int]:
         return int(num), 1
     if q := int(den):
         return int(num), q
-    raise ParseError(f"zero denominator in {text!r}")
+    raise ParseError(f"zero denominator in {_quoted(text)}")
 
 
 def scalar_parts(text: str) -> tuple[int | None, int, bool]:
@@ -227,7 +243,7 @@ def scalar_parts(text: str) -> tuple[int | None, int, bool]:
     match = _SCALAR_RE.match(stripped)
     if match is None:
         check_digits(stripped)
-        raise ParseError(f"not a scalar: {text!r}")
+        raise ParseError(f"not a scalar: {_quoted(text)}")
     num, den, ghost_mark = match.groups()
     return (*literal_ratio(num, den, text), ghost_mark is not None)
 

@@ -156,6 +156,26 @@ class TestGenerators:
             "d95ff1aea809630a60d8a163607c7a9b75a1367835abe84995ae350580b2489b"
         )
 
+    def test_matrix_and_scalar_draws_pinned(self):
+        # One SHA-256 over a 3x3 matrix's keys, two scalars (the second
+        # never -inf) and the generator's next 32 bits per seed, 0..199,
+        # for lattice widths 1, 8 and 11, each with zero_prob and ghost_prob
+        # at 0 and 1: a change to the draw order, the number of draws or
+        # the rejection rule shows here.
+        digest = hashlib.sha256()
+        for value_min, value_max in ((3, 3), (-4, 3), (-5, 5)):
+            for zero_prob, ghost_prob in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                cfg = Config(value_min=value_min, value_max=value_max,
+                             zero_prob=zero_prob, ghost_prob=ghost_prob)
+                for seed in range(200):
+                    rng = random.Random(seed)
+                    keys = random_matrix(rng, 3, cfg)._keys
+                    first, second = fuzz.random_scalar(rng, cfg), fuzz.random_scalar(rng, cfg, False)
+                    digest.update(f"{keys} {first} {second} {rng.getrandbits(32)}\n".encode())
+        assert digest.hexdigest() == (
+            "504beb9a929f2c02b6c8fbd84fc74840aa33907392b519ea6836fd976edaea9c"
+        )
+
     @pytest.mark.parametrize("value_min, value_max", [(3, 3), (-4, 3), (-5, 5), (-9, -2)])
     @pytest.mark.parametrize("allow_zero", [True, False])
     def test_key_draw_matches_randint(self, value_min, value_max, allow_zero):
@@ -172,7 +192,7 @@ class TestGenerators:
 
         for seed in range(300):
             drawn, expected = random.Random(seed), random.Random(seed)
-            keys = [fuzz._random_key(drawn, cfg, allow_zero) for _ in range(20)]
+            keys = fuzz._random_keys(drawn, cfg, 20, allow_zero)
             assert keys == [reference(expected) for _ in range(20)]
             assert drawn.getstate() == expected.getstate()
 

@@ -772,6 +772,173 @@ def test_permanent_table_holds_reachable_degrees_and_two_layers():
             assert width == 1 + (s >> (n - s.bit_count())).bit_count(), (a, s)
 
 
+# The subset kernels as they were before the shared column index, kept as
+# references: each row's finite entries are tested against every subset.
+
+
+def _reference_permanent_table(keys):
+    n = len(keys)
+    live = [[(1 << j, k) for j, k in enumerate(row) if k is not None] for row in keys]
+    layers = [[s for s in range(1 << n) if s.bit_count() == size] for size in range(n + 1)]
+    table = [None] * (1 << n)
+    dets = [None] * (1 << n)
+    table[0] = [0]
+    dets[0] = 0
+    for size in range(1, n + 1):
+        i = n - size
+        row = live[i]
+        diag = 1 << i
+        for subset in layers[size]:
+            acc = None
+            if subset & diag:
+                rest = table[subset ^ diag]
+                if rest is not None:
+                    acc = [None, *rest]
+            for bit, p in row:
+                if not subset & bit:
+                    continue
+                rest = table[subset ^ bit]
+                if rest is None:
+                    continue
+                if acc is None:
+                    acc = [None if q is None else p + q - (p & q & 1) for q in rest]
+                    acc += [None] * (1 + (subset >> i).bit_count() - len(acc))
+                    continue
+                for d, q in enumerate(rest):
+                    if q is None:
+                        continue
+                    term = p + q - (p & q & 1)
+                    old = acc[d]
+                    if old is None or term > old | 1:
+                        acc[d] = term
+                    elif term >> 1 == old >> 1:
+                        acc[d] = old | 1
+            if acc is not None:
+                table[subset] = acc
+                dets[subset] = acc[0]
+        for subset in layers[size - 1]:
+            table[subset] = None
+    return table[-1], dets
+
+
+def _reference_det_column(keys):
+    n = len(keys)
+    live = [[(1 << j, k) for j, k in enumerate(row) if k is not None] for row in keys]
+    dets = [None] * (1 << n)
+    dets[0] = 0
+    for subset in range(1, 1 << n):
+        acc = None
+        for bit, p in live[n - subset.bit_count()]:
+            if not subset & bit:
+                continue
+            q = dets[subset ^ bit]
+            if q is None:
+                continue
+            term = p + q - (p & q & 1)
+            if acc is None or term > acc | 1:
+                acc = term
+            elif term >> 1 == acc >> 1:
+                acc |= 1
+        dets[subset] = acc
+    return dets
+
+
+def _reference_steps(keys, dets):
+    """The dominant steps and completion counts of `DominantTracks`."""
+    n = len(keys)
+    steps = {0: []}
+    ways = {0: 1}
+
+    def count(subset):
+        if subset not in ways:
+            target = dets[subset] >> 1
+            steps[subset] = [
+                (j, k & 1)
+                for j, k in enumerate(keys[n - subset.bit_count()])
+                if subset & (1 << j)
+                and k is not None
+                and (rest := dets[subset ^ (1 << j)]) is not None
+                and (k >> 1) + (rest >> 1) == target
+            ]
+            ways[subset] = sum(count(subset ^ (1 << j)) for j, _ in steps[subset])
+        return ways[subset]
+
+    count((1 << n) - 1)
+    return steps, ways
+
+
+def _reference_listing(steps, subset, perm=(), ghosted=0):
+    """The (permutation, ghost bit) of each dominant track, depth first in
+    ascending column order."""
+    if not subset:
+        yield perm, ghosted
+    for j, ghost_bit in steps.get(subset, ()):
+        yield from _reference_listing(steps, subset ^ (1 << j), perm + (j,), ghosted | ghost_bit)
+
+
+def _index_keys(rng, shape, n):
+    """A seeded key matrix of one shape: ``random`` on -5..5 with 5% -inf,
+    ``row`` with a row of -inf, ``diagonal`` with an all -inf diagonal,
+    ``tied`` with every entry equal, ``ghost`` all ghost, ``wide`` on
+    +-10^6 at scale 97; 20% ghosts where the shape leaves it open."""
+
+    def key(i, j):
+        if shape == "diagonal" and i == j or shape != "tied" and rng.random() < 0.05:
+            return None
+        if shape == "wide":
+            return rng.randint(-10**6 * 97, 10**6 * 97) << 1 | (rng.random() < 0.2)
+        return rng.randint(-5, 5) << 1 | (shape == "ghost" or rng.random() < 0.2)
+
+    keys = [[key(i, j) for j in range(n)] for i in range(n)]
+    if shape == "row":
+        keys[rng.randrange(n)] = [None] * n
+    if shape == "tied":
+        keys = [[keys[0][0]] * n for _ in range(n)]
+    return tuple(map(tuple, keys))
+
+
+class TestColumnIndex:
+    """The kernels walk the shared column index (`matrix._members`) and
+    give what the kernels that tested every column gave, on both sides of
+    the 9-column chunk boundary."""
+
+    SHAPES = ("random", "row", "diagonal", "tied", "ghost", "wide")
+
+    def test_kernels_match_their_references(self):
+        rng = random.Random("column-index")
+        listed = 0
+        for n in range(1, 13):
+            for shape in self.SHAPES:
+                for _ in range(3 if n <= 7 else 1):
+                    keys = _index_keys(rng, shape, n)
+                    top, dets = matrix_module._permanent_table(keys)
+                    assert (top, dets) == _reference_permanent_table(keys), (shape, keys)
+                    assert matrix_module._det_column(keys) == _reference_det_column(keys), keys
+                    if dets[-1] is None:
+                        continue
+                    # A track's product is ghost exactly when one of its entries is.
+                    tracks = matrix_module.DominantTracks(keys, dets, tangible(0))
+                    steps, ways = _reference_steps(keys, dets)
+                    assert (tracks._steps, tracks._ways) == (steps, ways), (shape, keys)
+                    assert len(tracks) == ways[(1 << n) - 1]
+                    if n <= 7:
+                        expected = list(_reference_listing(steps, (1 << n) - 1))
+                        read = [(t.perm, int(t.product.is_ghost)) for t in tracks]
+                        assert read == expected, (shape, keys)
+                        indexed = [tracks[i] for i in range(len(tracks))]
+                        assert [(t.perm, int(t.product.is_ghost)) for t in indexed] == expected
+                        listed += len(expected)
+        assert listed > 1000
+
+    def test_cached_index_stays_bounded(self):
+        rng = random.Random("column-index-bound")
+        for n in (12, 16):
+            keys = _index_keys(rng, "random", n)
+            assert matrix_module._det_column(keys)[-1] == _reference_det_column(keys)[-1]
+        assert len(matrix_module._CHUNKS) == 2
+        assert all(len(chunk) <= 512 for chunk in matrix_module._CHUNKS)
+
+
 # The golden fixture B4 and the bytes of its pickles, pinned above.
 B4_TEXT = "1/2g 3/2 1/2 -inf\n1/2 1g 1 -1/3\n-2/3 2 3/2 -inf\n-1/3 2 1 2\n"
 B4_PICKLE = (

@@ -73,6 +73,10 @@ PARSE_ERRORS = {
     "+x": "not a polynomial term: ''",
     "  +  ": "not a polynomial term: ''",
     "1 + " + "9" * 1001 + "x": "number of digits: size 1001 exceeds bound 1000",
+    # Digits are the ASCII 0-9 only, not any Unicode decimal digit.
+    "\u0663x + \uff11\uff12": "not a polynomial term: '\u0663x'",
+    "x + \uff11\uff12": "not a polynomial term: '\uff11\uff12'",
+    "x^\u0662": "not a polynomial term: 'x^\u0662'",
 }
 
 
@@ -816,7 +820,7 @@ def _reference_parse(text: str) -> Polynomial:
         match = _REFERENCE_TERM_RE.match(term)
         if match is None or not (match["coeff"] or match["x"]):
             check_digits(term)
-            raise ParseError(f"not a polynomial term: {term!r}")
+            raise ParseError(f"not a polynomial term: {_reference_quote(term)}")
         coeff_text, num, den, ghost_mark, x, deg = match.groups()
         degree = 0 if x is None else 1 if deg is None else int(deg)
         if coeff_text is None:
@@ -827,6 +831,14 @@ def _reference_parse(text: str) -> Polynomial:
             p, q = literal_ratio(num, den, coeff_text)
             terms.append((degree, p, q, ghost_mark is not None))
     return _reference_from_terms(terms)
+
+
+def _reference_quote(text):
+    """An error's quote of ``text``: its repr up to 100 characters, else
+    the reprs of its first 40 and last 20 characters and its length."""
+    if len(text) <= 100:
+        return repr(text)
+    return f"{text[:40]!r} ... {text[-20:]!r} ({len(text):,} characters)"
 
 
 def _reference_from_terms(terms):
@@ -923,14 +935,17 @@ class TestParseReference:
         with pytest.raises(BoundExceededError, match=f"^{message}$"):
             parse_polynomial(text)
 
-    @pytest.mark.parametrize("text, term", [
-        ("1" + " " * 100_000 + "#", "1" + " " * 100_000 + "#"),
-        ("1" * 1000 + " " * 5_000 + "#", "1" * 1000 + " " * 5_000 + "#"),
-        ("+".join(["3 4x"] * 20_000), "3 4x"),
+    @pytest.mark.parametrize("text, quote", [
+        ("1" + " " * 100_000 + "#", f"'1{' ' * 39}' ... '{' ' * 19}#' (100,002 characters)"),
+        ("1" * 1000 + " " * 5_000 + "#", f"'{'1' * 40}' ... '{' ' * 19}#' (6,001 characters)"),
+        ("+".join(["3 4x"] * 20_000), "'3 4x'"),
     ], ids=["long-space-run", "digits-then-spaces", "many-bad-terms"])
-    def test_malformed_text_in_bounded_time(self, text, term):
+    def test_malformed_text_in_bounded_time(self, text, quote):
+        # The time and the message are bounded: a long term is quoted by
+        # its head and tail.
         start = time.perf_counter()
         with pytest.raises(ParseError) as exc:
             parse_polynomial(text)
         assert time.perf_counter() - start < 2.0
-        assert str(exc.value) == f"not a polynomial term: {term!r}"
+        assert str(exc.value) == f"not a polynomial term: {quote}"
+        assert len(str(exc.value)) < 120

@@ -318,10 +318,18 @@ PARSE_ERRORS = {
     "1.5": "not a scalar: '1.5'",
     "g": "not a scalar: 'g'",
     "5gg": "not a scalar: '5gg'",
+    # Digits are the ASCII 0-9 only, not any Unicode decimal digit.
+    "\u0663/\uff14g": "not a scalar: '\u0663/\uff14g'",
+    "\uff11\uff12": "not a scalar: '\uff11\uff12'",
+    # Text of 100 characters is quoted in full; longer text by its first
+    # 40 and last 20 characters, with its length.
+    "y" * 100: f"not a scalar: '{'y' * 100}'",
+    "y" * 101: f"not a scalar: '{'y' * 40}' ... '{'y' * 20}' (101 characters)",
+    " 1/0" + " " * 200: f"zero denominator in ' 1/0{' ' * 36}' ... '{' ' * 20}' (204 characters)",
 }
 
 
-@pytest.mark.parametrize("bad", list(PARSE_ERRORS))
+@pytest.mark.parametrize("bad", list(PARSE_ERRORS), ids=lambda t: t if len(t) < 40 else f"{t[:8]}...{len(t)}")
 def test_parse_rejects(bad):
     with pytest.raises(ParseError) as exc:
         parse_scalar(bad)
