@@ -4,8 +4,9 @@ Subcommands: det, charpoly, roots, eigen, check, fuzz. Each is a function
 from its parsed arguments to one report; `main` prints that report once, as
 text or ``--json``, and takes the exit code from it. Exit codes: 0 on
 success, 1 when the report is not ``ok`` (a check or campaign found a
-violation), 2 for input errors, 3 when a bound (dimension, degree, digit
-count, matrix or polynomial scale, matrix power or trial count) was exceeded.
+violation), 2 for input errors, 3 when a bound (dimension, dimension bound,
+degree, digit count, matrix or polynomial scale, matrix power or trial
+count) was exceeded.
 
 Every subcommand uses ``polynomial`` (and ``scalar``), which load with this
 module. The other submodules are bound here as the package's lazy modules:

@@ -30,11 +30,11 @@ class ShapeError(SupertropicalError):
 
 class BoundExceededError(SupertropicalError):
     """An input or computation was refused because a size exceeds its cap:
-    a matrix dimension, a literal's digits, a polynomial degree, the digits
-    of a matrix or polynomial scale, a matrix power, or a campaign's trial
-    count or largest dimension. A size of more than 30 digits is written as
-    its digit count, so the message stays one short line however large the
-    refused size."""
+    a matrix dimension or dimension bound, a literal's digits, a polynomial
+    degree, the digits of a matrix or polynomial scale, a matrix power, or a
+    campaign's trial count or largest dimension. A size of more than 30
+    digits is written as its digit count, so the message stays one short
+    line however large the refused size."""
 
     def __init__(self, what: str, size: int, bound: int):
         self.size = size

@@ -25,7 +25,8 @@ tracks are listed, by a depth-first search over those steps, only when a
 report's ``dominant_tracks`` is iterated or indexed; a report's text and
 JSON list at most ``MAX_LISTED_TRACKS`` (8!) of them. Both computations
 are guarded by an explicit dimension bound (default 9, set per call with
-``bound=``, or with ``--bound`` on the command line).
+``bound=``, or with ``--bound`` on the command line); a bound above
+``MAX_DIM_BOUND`` is refused.
 
 The table, the column and the dominant steps visit, for a subset, only the
 columns in it, read off one shared column index (`_members`): the
@@ -69,6 +70,10 @@ from .scalar import _Record, _decode, _encode_keys, _key_pow, _key_scale
 # The largest matrix power computed: its magnitudes grow m-fold.
 MAX_POWER = 10**6
 
+# The largest dimension bound accepted: one 18x18 `char_poly` peaked at 26 MB
+# and took 3 s, each growing four- to sixfold per two more columns.
+MAX_DIM_BOUND = 20
+
 # The most dominant tracks that a report's text or JSON lists: 8!, so every
 # report up to 8x8 is listed in full.
 MAX_LISTED_TRACKS = 40320
@@ -81,7 +86,9 @@ def check_dim_bound(
     what: str, n: int, bound: int | None, default: int = DEFAULT_DET_BOUND
 ) -> int:
     """Refuse ``what`` for an n-by-n matrix above ``bound`` (``default``
-    when None); return the bound."""
+    when None), and any bound above `MAX_DIM_BOUND`; return the bound."""
+    if bound is not None and bound > MAX_DIM_BOUND:
+        raise BoundExceededError("dimension bound", bound, MAX_DIM_BOUND)
     limit = default if bound is None else bound
     if n > limit:
         raise BoundExceededError(what, n, limit)

@@ -14,6 +14,10 @@ compares the corner roots of both characteristic polynomials as their
 envelopes' integer cuts. A law's verdict builds its detail records when they
 are first read, and its witness only on failure, so a passing law decodes
 nothing and builds no string and no `Fraction`.
+
+Eigenvectors have one construction, the columns of adj(A + xI); the Kleene
+star of |A| - x, where it is defined, is those columns less a constant, so
+its one new candidate is read off them (`eigenpairs`).
 """
 
 from __future__ import annotations
@@ -21,8 +25,7 @@ from __future__ import annotations
 import json
 import operator
 from functools import cached_property
-from itertools import chain
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .defaults import LAW_IDS
 from .errors import DomainError
@@ -149,71 +152,57 @@ def eigenpairs(
     a: Matrix, bound: int | None = None
 ) -> list[tuple[Scalar, tuple[Scalar, ...] | None]]:
     """Each tangible eigenvalue x of A, in `eigenvalues` order, with a
-    tangible eigenvector read off the adjoint of B = A + xI, or failing
-    that off the Kleene star of |A| - x (`_critical_columns`), or ``None``.
+    tangible eigenvector read off the adjoint of B = A + xI, or ``None``.
 
     Column r of adj(B) is det(B without row r and column c) for c = 0..n-1
-    (the unit when n = 1). The columns are tried in turn and then their sum;
-    the first with no -inf entry whose tangible projection passes
-    `check_eigenpair` is the eigenvector. Column r is read off one
-    determinant column of B's keys with row r on top (`matrix._det_column`;
-    its entry for all columns but c is that minor's permanent), and decoded
-    at B's scale only when it is tried. So the adjoint costs at most n
-    integer columns of size n and builds no polynomial table. The star's
-    critical columns, and then their sum, are tried only when no adjoint
-    candidate passes, and pass through the same check.
+    (the unit when n = 1), read off one determinant column of B's keys with
+    row r on top (`matrix._det_column`) and decoded at B's scale only when
+    tried. The columns are tried in turn, then their sum, then the sum of
+    the critical columns of the Kleene star of |A| - x; the first with no
+    -inf entry whose tangible projection passes `check_eigenpair` is the
+    eigenvector. So an eigenvalue costs at most n integer columns of size n.
+
+    per(B) is nx plus the heaviest set of disjoint cycles of |A| - x, so it
+    is nx exactly when no cycle is positive; only then is the star tried. A
+    minor of B is then a path from c to r plus cycles of weight at most 0,
+    so column r of adj(B) is (n - 1)x plus column r of the star, tried
+    already. Column r is critical, on a cycle of weight 0, when the largest
+    |a_rk| + s_k is x + s_r, with A's own a_rr: x exactly where B's is ghost.
     """
 
-    def candidates(scale: int, keys):
-        columns, full = [], (1 << a.n) - 1
-        for r in range(a.n):
+    def candidates(x: Scalar, scale: int, keys):
+        n, full, columns = a.n, (1 << a.n) - 1, []
+        for r in range(n):
             dets = _det_column((keys[r], *keys[:r], *keys[r + 1:]))
-            columns.append([dets[full ^ (1 << c)] for c in range(a.n)])
+            columns.append([dets[full ^ (1 << c)] for c in range(n)])
             yield columns[-1]
         yield [_key_sum(entries) for entries in zip(*columns)]
+        t = x.value * scale
+        if dets[-1] is None or dets[-1] >> 1 != n * t:
+            return
+        # Without a positive cycle no a_rr passes x, so B's diagonal is x and t an integer.
+        t = int(t)
+        critical = []
+        for r, (row, column) in enumerate(zip(keys, columns)):
+            target = t + (column[r] >> 1)
+            reach = [(p >> 1) + (q >> 1) for k, (p, q) in enumerate(zip(row, column))
+                     if k != r and p is not None and q is not None]
+            if row[r] & 1:
+                reach.append(target)
+            if max(reach, default=None) == target:
+                critical.append(column)
+        if critical:
+            lift = (n - 1) * t << 1
+            yield [None if k is None else k - lift for k in map(_key_sum, zip(*critical))]
 
     pairs = []
     for x, _ in eigenvalues(a, bound).eigenvalues:
         scale, keys = Matrix([[e + x if i == j else e for j, e in enumerate(row)]
                               for i, row in enumerate(a.rows)])._keys
-        projections = (tuple(tangible(_decode(k, scale).value) for k in col)
-                       for col in candidates(scale, keys) if None not in col)
-        vectors = chain(projections, _critical_columns(a, x))
+        vectors = (tuple(tangible(_decode(k, scale).value) for k in col)
+                   for col in candidates(x, scale, keys) if None not in col)
         pairs.append((x, next((v for v in vectors if check_eigenpair(a, v, x).holds), None)))
     return pairs
-
-
-def _critical_columns(a: Matrix, x: Scalar) -> Iterator[tuple[Scalar, ...]]:
-    """The critical columns of the Kleene star of |A| - x with no -inf
-    entry, then their sum if it has none, as tangible vectors; nothing when
-    |A| - x has a cycle of positive weight.
-
-    ``d[i][j]`` is the largest weight of a path of one or more steps from i
-    to j in the graph of |A| - x (magnitudes, ghosts included), by
-    Floyd-Warshall in exact arithmetic. Column j is critical when j lies on
-    a cycle of weight 0, ``d[j][j] == 0``; it is then column j of the star,
-    a max-plus eigenvector of |A| for x (Cuninghame-Green, *Minimax
-    Algebra*, 1979; Butkovic, *Max-linear Systems*, 2010, ch. 4), and so,
-    when finite, a tangible candidate for A, since equal magnitudes
-    surpass.
-    """
-    n, lam = a.n, x.value
-    d = [[None if e.is_zero else e.value - lam for e in row] for row in a.rows]
-    for k in range(n):
-        dk = d[k]
-        for di in d:
-            if (dik := di[k]) is None:
-                continue
-            for j, dkj in enumerate(dk):
-                if dkj is not None and (di[j] is None or dik + dkj > di[j]):
-                    di[j] = dik + dkj
-    if any(d[i][i] is not None and d[i][i] > 0 for i in range(n)):
-        return
-    columns = [[row[j] for row in d] for j in range(n) if d[j][j] == 0]
-    sums = [max((e for e in entries if e is not None), default=None) for entries in zip(*columns)]
-    for column in (*columns, sums):
-        if column and None not in column:
-            yield tuple(map(tangible, column))
 
 
 def check_eigen_power(a: Matrix, v: Sequence[Scalar], x: Scalar, m: int) -> Verdict:

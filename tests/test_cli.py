@@ -18,7 +18,7 @@ from supertropical import (
     Polynomial, Verdict, ZERO, cli, oracle, parse_polynomial, roots, spectral,
 )
 from supertropical.fuzz import MAX_TRIALS, CampaignResult
-from supertropical.matrix import MAX_POWER
+from supertropical.matrix import MAX_DIM_BOUND, MAX_POWER
 from supertropical.polynomial import MAX_PARSE_DEGREE
 from supertropical.scalar import MAX_LITERAL_DIGITS
 from supertropical.spectral import CHECKS
@@ -556,6 +556,18 @@ class TestErrorPaths:
         assert (code, out) == (3, "")
         assert err == "error: determinant: size 2 exceeds bound 1\n"
 
+    def test_bound_ceiling_exit_3(self, capsys, a_file):
+        # A bound past MAX_DIM_BOUND is refused as one line, however large,
+        # and a campaign's before any draw; the ceiling itself is a bound.
+        past = MAX_DIM_BOUND + 1
+        code, out, err = run(capsys, "det", a_file, "--bound", str(past))
+        assert (code, out) == (3, "")
+        assert err == f"error: dimension bound: size {past} exceeds bound {MAX_DIM_BOUND}\n"
+        code, out, err = run(capsys, "fuzz", "--max-n", "1000000", "--bound", "1000000")
+        assert (code, out) == (3, "")
+        assert err == f"error: dimension bound: size 1000000 exceeds bound {MAX_DIM_BOUND}\n"
+        assert run(capsys, "det", a_file, "--bound", str(MAX_DIM_BOUND))[0] == 0
+
     @pytest.mark.parametrize("source", ["text", "json"])
     def test_polynomial_degree_cap_exit_3(self, capsys, tmp_path, source):
         # Degree MAX_PARSE_DEGREE passes and one more is refused, on both routes.
@@ -807,7 +819,8 @@ def _flag_values(valid, past_cap):
 
 
 # Past every cap: below 1, above the power and trial caps, above the default
-# dimension bound (and so above every bound drawn here), and not a number.
+# dimension bound (and so above every bound drawn here), and not a number. A
+# bound is also drawn past its own ceiling.
 _PAST_CAP = (0, -1, MAX_POWER + 1, MAX_TRIALS + 1, 10, 10**30, "nan")
 NUMERIC_FLAGS = {
     "--trials": _flag_values(st.integers(1, 3), _PAST_CAP),
@@ -815,7 +828,7 @@ NUMERIC_FLAGS = {
     "--max-m": _flag_values(st.integers(1, 3), _PAST_CAP),
     "-m": _flag_values(st.integers(1, 3), _PAST_CAP),
     "-n": _flag_values(st.integers(1, 4), _PAST_CAP),
-    "--bound": _flag_values(st.integers(1, 9), _PAST_CAP[:2] + ("nan",)),
+    "--bound": _flag_values(st.integers(1, 9), _PAST_CAP[:2] + (MAX_DIM_BOUND + 1, 10**30, "nan")),
     "--ghost-prob": _flag_values(st.floats(0, 1), (-0.5, 1.5, "nan", "inf", "-inf")),
 }
 # Each command with the numeric flags it reads, and whether it draws

@@ -19,6 +19,7 @@ from supertropical.defaults import (
     LAW_IDS,
 )
 from supertropical.fuzz import MAX_TRIALS, generate_trials
+from supertropical.matrix import MAX_DIM_BOUND
 from supertropical import (
     BoundExceededError,
     Config,
@@ -69,6 +70,10 @@ class TestConfig:
         # dimension bound, the default one when none is given.
         assert Config(max_n=DEFAULT_DET_BOUND).max_n == DEFAULT_DET_BOUND
         assert Config(max_n=12, det_bound=12).max_n == 12
+        # However large the bound given, it is refused before any draw.
+        message = rf"^dimension bound: size 1000000 exceeds bound {MAX_DIM_BOUND}$"
+        with pytest.raises(BoundExceededError, match=message):
+            Config(max_n=10**6, det_bound=10**6)
         message = rf"^largest generated dimension: size 10 exceeds bound {DEFAULT_DET_BOUND}$"
         with pytest.raises(BoundExceededError, match=message):
             Config(max_n=10)

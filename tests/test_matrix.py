@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import supertropical.matrix as matrix_module
 from supertropical.errors import _digit_count
-from supertropical.matrix import MAX_POWER, check_power
+from supertropical.matrix import MAX_DIM_BOUND, MAX_POWER, check_dim_bound, check_power
 from supertropical.scalar import _key_pow
 from supertropical import (
     BoundExceededError,
@@ -339,6 +339,20 @@ class TestCaps:
             check_power(MAX_POWER + 1)
         with pytest.raises(DomainError, match=r"^negative matrix powers are not defined$"):
             check_power(-1)
+
+    def test_dimension_bound_ceiling(self, monkeypatch):
+        # A bound above MAX_DIM_BOUND is refused, whatever the dimension,
+        # before any table or column is built; the ceiling itself is a bound.
+        for name in ("_permanent_table", "_det_column", "_size_layers"):
+            monkeypatch.setattr(matrix_module, name, None)
+        one = Matrix(((tangible(1),),))
+        message = rf"^dimension bound: size {MAX_DIM_BOUND + 1} exceeds bound {MAX_DIM_BOUND}$"
+        for route in (det, char_poly, eigenvalues):
+            with pytest.raises(BoundExceededError, match=message):
+                route(one, bound=MAX_DIM_BOUND + 1)
+        with pytest.raises(BoundExceededError, match=r"^dimension bound: size of 31 digits"):
+            check_dim_bound("determinant", 2, 10**30)
+        assert check_dim_bound("determinant", MAX_DIM_BOUND, MAX_DIM_BOUND) == MAX_DIM_BOUND
 
     def test_huge_power_reported_by_digit_count(self):
         # 10**5000 is past the interpreter's str() limit for ints; the

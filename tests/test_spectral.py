@@ -154,10 +154,29 @@ def _reference_matrix(rng: random.Random, max_n: int = 3, span: int = 4):
     return Matrix(tuple(tuple(entry() for _ in range(n)) for _ in range(n)))
 
 
-def _reference_eigenpairs(a: Matrix):
+def _every_two_by_two():
+    """Every 2x2 matrix over eight entries: -inf, -1, 0, 1, 2, -1g, 0g, 1g."""
+    entries = [ZERO, *map(tangible, (-1, 0, 1, 2)), *map(ghost, (-1, 0, 1))]
+    for e in itertools.product(entries, repeat=4):
+        yield Matrix((e[:2], e[2:]))
+
+
+def _reducible_three_by_threes():
+    """The 3x3 matrices ``* * * / -inf 1 -inf / y -inf 1`` over -inf, 0, 1,
+    0g, which are reducible: the vectors for 42 of the 256 are the sum of
+    the star's critical columns."""
+    entries = [ZERO, tangible(0), tangible(1), ghost(0)]
+    middle = (ZERO, tangible(1), ZERO)
+    for *top, y in itertools.product(entries, repeat=4):
+        yield Matrix((tuple(top), middle, (y, ZERO, tangible(1))))
+
+
+def _reference_eigenpairs(a: Matrix, star: bool = False):
     """`eigenpairs` by its documented order, each entry of adj(A + xI)
-    taken from the oracle's permanent of its minor; with the number of
-    adjoint columns tried over all eigenvalues."""
+    taken from the oracle's permanent of its minor, and with ``star`` the
+    critical columns of the Kleene star of |A| - x and their sum after them
+    (`_reference_critical_columns`); with the number of adjoint columns
+    tried over all eigenvalues."""
     pairs, tried = [], 0
     for x, _ in eigenvalues(a).eigenvalues:
         b = [[e + x if i == j else e for j, e in enumerate(row)] for i, row in enumerate(a.rows)]
@@ -180,8 +199,41 @@ def _reference_eigenpairs(a: Matrix):
             if check_eigenpair(a, v, x).holds:
                 vector = v
                 break
+        if vector is None and star:
+            vector = next((v for v in _reference_critical_columns(a, x)
+                           if check_eigenpair(a, v, x).holds), None)
         pairs.append((x, vector))
     return pairs, tried
+
+
+def _reference_critical_columns(a: Matrix, x):
+    """The critical columns of the Kleene star of |A| - x with no -inf
+    entry, then their sum if it has none, as tangible vectors; nothing when
+    |A| - x has a cycle of positive weight.
+
+    ``d[i][j]`` is the largest weight of a path of one or more steps from i
+    to j in the graph of |A| - x (magnitudes, ghosts included), by
+    Floyd-Warshall in exact arithmetic. Column j is critical when j lies on
+    a cycle of weight 0, ``d[j][j] == 0``; it is then column j of the star,
+    a max-plus eigenvector of |A| for x.
+    """
+    n, lam = a.n, x.value
+    d = [[None if e.is_zero else e.value - lam for e in row] for row in a.rows]
+    for k in range(n):
+        dk = d[k]
+        for di in d:
+            if (dik := di[k]) is None:
+                continue
+            for j, dkj in enumerate(dk):
+                if dkj is not None and (di[j] is None or dik + dkj > di[j]):
+                    di[j] = dik + dkj
+    if any(d[i][i] is not None and d[i][i] > 0 for i in range(n)):
+        return
+    columns = [[row[j] for row in d] for j in range(n) if d[j][j] == 0]
+    sums = [max((e for e in entries if e is not None), default=None) for entries in zip(*columns)]
+    for column in (*columns, sums):
+        if column and None not in column:
+            yield tuple(map(tangible, column))
 
 
 class TestEigenpairs:
@@ -226,10 +278,8 @@ class TestEigenpairs:
         # For x = 3 both critical columns of the star have a -inf entry and
         # their sum (0, 0) has none; below 3, |A| - x has a positive cycle.
         a = parse_matrix("3 -inf\n-inf 3")
-        assert list(spectral_module._critical_columns(a, tangible(3))) == [
-            (tangible(0), tangible(0))
-        ]
-        assert list(spectral_module._critical_columns(a, tangible(2))) == []
+        assert list(_reference_critical_columns(a, tangible(3))) == [(tangible(0), tangible(0))]
+        assert list(_reference_critical_columns(a, tangible(2))) == []
 
     def test_one_by_one_takes_the_unit(self):
         assert eigenpairs(parse_matrix("5")) == [(tangible(5), (tangible(0),))]
@@ -237,20 +287,24 @@ class TestEigenpairs:
 
     def test_matches_the_oracle_adjoint(self):
         # Tight lattices, so that ties are common, and eigenvalues whose
-        # denominator A's scale lacks, so that B = A + xI has a larger one.
+        # denominator A's scale lacks, so that B = A + xI has a larger one;
+        # then every 2x2 matrix over eight entries, and reducible 3x3s.
         rng = random.Random("eigenpairs-oracle")
         found = finer = 0
         for _ in range(400):
             a = _reference_matrix(rng, max_n=6, span=2)
             pairs = eigenpairs(a)
-            assert pairs == _reference_eigenpairs(Matrix(a.rows))[0]
+            assert pairs == _reference_eigenpairs(Matrix(a.rows), star=True)[0]
             found += sum(v is not None for _, v in pairs)
             finer += sum(a._keys[0] % x.value.denominator != 0 for x, _ in pairs)
         assert found > 300 and finer > 40
+        for a in itertools.chain(_every_two_by_two(), _reducible_three_by_threes()):
+            assert eigenpairs(a) == _reference_eigenpairs(a, star=True)[0], a
 
     def test_one_table_per_adjoint_column_tried(self, monkeypatch):
         # A's table (for its eigenvalues), then one determinant column per
-        # adjoint column tried and no other table.
+        # adjoint column tried and no other table; the reducible 3x3, whose
+        # vector is the star's, builds no column beyond the adjoint's.
         calls = Counter()
         for name in ("_permanent_table", "_det_column"):
 
@@ -265,12 +319,40 @@ class TestEigenpairs:
         # and then their sum, which builds no column.
         assert _reference_eigenpairs(parse_matrix("1 3\n-inf 0"))[1] == 2 + 2
         rng = random.Random("eigenpairs-cost")
-        texts = ["1 3\n-inf 0"] + [str(_reference_matrix(rng, max_n=5, span=2)) for _ in range(20)]
+        texts = ["1 3\n-inf 0", "-inf -inf 0\n-inf 1 -inf\n-inf -inf 1"]
+        texts += [str(_reference_matrix(rng, max_n=5, span=2)) for _ in range(20)]
         for text in texts:
             tried = _reference_eigenpairs(parse_matrix(text))[1]
             calls.clear()
             eigenpairs(parse_matrix(text))
             assert calls == Counter({"_permanent_table": 1, "_det_column": tried})
+
+    def test_star_only_without_a_positive_cycle(self, monkeypatch):
+        # Below the largest breakpoint of charpoly(A), the largest cycle mean
+        # of |A|, some cycle of |A| - x has positive weight: the star is not
+        # tried, so an eigenvalue tries its n adjoint columns and their sum
+        # at most. Each coefficient of x^(n - k) is a weight of k rows.
+        tried = Counter()
+
+        def counted(a, v, x, _original=spectral_module.check_eigenpair):
+            tried[x] += 1
+            return _original(a, v, x)
+
+        monkeypatch.setattr(spectral_module, "check_eigenpair", counted)
+        rng = random.Random("eigenpairs-guard")
+        below = 0
+        seeded = (_reference_matrix(rng, max_n=5, span=2) for _ in range(200))
+        for a in itertools.chain(_every_two_by_two(), seeded):
+            tried.clear()
+            pairs = eigenpairs(a)
+            f = char_poly(a)
+            top = max((f.coeff(a.n - k).value / k for k in range(1, a.n + 1)
+                       if not f.coeff(a.n - k).is_zero), default=None)
+            for x, _ in pairs:
+                if x.value < top:
+                    below += 1
+                    assert tried[x] <= a.n + 1, (a, x)
+        assert below > 100
 
 
 class TestCharpolyPower:
