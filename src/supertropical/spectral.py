@@ -17,7 +17,8 @@ nothing and builds no string and no `Fraction`.
 
 Eigenvectors have one construction, the columns of adj(A + xI); the Kleene
 star of |A| - x, where it is defined, is those columns less a constant, so
-its one new candidate is read off them (`eigenpairs`).
+its one new candidate, the sum of its critical columns, is read off them.
+That sum is tried for every eigenvalue, defined star or not (`eigenpairs`).
 """
 
 from __future__ import annotations
@@ -154,53 +155,55 @@ def eigenpairs(
     """Each tangible eigenvalue x of A, in `eigenvalues` order, with a
     tangible eigenvector read off the adjoint of B = A + xI, or ``None``.
 
-    Column r of adj(B) is det(B without row r and column c) for c = 0..n-1
-    (the unit when n = 1), read off one determinant column of B's keys with
-    row r on top (`matrix._det_column`) and decoded at B's scale only when
-    tried. The columns are tried in turn, then their sum, then the sum of
-    the critical columns of the Kleene star of |A| - x; the first with no
-    -inf entry whose tangible projection passes `check_eigenpair` is the
-    eigenvector. So an eigenvalue costs at most n integer columns of size n.
+    x is a corner cut (t, den) of charpoly(A): at scale den * scale, at most
+    two digits past A's capped one as den <= n, x's key is t << 1, and B is
+    A's rescaled keys with x added on the diagonal. Column r of adj(B) is
+    det(B without row r and column c) for c = 0..n-1 (the unit when n = 1),
+    read off one determinant column of B's keys with row r on top
+    (`matrix._det_column`) and decoded only when tried. The columns are
+    tried in turn, then their sum, then the sum of the columns critical in
+    their own row less (n - 1)x; the first with no -inf entry whose tangible
+    projection passes `check_eigenpair` is the eigenvector. So an eigenvalue
+    costs at most n integer columns of size n.
 
-    per(B) is nx plus the heaviest set of disjoint cycles of |A| - x, so it
-    is nx exactly when no cycle is positive; only then is the star tried. A
-    minor of B is then a path from c to r plus cycles of weight at most 0,
-    so column r of adj(B) is (n - 1)x plus column r of the star, tried
-    already. Column r is critical, on a cycle of weight 0, when the largest
-    |a_rk| + s_k is x + s_r, with A's own a_rr: x exactly where B's is ghost.
+    Column r is critical when its principal cofactor s_r is finite and the
+    largest |a_rk| + s_k, a_rr included, is x + s_r. Without a positive
+    cycle in |A| - x, a minor of B is a path from c to r plus cycles of
+    weight at most 0, so column r is (n - 1)x plus column r of the Kleene
+    star of |A| - x, tried already, and critical exactly when r is on a
+    cycle of weight 0: the one star candidate left is the critical sum.
+    With a positive cycle there is no star, but the critical sum is still
+    tried, and can be the only candidate that holds: x = 0 of
+    ``3 -inf -inf -3/2 / -inf -inf 0 -inf / -inf 0 -inf -inf / 0 -inf -inf 0``.
     """
+    n, full = a.n, (1 << a.n) - 1
+    scale, keys = a._keys
 
-    def candidates(x: Scalar, scale: int, keys):
-        n, full, columns = a.n, (1 << a.n) - 1, []
+    def candidates(t: int, rows, b):
+        columns = []
         for r in range(n):
-            dets = _det_column((keys[r], *keys[:r], *keys[r + 1:]))
+            dets = _det_column((b[r], *b[:r], *b[r + 1:]))
             columns.append([dets[full ^ (1 << c)] for c in range(n)])
             yield columns[-1]
         yield [_key_sum(entries) for entries in zip(*columns)]
-        t = x.value * scale
-        if dets[-1] is None or dets[-1] >> 1 != n * t:
-            return
-        # Without a positive cycle no a_rr passes x, so B's diagonal is x and t an integer.
-        t = int(t)
         critical = []
-        for r, (row, column) in enumerate(zip(keys, columns)):
-            target = t + (column[r] >> 1)
-            reach = [(p >> 1) + (q >> 1) for k, (p, q) in enumerate(zip(row, column))
-                     if k != r and p is not None and q is not None]
-            if row[r] & 1:
-                reach.append(target)
-            if max(reach, default=None) == target:
+        for r, (row, column) in enumerate(zip(rows, columns)):
+            reach = [(p >> 1) + (q >> 1) for p, q in zip(row, column)
+                     if p is not None and q is not None]
+            if column[r] is not None and max(reach, default=None) == t + (column[r] >> 1):
                 critical.append(column)
         if critical:
             lift = (n - 1) * t << 1
             yield [None if k is None else k - lift for k in map(_key_sum, zip(*critical))]
 
     pairs = []
-    for x, _ in eigenvalues(a, bound).eigenvalues:
-        scale, keys = Matrix([[e + x if i == j else e for j, e in enumerate(row)]
-                              for i, row in enumerate(a.rows)])._keys
-        vectors = (tuple(tangible(_decode(k, scale).value) for k in col)
-                   for col in candidates(x, scale, keys) if None not in col)
+    for (t, den), _ in _corners(char_poly(a, bound)):
+        x = tangible(_cut_value((t, den), scale))
+        rows = [[_key_pow(k, den) for k in row] for row in keys]
+        b = [[_key_sum((k, t << 1)) if i == j else k for j, k in enumerate(row)]
+             for i, row in enumerate(rows)]
+        vectors = (tuple(tangible(_decode(k, den * scale).value) for k in col)
+                   for col in candidates(t, rows, b) if None not in col)
         pairs.append((x, next((v for v in vectors if check_eigenpair(a, v, x).holds), None)))
     return pairs
 

@@ -290,6 +290,22 @@ class TestCheckCommand:
         assert code == 0
         assert [v.get("not_applicable", False) for v in json.loads(out)] == [False, True]
 
+    def test_prop32_vector_from_the_critical_sum(self, capsys, tmp_path):
+        # |A| has a positive cycle for eigenvalue 0, whose vector is the sum
+        # of the columns critical in their own row; 3 has no tangible one.
+        path = tmp_path / "P.txt"
+        path.write_text("3 -inf -inf -3/2\n-inf -inf 0 -inf\n-inf 0 -inf -inf\n0 -inf -inf 0\n",
+                        encoding="utf-8")
+        code, out, _ = run(capsys, "check", "prop32", "-f", str(path), "-m", "2")
+        assert code == 0
+        assert out == (
+            "PASS eigen-power\n  eigenvalue=0  vector=(-3/2, 3, 3, 3)\n"
+            "  i=0  lhs=9/2g  rhs=-3/2  ok=True\n  i=1  lhs=3  rhs=3  ok=True\n"
+            "  i=2  lhs=3  rhs=3  ok=True\n  i=3  lhs=3  rhs=3  ok=True\n"
+            "N/A  eigen-power\n  eigenvalue=3  note=no column of adj(A + xI) or critical column "
+            "of the star of |A| - x, nor either sum, gives a tangible eigenvector\n"
+        )
+
     def test_prop32_without_tangible_eigenvalue(self, capsys, tmp_path):
         path = tmp_path / "Z.txt"
         path.write_text("-inf -inf\n-inf -inf\n", encoding="utf-8")

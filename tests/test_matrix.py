@@ -952,6 +952,20 @@ class TestColumnIndex:
         assert len(matrix_module._CHUNKS) == 2
         assert all(len(chunk) <= 512 for chunk in matrix_module._CHUNKS)
 
+    def test_index_at_the_dimension_ceiling(self, monkeypatch):
+        # Past 18 columns the index joins a third chunk, one _JoinedMembers
+        # inside another; the index alone is read, with no kernel run. A
+        # fresh chunk list keeps the shared one at its two chunks.
+        monkeypatch.setattr(matrix_module, "_CHUNKS", [])
+        rng = random.Random("column-index-ceiling")
+        for n in (9, 10, 18, 19, matrix_module.MAX_DIM_BOUND):
+            members = matrix_module._members(n)
+            for subset in [0, (1 << n) - 1, *(rng.getrandbits(n) for _ in range(200))]:
+                expected = tuple((j, 1 << j) for j in range(n) if subset >> j & 1)
+                assert members[subset] == expected, (n, subset)
+        assert isinstance(members._high, matrix_module._JoinedMembers)
+        assert len(matrix_module._CHUNKS) == 3
+
 
 # The golden fixture B4 and the bytes of its pickles, pinned above.
 B4_TEXT = "1/2g 3/2 1/2 -inf\n1/2 1g 1 -1/3\n-2/3 2 3/2 -inf\n-1/3 2 1 2\n"

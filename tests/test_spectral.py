@@ -5,6 +5,7 @@ from __future__ import annotations
 import ast
 import itertools
 import json
+import math
 import pickle
 import random
 from collections import Counter
@@ -236,6 +237,35 @@ def _reference_critical_columns(a: Matrix, x):
             yield tuple(map(tangible, column))
 
 
+# A positive cycle of |A| for its eigenvalue 0, with an eigenvector all the same.
+POSITIVE_CYCLE_TEXT = "3 -inf -inf -3/2\n-inf -inf 0 -inf\n-inf 0 -inf -inf\n0 -inf -inf 0"
+
+
+def _lattice_holds_eigenvector(a: Matrix, x) -> bool:
+    """Whether the tangible eigenvalue x of A has a tangible eigenvector, by
+    search on a finite lattice that holds one whenever any exists.
+
+    A finite v is an eigenvector exactly when each row i meets one of these
+    options, |a| a magnitude: T(j), |a_ij| + v_j = x + v_i and every
+    |a_ik| + v_k at most that; G(j), a_ij ghost and |a_ij| + v_j at least
+    x + v_i and every |a_ik| + v_k; D(j, k), |a_ij| + v_j = |a_ik| + v_k, at
+    least x + v_i and every other |a_il| + v_l. A choice of one option per
+    row is a system of non-strict constraints v_p - v_q <= c, with each c a
+    difference of two values in {|a_ij| finite} and x, so at most their
+    spread C in size. A system that holds anywhere holds at its shortest-
+    path potentials from a source joined to every coordinate by weight 0:
+    one coordinate 0, the others sums of at most n - 1 constants, in
+    [-(n - 1)C, 0] and on the lattice 1/s, s the LCM of the values'
+    denominators.
+    """
+    values = [e.value for row in a.rows for e in row if not e.is_zero] + [x.value]
+    s = math.lcm(*(value.denominator for value in values))
+    depth = (a.n - 1) * (max(values) - min(values)) * s
+    steps = [tangible(Fraction(-k, s)) for k in range(int(depth) + 1)]
+    return any(check_eigenpair(a, v, x).holds
+               for v in itertools.product(steps, repeat=a.n) if tangible(0) in v)
+
+
 class TestEigenpairs:
     def test_covers_the_lattice_search(self):
         # Every eigenvalue for which the oracle's grid finds an eigenvector
@@ -327,11 +357,20 @@ class TestEigenpairs:
             eigenpairs(parse_matrix(text))
             assert calls == Counter({"_permanent_table": 1, "_det_column": tried})
 
-    def test_star_only_without_a_positive_cycle(self, monkeypatch):
-        # Below the largest breakpoint of charpoly(A), the largest cycle mean
-        # of |A|, some cycle of |A| - x has positive weight: the star is not
-        # tried, so an eigenvalue tries its n adjoint columns and their sum
-        # at most. Each coefficient of x^(n - k) is a weight of k rows.
+    def test_positive_cycle_needs_the_critical_sum(self):
+        # a_00 = 3 makes a positive cycle of |A| for x = 0, so the star is
+        # not defined; no adjoint column or their sum holds, but the sum of
+        # the columns critical in their own row does: row 0 ties at 3/2.
+        a = parse_matrix(POSITIVE_CYCLE_TEXT)
+        assert _reference_eigenpairs(a, star=True)[0] == [(tangible(0), None), (tangible(3), None)]
+        v = tuple(map(tangible, (Fraction(-3, 2), 3, 3, 3)))
+        assert check_eigenpair(a, v, tangible(0)).holds
+        assert eigenpairs(a) == [(tangible(0), v), (tangible(3), None)]
+
+    def test_at_most_n_plus_two_candidates(self, monkeypatch):
+        # Each eigenvalue tries its n adjoint columns, their sum and the
+        # critical sum at most, and skips any with a -inf entry untried; the
+        # positive-cycle 4x4's eigenvalue 0 holds only at the last of them.
         tried = Counter()
 
         def counted(a, v, x, _original=spectral_module.check_eigenpair):
@@ -340,19 +379,29 @@ class TestEigenpairs:
 
         monkeypatch.setattr(spectral_module, "check_eigenpair", counted)
         rng = random.Random("eigenpairs-guard")
-        below = 0
         seeded = (_reference_matrix(rng, max_n=5, span=2) for _ in range(200))
-        for a in itertools.chain(_every_two_by_two(), seeded):
+        extra = [parse_matrix(POSITIVE_CYCLE_TEXT)]
+        eigenvalue_count = 0
+        for a in itertools.chain(_every_two_by_two(), seeded, extra):
             tried.clear()
-            pairs = eigenpairs(a)
-            f = char_poly(a)
-            top = max((f.coeff(a.n - k).value / k for k in range(1, a.n + 1)
-                       if not f.coeff(a.n - k).is_zero), default=None)
-            for x, _ in pairs:
-                if x.value < top:
-                    below += 1
-                    assert tried[x] <= a.n + 1, (a, x)
-        assert below > 100
+            for x, _ in eigenpairs(a):
+                eigenvalue_count += 1
+                assert tried[x] <= a.n + 2, (a, x)
+        assert eigenvalue_count > 2000
+
+    def test_finds_a_vector_exactly_when_the_lattice_holds_one(self):
+        # Every 2x2 over eight entries, and seeded 3x3s over -inf, 0, 1, 0g.
+        rng = random.Random("eigenpairs-lattice")
+        entries = [ZERO, tangible(0), tangible(1), ghost(0)]
+        seeded = (Matrix([[rng.choice(entries) for _ in range(3)] for _ in range(3)])
+                  for _ in range(300))
+        found = missing = 0
+        for a in itertools.chain(_every_two_by_two(), seeded):
+            for x, v in eigenpairs(a):
+                assert (v is not None) == _lattice_holds_eigenvector(a, x), (a, x)
+                found += v is not None
+                missing += v is None
+        assert (found, missing) == (2438 + 242, 352 + 40)
 
 
 class TestCharpolyPower:
