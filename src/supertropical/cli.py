@@ -107,7 +107,8 @@ def _generated_config(args) -> fuzz.Config:
 
     Each flag named after a `Config` field sets that field, flags left out
     take `Config`'s defaults, and `check`'s -m fixes the power. A largest
-    size below the default least one that no flag set is refused by its flag.
+    size below the default least one that no flag set is refused by its flag,
+    and so is a least dimension below 1 or above the largest.
     """
     given = {k: v for k, v in vars(args).items() if k in fuzz.Config._fields and v is not None}
     if getattr(args, "power", None) is not None:
@@ -118,6 +119,11 @@ def _generated_config(args) -> fuzz.Config:
         if low not in given and given.get(high, least) < least:
             flag = "--" + high.replace("_", "-")
             raise DomainError(f"{flag} must be at least {least}, got {given[high]}")
+    if "min_n" in given:
+        _at_least_one("--min-n", given["min_n"])
+        most = given.get("max_n", defaults.max_n)
+        if given["min_n"] > most:
+            raise DomainError(f"--min-n must be at most {most}, got {given['min_n']}")
     return fuzz.Config(**given, det_bound=args.bound)
 
 

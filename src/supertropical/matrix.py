@@ -167,7 +167,8 @@ class Matrix(_Record):
         encoded once from the rows and shared by `det`, `char_poly` and
         `mat_pow`; tuples, so no reader can change them."""
         scale = _key_scale(
-            (e.value.denominator for row in self.rows for e in row if not e.is_zero), "matrix"
+            (m.denominator for row in self.rows for e in row if (m := e.value) is not None),
+            "matrix",
         )
         return scale, tuple(tuple(_encode_keys(row, scale)) for row in self.rows)
 
@@ -448,6 +449,10 @@ def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
     The table is built one size layer at a time, so row ``i`` is fixed for
     a whole layer, and each entry loops over the columns ``j`` in ``S``
     alone, from the shared column index (`_members`), reading ``row[j]``.
+    That key ``p`` is split once into its even part ``p & -2`` and its
+    ghost bit ``p & 1``, and its product with a key ``q`` is the even part
+    plus ``q``, with the ghost bit or-ed in: the magnitudes add, and the
+    product is ghost when either factor is.
     The unit ``x`` on the diagonal has key 0 at degree 1, so its term is
     ``table[S - {i}]`` shifted up one degree, a list copy with no
     arithmetic. That term comes first; without
@@ -491,19 +496,21 @@ def _permanent_table(keys: _Keys) -> tuple[list[int | None], list[int | None]]:
                 rest = table[subset ^ bit]
                 if rest is None:
                     continue
+                pe, g = p & -2, p & 1
                 if acc is None:
-                    acc = [None if q is None else p + q - (p & q & 1) for q in rest]
+                    acc = [None if q is None else (pe + q) | g for q in rest]
                     acc += [None] * (1 + (subset >> i).bit_count() - len(acc))
                     continue
-                for d, q in enumerate(rest):
-                    if q is None:
-                        continue
-                    term = p + q - (p & q & 1)
-                    old = acc[d]
-                    if old is None or term > old | 1:
-                        acc[d] = term
-                    elif term >> 1 == old >> 1:
-                        acc[d] = old | 1
+                d = 0
+                for q in rest:
+                    if q is not None:
+                        term = (pe + q) | g
+                        old = acc[d]
+                        if old is None or term > old | 1:
+                            acc[d] = term
+                        elif term >> 1 == old >> 1:
+                            acc[d] = old | 1
+                    d += 1
             if acc is not None:
                 table[subset] = acc
                 dets[subset] = acc[0]
@@ -555,10 +562,14 @@ class DominantTracks(Sequence[PermutationTrack]):
     ``ways[S - {column}]`` over those steps, which are sought among S's
     columns alone, from the column index. Both are filled in, once each,
     for the subsets that some dominant track passes through, so `len` builds
-    no track. Iterating pops (subset left, ghost bit, prefix) states off
-    one stack, depth first in ascending column order, and builds each track
-    as it is reached; indexing goes straight to the track of that rank by
-    the counts. The sequence equals a tuple of the same tracks.
+    no track. A walk down from the full set, one size layer at a time,
+    builds the steps of each subset in a layer and gathers the subsets they
+    leave, each once, into the next layer; the counts are then summed
+    bottom-up, over the layers in reverse. Iterating pops (subset left,
+    ghost bit, prefix) states off one stack, depth first in ascending column
+    order, and builds each track as it is reached; indexing goes straight to
+    the track of that rank by the counts. The sequence equals a tuple of the
+    same tracks.
     """
 
     __slots__ = ("_steps", "_ways", "_products", "_full")
@@ -566,25 +577,30 @@ class DominantTracks(Sequence[PermutationTrack]):
     def __init__(self, keys: _Keys, dets: list[int | None], value: Scalar):
         n = len(keys)
         members = _members(n)
+        full = (1 << n) - 1
         steps: dict[int, list[tuple[int, int]]] = {0: []}
         ways = {0: 1}
-
-        def count(subset: int) -> int:
-            if subset not in ways:
-                row = keys[n - subset.bit_count()]
+        layers = []
+        layer = [full]
+        for row in keys:
+            reached = {}
+            for subset in layer:
                 target = dets[subset] >> 1
-                steps[subset] = [
+                steps[subset] = found = [
                     (j, k & 1)
                     for j, bit in members[subset]
                     if (k := row[j]) is not None
                     and (rest := dets[subset ^ bit]) is not None
                     and (k >> 1) + (rest >> 1) == target
                 ]
-                ways[subset] = sum(count(subset ^ (1 << j)) for j, _ in steps[subset])
-            return ways[subset]
-
-        self._full = (1 << n) - 1
-        count(self._full)
+                for j, _ in found:
+                    reached[subset ^ (1 << j)] = None
+            layers.append(layer)
+            layer = reached
+        for layer in reversed(layers):
+            for subset in layer:
+                ways[subset] = sum([ways[subset ^ (1 << j)] for j, _ in steps[subset]])
+        self._full = full
         self._steps = steps
         self._ways = ways
         # A dominant track's product has the determinant's magnitude; it is

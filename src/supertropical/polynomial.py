@@ -49,7 +49,7 @@ class Polynomial(_Record):
         cs = list(coeffs) or [ZERO]
         while len(cs) > 1 and cs[-1].is_zero:
             cs.pop()
-        scale = _key_scale((c.value.denominator for c in cs if not c.is_zero), "polynomial")
+        scale = _key_scale((m.denominator for c in cs if (m := c.value) is not None), "polynomial")
         self._keys = (scale, tuple(_encode_keys(cs, scale)))
         self.coeffs = tuple(cs)
 

@@ -297,11 +297,15 @@ def _key_scale(denominators: Iterable[int], what: str) -> int:
 
 def _encode_keys(values: Iterable[Scalar], scale: int) -> list[int | None]:
     """The keys of ``values`` at ``scale``, a multiple of their denominators."""
-    return [
-        None if v.kind is Kind.ZERO
-        else (v.value.numerator * (scale // v.value.denominator)) << 1 | (v.kind is Kind.GHOST)
-        for v in values
-    ]
+    ghost = Kind.GHOST
+    keys = []
+    for v in values:
+        if (m := v.value) is None:
+            keys.append(None)
+        else:
+            p, q = m.as_integer_ratio()
+            keys.append((p * (scale // q)) << 1 | (v.kind is ghost))
+    return keys
 
 
 def _decode(k: int | None, scale: int) -> Scalar:

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from supertropical import (
     Polynomial, Verdict, ZERO, cli, oracle, parse_polynomial, roots, spectral,
 )
+from supertropical.defaults import DEFAULT_MAX_N
 from supertropical.fuzz import MAX_TRIALS, CampaignResult
 from supertropical.matrix import MAX_DIM_BOUND, MAX_POWER
 from supertropical.polynomial import MAX_PARSE_DEGREE
@@ -427,6 +428,21 @@ class TestCheckCommand:
     )
     def test_largest_size_below_least_names_its_flag(self, capsys, argv, message):
         # No flag sets the least size here, so the refusal names the flag given.
+        code, out, err = run(capsys, *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["fuzz", "--min-n", "0"], "--min-n must be at least 1, got 0"),
+            (["fuzz", "--trials", "3", "--min-n", "5"],
+             f"--min-n must be at most {DEFAULT_MAX_N}, got 5"),
+            (["fuzz", "--min-n", "3", "--max-n", "2"], "--min-n must be at most 2, got 3"),
+        ],
+        ids=["below-one", "above-default-max-n", "above-given-max-n"],
+    )
+    def test_least_dimension_out_of_range_names_its_flag(self, capsys, argv, message):
+        # The refusal names --min-n, not the `Config` field it sets.
         code, out, err = run(capsys, *argv)
         assert (code, out, err) == (2, "", f"error: {message}\n")
 

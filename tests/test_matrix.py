@@ -894,13 +894,18 @@ def _index_keys(rng, shape, n):
     """A seeded key matrix of one shape: ``random`` on -5..5 with 5% -inf,
     ``row`` with a row of -inf, ``diagonal`` with an all -inf diagonal,
     ``tied`` with every entry equal, ``ghost`` all ghost, ``wide`` on
-    +-10^6 at scale 97; 20% ghosts where the shape leaves it open."""
+    +-10^6 at scale 97, ``huge`` on +-10^30 plus -2..2, so keys pass 2^64,
+    negative odd keys are common and ties still occur; 20% ghosts where
+    the shape leaves it open."""
 
     def key(i, j):
         if shape == "diagonal" and i == j or shape != "tied" and rng.random() < 0.05:
             return None
         if shape == "wide":
             return rng.randint(-10**6 * 97, 10**6 * 97) << 1 | (rng.random() < 0.2)
+        if shape == "huge":
+            magnitude = rng.choice((-10**30, 10**30)) + rng.randint(-2, 2)
+            return magnitude << 1 | (rng.random() < 0.2)
         return rng.randint(-5, 5) << 1 | (shape == "ghost" or rng.random() < 0.2)
 
     keys = [[key(i, j) for j in range(n)] for i in range(n)]
@@ -916,7 +921,7 @@ class TestColumnIndex:
     give what the kernels that tested every column gave, on both sides of
     the 9-column chunk boundary."""
 
-    SHAPES = ("random", "row", "diagonal", "tied", "ghost", "wide")
+    SHAPES = ("random", "row", "diagonal", "tied", "ghost", "wide", "huge")
 
     def test_kernels_match_their_references(self):
         rng = random.Random("column-index")
@@ -943,6 +948,27 @@ class TestColumnIndex:
                         assert [(t.perm, int(t.product.is_ghost)) for t in indexed] == expected
                         listed += len(expected)
         assert listed > 1000
+
+    def test_count_builds_each_step_list_once(self, monkeypatch):
+        # The all-tied 8x8 reaches every nonempty subset, along 40,320
+        # dominant tracks; the count reads each subset's columns once.
+        keys = _index_keys(random.Random("step-lists"), "tied", 8)
+        dets = matrix_module._det_column(keys)
+        reads = []
+
+        class CountedMembers:
+            def __init__(self, members):
+                self._members = members
+
+            def __getitem__(self, subset):
+                reads.append(subset)
+                return self._members[subset]
+
+        members = matrix_module._members
+        monkeypatch.setattr(matrix_module, "_members", lambda n: CountedMembers(members(n)))
+        tracks = matrix_module.DominantTracks(keys, dets, tangible(0))
+        assert len(tracks) == 40320
+        assert sorted(reads) == list(range(1, 256))
 
     def test_cached_index_stays_bounded(self):
         rng = random.Random("column-index-bound")

@@ -2,15 +2,20 @@
 
 from __future__ import annotations
 
+import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from supertropical import DomainError, Kind, ONE, ParseError, Scalar, ZERO, ghost, parse_scalar, tangible
-from supertropical.scalar import _decode, _encode_keys, _key_pow, _key_sum, _key_surpasses
+from supertropical import (
+    BoundExceededError, DomainError, Kind, Matrix, ONE, ParseError, Polynomial, Scalar, ZERO,
+    ghost, parse_scalar, tangible,
+)
+from supertropical.scalar import MAX_LITERAL_DIGITS, _decode, _encode_keys, _key_pow, _key_sum, _key_surpasses
 from conftest import scalars, tangibles
 
 
@@ -247,6 +252,59 @@ def test_key_arithmetic_matches_scalars():
             assert _key_surpasses(keys[a], keys[b]) is a.surpasses(b), (a, b)
             for c in grid:
                 assert _decode(_key_sum([keys[a], keys[b], keys[c]]), scale) == a + b + c
+
+
+def _reference_keys(values):
+    """The scale and keys of ``values`` as the key definition states them:
+    the LCM of the finite values' denominators, then
+    ``(numerator * (scale // denominator)) << 1 | ghost``, ``None`` for -inf."""
+    finite = [v.value for v in values if v.kind is not Kind.ZERO]
+    scale = math.lcm(*(m.denominator for m in finite))
+    return scale, [
+        None if v.kind is Kind.ZERO
+        else (v.value.numerator * (scale // v.value.denominator)) << 1 | (v.kind is Kind.GHOST)
+        for v in values
+    ]
+
+
+def _encoder_scalar(rng):
+    """-inf at 15%, else a tangible or (30%) ghost value whose denominator
+    is drawn from 1..97 and whose numerator is small, or at 20% has 990 to
+    `MAX_LITERAL_DIGITS` digits, either sign."""
+    if rng.random() < 0.15:
+        return ZERO
+    if rng.random() < 0.2:
+        numerator = rng.randrange(10**(MAX_LITERAL_DIGITS - 10), 10**MAX_LITERAL_DIGITS)
+    else:
+        numerator = rng.randint(0, 50)
+    value = Fraction(rng.choice((-1, 1)) * numerator, rng.randint(1, 97))
+    return (ghost if rng.random() < 0.3 else tangible)(value)
+
+
+def test_matrix_and_polynomial_keys_match_the_definition():
+    rng = random.Random("encode")
+    for n in range(1, 9):
+        for _ in range(6):
+            rows = [[_encoder_scalar(rng) for _ in range(n)] for _ in range(n)]
+            scale, flat = _reference_keys([e for row in rows for e in row])
+            expected = tuple(tuple(flat[i:i + n]) for i in range(0, n * n, n))
+            assert Matrix(rows)._keys == (scale, expected), rows
+            # A nonzero top coefficient, so the polynomial keeps every one.
+            coeffs = [e for row in rows for e in row]
+            while coeffs[-1] == ZERO:
+                coeffs[-1] = _encoder_scalar(rng)
+            scale, keys = _reference_keys(coeffs)
+            assert Polynomial(coeffs)._keys == (scale, tuple(keys)), coeffs
+    # All -inf: scale 1 and no finite key.
+    assert Matrix([[ZERO] * 2] * 2)._keys == (1, ((None, None), (None, None)))
+    assert Polynomial([ZERO])._keys == (1, (None,))
+    # A 2,001-digit denominator beside -inf and ones that fit is refused.
+    values = [tangible(Fraction(1, 3)), ZERO, ghost(Fraction(1, 10**2000))]
+    for what, build in (("matrix", lambda: Matrix([values] * 3)._keys),
+                        ("polynomial", lambda: Polynomial(values)._keys)):
+        with pytest.raises(BoundExceededError,
+                           match=f"^digits of the {what} scale: size 2001 exceeds bound 2000$"):
+            build()
 
 
 # --- pickles ----------------------------------------------------------------
